@@ -67,7 +67,7 @@ def index_checks(d):
         return "paged-index answers diverged from the resident index"
     if not d["gate"]["paged_pass"]:
         return (
-            "paged cold BulkGet with prefetch below %sx of no-prefetch: %.2fx"
+            "paged cold BulkFind with prefetch below %sx of no-prefetch: %.2fx"
             % (p["min_prefetch_speedup"], p["prefetch_speedup"])
         )
     return None

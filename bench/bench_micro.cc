@@ -464,8 +464,11 @@ void BM_BPlusTreeProbe(benchmark::State& state) {
   }
   size_t i = 0;
   for (auto _ : state) {
-    auto v = tree.Get(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(v);
+    uint64_t row_id = 0;
+    bool found = false;
+    Status st = tree.Find(keys[i++ % keys.size()], &row_id, &found);
+    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(row_id);
   }
 }
 BENCHMARK(BM_BPlusTreeProbe)->Arg(100000)->Arg(1000000);

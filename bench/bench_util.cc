@@ -296,6 +296,11 @@ void JsonWriter::Bool(bool v) {
   out_ += v ? "true" : "false";
 }
 
+void JsonWriter::Null() {
+  Sep();
+  out_ += "null";
+}
+
 const char* BenchJsonPath(int argc, char** argv) {
   if (argc > 1 && argv[1][0] != '-') return argv[1];
   return std::getenv("CONCEALER_BENCH_JSON");

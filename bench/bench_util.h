@@ -112,6 +112,7 @@ class JsonWriter {
   void Number(double v);
   void Number(uint64_t v);
   void Bool(bool v);
+  void Null();
   const std::string& str() const { return out_; }
 
  private:

@@ -321,11 +321,11 @@ StatusOr<EpochMeta> ReadEpochMetaFile(const std::string& path) {
 
 Status WriteFileBytes(const std::string& path, Slice data) {
   // Write-then-rename: a crash mid-write must never leave a torn file at
-  // `path` itself. Epoch-meta files and the index sidecar are recovery
-  // inputs — a torn meta would fail ServiceProvider::Open until a human
-  // deleted it, while a missing one is at worst a re-ingest. The write,
-  // fsync and rename go through the fault_fs shim so the durability tests
-  // can crash this helper at every step.
+  // `path` itself. Epoch-meta files are recovery inputs — a torn meta
+  // would fail ServiceProvider::Open until a human deleted it, while a
+  // missing one is at worst a re-ingest. The write, fsync and rename go
+  // through the fault_fs shim so the durability tests can crash this
+  // helper at every step.
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {

@@ -31,10 +31,10 @@ StatusOr<EncryptedEpoch> ReadEpochFile(const std::string& path);
 // --- The shared record frame ---------------------------------------------
 // magic "CONC" (4) | version (4) | FNV-1a(body) (8) | body length (8) | body
 //
-// Epoch blobs, epoch-meta files, the index sidecar and every record in a
-// persistent segment file reuse this frame, so the same corruption checks
-// (bad magic, unsupported version, checksum mismatch, truncation) guard all
-// of them.
+// Epoch blobs, epoch-meta files, index node-file regions and every record
+// in a persistent segment file reuse this frame, so the same corruption
+// checks (bad magic, unsupported version, checksum mismatch, truncation)
+// guard all of them.
 
 /// Frame size for a body of `body_size` bytes (header + body).
 size_t FramedSize(size_t body_size);
@@ -102,7 +102,7 @@ StatusOr<EpochMeta> DeserializeEpochMeta(Slice data);
 Status WriteEpochMetaFile(const std::string& path, const EpochMeta& meta);
 StatusOr<EpochMeta> ReadEpochMetaFile(const std::string& path);
 
-/// Whole-file helpers shared by the epoch/meta/sidecar transports.
+/// Whole-file helpers shared by the epoch/meta transports.
 Status WriteFileBytes(const std::string& path, Slice data);
 StatusOr<Bytes> ReadFileBytes(const std::string& path);
 

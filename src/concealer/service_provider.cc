@@ -20,10 +20,6 @@ namespace concealer {
 
 namespace {
 
-std::string IndexSidecarPath(const std::string& dir) {
-  return dir + "/index.sidecar";
-}
-
 std::string DynamicWalPath(const std::string& dir) {
   return dir + "/dynamic.wal";
 }
@@ -140,12 +136,11 @@ Status ServiceProvider::Recover() {
   // row bytes, and the index has to be rebuilt over the final bytes.
   CONCEALER_RETURN_IF_ERROR(ReplayWal());
   if (table_.num_rows() > 0) {
-    CONCEALER_RETURN_IF_ERROR(
-        table_.RecoverIndex(IndexSidecarPath(storage_options_.dir)));
+    CONCEALER_RETURN_IF_ERROR(table_.RecoverIndex());
     // The recovered index covers every current row, so the geometric
     // persist schedule in IngestEpoch resumes from here — without this,
-    // the first ingest after every restart would re-dump the full sidecar.
-    sidecar_rows_ = table_.num_rows();
+    // the first ingest after every restart would rewrite the node file.
+    node_file_rows_ = table_.num_rows();
   }
   return Status::OK();
 }
@@ -324,32 +319,20 @@ Status ServiceProvider::IngestEpoch(const EncryptedEpoch& epoch) {
     CONCEALER_RETURN_IF_ERROR(WriteEpochMetaFile(
         EpochMetaPath(storage_options_.dir, epoch.epoch_id), meta));
   }
-  // Index persistence. Dumps rewrite the WHOLE index, so re-dumping on
-  // every ingest would cost O(K^2) cumulative bytes over a provider's
-  // lifetime. Persist geometrically (first epoch, then each time the table
-  // has doubled): total index I/O stays O(total rows), and a restart whose
-  // stamp is stale simply rebuilds the index from the recovered rows — the
-  // same O(n) insert work the sidecar load would do. Two artifacts share
-  // the schedule:
-  //  - the node file (any engine with a NodeStore, including ephemeral
-  //    mmap dirs): after PersistPagedIndex the tree serves leaves through
-  //    the bounded page cache instead of resident vectors, and a restart
-  //    attaches in two small reads;
-  //  - the sidecar (persistent engines only): the fallback when the node
-  //    file is stale or torn.
+  // Index persistence into the node file (any engine with a NodeStore,
+  // including ephemeral mmap dirs). After PersistPagedIndex the tree
+  // serves leaves through the bounded page cache instead of resident
+  // vectors, and a restart attaches in two small reads. A persist rewrites
+  // the WHOLE index, so persisting on every ingest would cost O(K^2)
+  // cumulative bytes over a provider's lifetime. Persist geometrically
+  // (first epoch, then each time the table has doubled): total index I/O
+  // stays O(total rows), and a restart whose stamp is stale simply
+  // rebuilds the index from the recovered rows.
   const uint64_t rows_now = table_.num_rows();
-  if (rows_now > 0 && (sidecar_rows_ == 0 || rows_now >= 2 * sidecar_rows_)) {
-    bool persisted = false;
-    if (table_.engine()->node_store() != nullptr) {
-      CONCEALER_RETURN_IF_ERROR(table_.PersistPagedIndex());
-      persisted = true;
-    }
-    if (persistent_) {
-      CONCEALER_RETURN_IF_ERROR(
-          table_.PersistIndex(IndexSidecarPath(storage_options_.dir)));
-      persisted = true;
-    }
-    if (persisted) sidecar_rows_ = rows_now;
+  if (table_.engine()->node_store() != nullptr && rows_now > 0 &&
+      (node_file_rows_ == 0 || rows_now >= 2 * node_file_rows_)) {
+    CONCEALER_RETURN_IF_ERROR(table_.PersistPagedIndex());
+    node_file_rows_ = rows_now;
   }
   return Status::OK();
 }

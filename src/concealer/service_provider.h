@@ -52,8 +52,8 @@ class ServiceProvider {
                   const StorageOptions& storage);
 
   /// Opens a provider over a persistent segment directory, RECOVERING any
-  /// state a previous process left there: re-maps the segments, restores
-  /// the B+-tree from the index sidecar (or re-scans the rows), and
+  /// state a previous process left there: re-maps the segments, attaches
+  /// the B+-tree's node file (or rebuilds the index from the rows), and
   /// re-adopts every ingested epoch from its epoch-meta file — queries
   /// then answer byte-identically to the pre-restart provider. Requires
   /// `storage.engine == kMmap` and a non-empty dir.
@@ -240,8 +240,8 @@ class ServiceProvider {
   ConcealerConfig config_;
   Enclave enclave_;
   StorageOptions storage_options_;
-  /// True when the engine persists under storage_options_.dir (meta files
-  /// and the index sidecar are maintained there too).
+  /// True when the engine persists under storage_options_.dir (the epoch
+  /// meta files are maintained there too).
   bool persistent_ = false;
   EncryptedTable table_;
   QueryExecutor executor_;
@@ -250,9 +250,9 @@ class ServiceProvider {
   /// Segment range each epoch's rows occupy (persistent engines; used by
   /// the evict/load hooks and written into the epoch meta files).
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> epoch_segments_;
-  /// Table size at the last index-sidecar dump (geometric persistence —
-  /// see IngestEpoch).
-  uint64_t sidecar_rows_ = 0;
+  /// Table size at the last node-file persist (geometric schedule — see
+  /// IngestEpoch).
+  uint64_t node_file_rows_ = 0;
   /// Dynamic-mode write-ahead log (persistent providers only; see
   /// dynamic_wal.h for the protocol).
   std::unique_ptr<DynamicWal> wal_;

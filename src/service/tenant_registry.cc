@@ -15,7 +15,7 @@ namespace concealer {
 namespace {
 
 /// Unlinks everything under `dir`, then `dir` itself. Tenant directories
-/// are flat (segments, epoch metas, index sidecar), but recurse anyway so
+/// are flat (segments, epoch metas, index node file), but recurse anyway so
 /// a drop never leaves half a tree behind.
 Status RemoveTree(const std::string& dir) {
   DIR* d = ::opendir(dir.c_str());

@@ -33,7 +33,7 @@ struct TenantQoS {
 
 struct TenantRegistryOptions {
   /// Root directory for persistent tenants: tenant `t`'s segments, epoch
-  /// metas and index sidecar live under `<root_dir>/<t>`. Required when
+  /// metas and index node file live under `<root_dir>/<t>`. Required when
   /// `storage.engine == kMmap`; unused for the in-memory engine.
   std::string root_dir;
   /// Engine template for every tenant. `dir` is ignored (the registry

@@ -1,7 +1,6 @@
 #include "storage/bplus_tree.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/coding.h"
 #include "storage/node_store.h"
@@ -35,11 +34,12 @@ struct BPlusTree::SplitResult {
 
 namespace {
 
-// Index of the first key in `keys[from..)` that is >= `key`. BulkGet's
-// leaf merge resumes from its previous position instead of re-searching
-// the whole leaf.
-size_t LowerBoundFrom(const std::vector<Bytes>& keys, size_t from,
-                      Slice key) {
+// Index of the first key in `keys[from..)` that is >= `key`, over either
+// key container (a resident leaf's vector<Bytes> or a pinned page's
+// vector<Slice>). The bulk leaf merge resumes from its previous position
+// instead of re-searching the whole leaf.
+template <typename KeyVec>
+size_t LowerBoundFrom(const KeyVec& keys, size_t from, Slice key) {
   size_t lo = from, hi = keys.size();
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
@@ -53,12 +53,13 @@ size_t LowerBoundFrom(const std::vector<Bytes>& keys, size_t from,
 }
 
 // Index of the first key in `keys` that is >= `key`.
-size_t LowerBound(const std::vector<Bytes>& keys, Slice key) {
+template <typename KeyVec>
+size_t LowerBound(const KeyVec& keys, Slice key) {
   return LowerBoundFrom(keys, 0, key);
 }
 
 // Child index to descend into for `key`, searching separators [from..):
-// first separator > key goes left. BulkGet's per-level cursors resume from
+// first separator > key goes left. BulkFind's per-level cursors resume from
 // the previous probe's route (probes ascend, so routes never move left),
 // shrinking each binary search to the un-routed suffix of the node.
 size_t ChildIndexFrom(const std::vector<Bytes>& keys, size_t from,
@@ -80,25 +81,10 @@ size_t ChildIndex(const std::vector<Bytes>& keys, Slice key) {
   return ChildIndexFrom(keys, 0, key);
 }
 
-// LowerBoundFrom over either key container (a resident leaf's
-// vector<Bytes> or a pinned page's vector<Slice>).
-template <typename KeyVec>
-size_t LowerBoundFromT(const KeyVec& keys, size_t from, Slice key) {
-  size_t lo = from, hi = keys.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (Slice(keys[mid]).Compare(key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 // Resolves the sorted probes [lo, hi) — all routed to the same leaf —
-// against that leaf's keys/values with one resumed ascending merge.
-// Identical duplicate handling and answers as BulkGet's leaf stage.
+// against that leaf's keys/values with one resumed ascending merge. A
+// duplicate probe reuses the previous slot's answer, since the cursor may
+// already sit at the match.
 template <typename KeyVec>
 void MergeLeafGroup(const Slice* sorted_keys, uint64_t* row_ids, size_t lo,
                     size_t hi, const KeyVec& keys,
@@ -111,7 +97,7 @@ void MergeLeafGroup(const Slice* sorted_keys, uint64_t* row_ids, size_t lo,
       continue;
     }
     row_ids[i] = BPlusTree::kNoMatch;
-    pos = LowerBoundFromT(keys, pos, key);
+    pos = LowerBoundFrom(keys, pos, key);
     if (pos < keys.size() && Slice(keys[pos]) == key) {
       row_ids[i] = values[pos];
       ++*hits;
@@ -202,34 +188,6 @@ Status BPlusTree::Insert(Slice key, uint64_t row_id) {
   return Status::OK();
 }
 
-StatusOr<uint64_t> BPlusTree::Get(Slice key) const {
-  uint64_t row_id = 0;
-  if (Lookup(key, &row_id)) return row_id;
-  return Status::NotFound("index key not present");
-}
-
-bool BPlusTree::Lookup(Slice key, uint64_t* row_id) const {
-  if (store_ != nullptr) {
-    // Paged wrapper: an I/O failure has no `false` that means "error" in
-    // this signature, so it reports as a miss (asserting in debug). The
-    // production fetch path uses Find/BulkFind, which fail closed.
-    bool found = false;
-    const Status st = Find(key, row_id, &found);
-    assert(st.ok() && "Lookup on a paged tree hit an I/O error");
-    return st.ok() && found;
-  }
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    node = node->children[ChildIndex(node->keys, key)].get();
-  }
-  const size_t pos = LowerBound(node->keys, key);
-  if (pos < node->keys.size() && Slice(node->keys[pos]) == key) {
-    *row_id = node->values[pos];
-    return true;
-  }
-  return false;
-}
-
 Status BPlusTree::Find(Slice key, uint64_t* row_id, bool* found) const {
   *found = false;
   const Node* node = root_.get();
@@ -240,7 +198,7 @@ Status BPlusTree::Find(Slice key, uint64_t* row_id, bool* found) const {
     StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
     if (!pin.ok()) return pin.status();
     const NodeStore::Page& page = **pin;
-    const size_t pos = LowerBoundFromT(page.keys, 0, key);
+    const size_t pos = LowerBound(page.keys, key);
     if (pos < page.keys.size() && page.keys[pos] == key) {
       *row_id = page.values[pos];
       *found = true;
@@ -255,47 +213,22 @@ Status BPlusTree::Find(Slice key, uint64_t* row_id, bool* found) const {
   return Status::OK();
 }
 
-size_t BPlusTree::BulkGet(const Slice* sorted_keys, size_t n,
-                          uint64_t* row_ids) const {
-  if (store_ != nullptr) {
-    // Paged wrapper: same miss-on-error caveat as Lookup; BulkFind is the
-    // fail-closed surface.
-    size_t hits = 0;
-    const Status st = BulkFind(sorted_keys, n, row_ids, &hits);
-    assert(st.ok() && "BulkGet on a paged tree hit an I/O error");
-    (void)st;
-    return hits;
-  }
+size_t BPlusTree::BulkFindResident(const Slice* sorted_keys, size_t n,
+                                   uint64_t* row_ids) const {
   if (n == 0) return 0;
   size_t hits = 0;
 
   if (root_->is_leaf) {
-    // Single-leaf tree: one ascending merge against the leaf's keys. The
-    // cursor resumes from its previous position (probes ascend), and a
-    // duplicate probe reuses the previous slot's answer since the cursor
-    // may already sit at the match.
-    const Node* leaf = root_.get();
-    size_t pos = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const Slice key = sorted_keys[i];
-      if (i > 0 && key == sorted_keys[i - 1]) {
-        if ((row_ids[i] = row_ids[i - 1]) != kNoMatch) ++hits;
-        continue;
-      }
-      row_ids[i] = kNoMatch;
-      pos = LowerBoundFrom(leaf->keys, pos, key);
-      if (pos < leaf->keys.size() && Slice(leaf->keys[pos]) == key) {
-        row_ids[i] = leaf->values[pos];
-        ++hits;
-      }
-    }
+    // Single-leaf tree: one ascending merge against the leaf's keys.
+    MergeLeafGroup(sorted_keys, row_ids, 0, n, root_->keys, root_->values,
+                   &hits);
     return hits;
   }
 
   // Batched descent: route ALL probes through one level before touching
   // the next, instead of chasing each probe root-to-leaf alone. Exact-
   // match routing lands every probe in the one leaf that could hold it
-  // (the same leaf Lookup finds — lazy deletion removes keys, never
+  // (the same leaf Find reaches — lazy deletion removes keys, never
   // separators), so a leaf emptied by deletion simply answers absent.
   //
   // Each level is processed in lockstep lanes: kLanes binary searches
@@ -307,9 +240,7 @@ size_t BPlusTree::BulkGet(const Slice* sorted_keys, size_t n,
   // fetches — the cold leaf loads that dominate a per-key descent — also
   // fly in parallel. Neighboring probes routed to the same node just run
   // the same (cache-hot) search twice; lanes stay independent, which also
-  // makes duplicate probes a non-event. This access-overlap contract is
-  // exactly what a future disk-paged node layer will turn into batched
-  // page I/O.
+  // makes duplicate probes a non-event.
   constexpr size_t kLanes = 16;
   std::vector<const Node*> cur(n, root_.get());
   size_t lo[kLanes], hi[kLanes];
@@ -409,14 +340,15 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
                            uint64_t* row_ids, size_t* hits) const {
   *hits = 0;
   if (store_ == nullptr) {
-    *hits = BulkGet(sorted_keys, n, row_ids);
+    *hits = BulkFindResident(sorted_keys, n, row_ids);
     return Status::OK();
   }
   if (n == 0) return Status::OK();
 
   // Route every probe level by level through the resident internal
-  // skeleton (run-sharing cursors, as BulkGet's hot upper levels: sorted
-  // probes revisiting a node take non-decreasing child slots). After the
+  // skeleton (run-sharing cursors, as the resident descent's hot upper
+  // levels: sorted probes revisiting a node take non-decreasing child
+  // slots). After the
   // last internal level, the batch's complete set of leaf pages is known
   // — that is the I/O batching point the level-at-a-time descent was
   // built for: one Prefetch covers every cold page before any probe pins
@@ -447,7 +379,7 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
   // Resolve probe runs leaf by leaf. A resident leaf (re-materialized by
   // an insert/delete since the last persist) merges against its own
   // vectors; a paged leaf pins its page. Answers are identical to the
-  // resident tree's BulkGet either way.
+  // resident tree's either way.
   size_t i = 0;
   while (i < n) {
     const Node* leaf = cur[i];
@@ -466,8 +398,6 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
   }
   return Status::OK();
 }
-
-bool BPlusTree::Contains(Slice key) const { return Get(key).ok(); }
 
 Status BPlusTree::MaterializeLeaf(Node* node) {
   StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
@@ -497,25 +427,6 @@ Status BPlusTree::Delete(Slice key) {
   --size_;
   had_deletes_ = true;
   return Status::OK();
-}
-
-void BPlusTree::Scan(
-    const std::function<bool(Slice, uint64_t)>& visitor) const {
-  if (store_ != nullptr) {
-    // Paged wrapper: a page I/O error silently ends the scan early here
-    // (asserting in debug); ForEach is the error-reporting surface.
-    const Status st = ForEach(visitor);
-    assert(st.ok() && "Scan on a paged tree hit an I/O error");
-    (void)st;
-    return;
-  }
-  const Node* node = root_.get();
-  while (!node->is_leaf) node = node->children.front().get();
-  for (; node != nullptr; node = node->next_leaf) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (!visitor(node->keys[i], node->values[i])) return;
-    }
-  }
 }
 
 Status BPlusTree::ForEach(

@@ -31,14 +31,11 @@ class NodeFileBuilder;
 /// nodes become stubs that name an on-disk node page, and lookups pin
 /// pages through the store's bounded LRU cache. Datasets whose index
 /// exceeds RAM stay serveable; answers are byte-identical to the resident
-/// tree. Paged I/O can fail, so the Status-returning probes (Find,
-/// BulkFind, ForEach) are the production surface in paged mode — they
-/// fail closed on a corrupt or unreadable page instead of answering
-/// wrong. The bool/size_t legacy probes (Lookup, BulkGet, Scan) remain
-/// exact on resident trees and degrade to debug-asserting wrappers when
-/// paged. Insert/Delete transparently re-materialize the leaf they touch
-/// (the node file goes stale; its generation stamp catches that at the
-/// next recovery, and the next persist rewrites it).
+/// tree. Paged I/O can fail, so every probe (Find, BulkFind, ForEach)
+/// returns a Status and fails closed on a corrupt or unreadable page
+/// instead of answering wrong. Insert/Delete transparently re-materialize
+/// the leaf they touch (the node file goes stale; its generation stamp
+/// catches that at the next recovery, and the next persist rewrites it).
 class BPlusTree {
  public:
   static constexpr int kFanout = 64;  // Max keys per node.
@@ -48,8 +45,8 @@ class BPlusTree {
 
   BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
-  /// Movable so a table can discard a half-loaded index and rebuild
-  /// (sidecar recovery falls back to a scan of the engine's rows).
+  /// Movable so a table can discard a half-attached index and rebuild it
+  /// from the engine's rows.
   BPlusTree(BPlusTree&&) noexcept;
   BPlusTree& operator=(BPlusTree&&) noexcept;
 
@@ -58,55 +55,15 @@ class BPlusTree {
   /// indicates data corruption or a misused epoch key).
   Status Insert(Slice key, uint64_t row_id);
 
-  /// Exact-match lookup. Returns kNotFound if absent.
-  StatusOr<uint64_t> Get(Slice key) const;
-
-  /// Non-allocating exact-match lookup: true + `*row_id` on a hit, false on
-  /// a miss. The fetch hot path uses this (and BulkGet) instead of Get so a
-  /// missing probe — every fake trapdoor beyond the stored range — costs no
-  /// Status construction.
-  bool Lookup(Slice key, uint64_t* row_id) const;
-
-  /// Row-id sentinel BulkGet stores for probes that match nothing (row ids
-  /// are dense from 0, so all-ones can never collide).
-  static constexpr uint64_t kNoMatch = ~uint64_t{0};
-
-  /// Bulk exact-match lookup over an ascending-sorted probe set (duplicate
-  /// probes allowed; a caller that needs its own output order carries a
-  /// permutation array — see EncryptedTable::FetchRefs). For each i,
-  /// row_ids[i] receives the row id of sorted_keys[i], or kNoMatch.
-  /// Returns the number of hits.
-  ///
-  /// The descent is batched level by level (Palm-style): every probe is
-  /// routed through one level before any probe touches the next, so the
-  /// cache misses of a level's node and key-blob reads overlap across the
-  /// whole batch instead of serializing per probe. Hot upper levels route
-  /// with a run-sharing cursor (sorted probes revisit the same node with
-  /// non-decreasing child indices); the cold bottom two levels run
-  /// lockstep lanes — a handful of binary searches advance together, each
-  /// step prefetching the key blob its next compare will read. Lazy
-  /// deletion removes keys but never separators, so exact-match routing
-  /// lands each probe in exactly the leaf Lookup would reach; a leaf
-  /// emptied by deletes simply answers kNoMatch. The fetch path's sorted
-  /// trapdoor batches are the intended workload shape.
-  size_t BulkGet(const Slice* sorted_keys, size_t n, uint64_t* row_ids) const;
-
   /// Removes a key (lazy deletion: the entry leaves its leaf but no
   /// rebalancing occurs; nodes may drop below the usual occupancy floor).
   /// Deletes happen only on the rare dynamic-insertion re-encryption path,
   /// so tree quality is unaffected in practice. Returns kNotFound if absent.
   Status Delete(Slice key);
 
-  /// True iff `key` is present.
-  bool Contains(Slice key) const;
-
   size_t size() const { return size_; }
   /// Height of the tree (1 = a single leaf). Exposed for tests.
   int height() const { return height_; }
-
-  /// In-order visitation of all (key, row_id) pairs. Visitor returns false
-  /// to stop early.
-  void Scan(const std::function<bool(Slice, uint64_t)>& visitor) const;
 
   /// Validates B+-tree invariants (sorted keys, node occupancy, uniform leaf
   /// depth, leaf chain consistency). Used by property tests. In paged mode
@@ -114,32 +71,51 @@ class BPlusTree {
   /// integrity scan.
   Status CheckInvariants() const;
 
-  // --- Paged mode (see the class comment) --------------------------------
-
-  /// Status-returning exact-match probe: `*found` and `*row_id` are set on
-  /// a hit, `*found` is false on a clean miss, and a paged I/O or
-  /// corruption failure returns non-OK with outputs untouched by the
-  /// failing page. Identical answers to Lookup on resident trees.
+  /// Exact-match probe: `*found` and `*row_id` are set on a hit, `*found`
+  /// is false on a clean miss (no Status is built for a miss, so a fake
+  /// trapdoor beyond the stored range costs nothing extra), and a paged
+  /// I/O or corruption failure returns non-OK with outputs untouched by the
+  /// failing page.
   Status Find(Slice key, uint64_t* row_id, bool* found) const;
 
-  /// Status-returning BulkGet. On resident trees this IS BulkGet (same
-  /// batched descent, same results, `*hits` = return value). In paged
-  /// mode the level-by-level routing becomes the I/O batching point: once
-  /// every probe is routed to its leaf, the distinct leaf pages the batch
-  /// needs are known, so one batched prefetch (NodeStore::Prefetch) is
-  /// issued before any probe pins a page — the cold reads overlap instead
-  /// of serializing probe by probe. Fails closed on page damage.
+  /// Row-id sentinel BulkFind stores for probes that match nothing (row
+  /// ids are dense from 0, so all-ones can never collide).
+  static constexpr uint64_t kNoMatch = ~uint64_t{0};
+
+  /// Bulk exact-match probe over an ascending-sorted probe set (duplicate
+  /// probes allowed; a caller that needs its own output order carries a
+  /// permutation array — see EncryptedTable::FetchRefs). For each i,
+  /// row_ids[i] receives the row id of sorted_keys[i], or kNoMatch;
+  /// `*hits` counts the matches. Answers are exactly n calls of Find.
+  ///
+  /// The descent is batched level by level (Palm-style): every probe is
+  /// routed through one level before any probe touches the next, so the
+  /// cache misses of a level's node and key-blob reads overlap across the
+  /// whole batch instead of serializing per probe. Lazy deletion removes
+  /// keys but never separators, so exact-match routing lands each probe in
+  /// exactly the leaf Find would reach; a leaf emptied by deletes simply
+  /// answers kNoMatch.
+  ///
+  /// Resident trees run lockstep lanes over the cold bottom two levels (a
+  /// handful of binary searches advance together, each step prefetching
+  /// the key blob its next compare will read). Paged trees route through
+  /// the resident skeleton, and once every probe has its leaf the distinct
+  /// leaf pages the batch needs are known: one batched NodeStore::Prefetch
+  /// is issued before any probe pins a page, so the cold reads overlap
+  /// instead of serializing probe by probe. Fails closed on page damage.
   Status BulkFind(const Slice* sorted_keys, size_t n, uint64_t* row_ids,
                   size_t* hits) const;
 
-  /// Status-returning Scan: in-order visitation that works in paged mode
-  /// (pins each leaf page along the chain). Early stop via the visitor is
-  /// not an error.
+  /// In-order visitation of all (key, row_id) pairs (pins each leaf page
+  /// along the chain in paged mode). Visitor returns false to stop early;
+  /// an early stop is not an error.
   Status ForEach(const std::function<bool(Slice, uint64_t)>& visitor) const;
+
+  // --- Paged mode (see the class comment) --------------------------------
 
   /// Serializes the tree into `store`'s node file (crash-safe: tmp +
   /// rename), stamping it with `stamp` (the engine's durable_generation —
-  /// the sidecar freshness rule). Works on resident, paged or mixed
+  /// the node file's freshness rule). Works on resident, paged or mixed
   /// trees; paged leaves are streamed through from the current file.
   /// Does not change this tree — call store->Open() + AttachPaged() to
   /// swap onto the new file.
@@ -160,6 +136,9 @@ class BPlusTree {
 
   SplitResult InsertRecursive(Node* node, Slice key, uint64_t row_id,
                               Status* st);
+  /// BulkFind on a fully resident tree (the lockstep-lane descent).
+  size_t BulkFindResident(const Slice* sorted_keys, size_t n,
+                          uint64_t* row_ids) const;
   Status CheckNode(const Node* node, int depth, int* leaf_depth,
                    size_t* leaf_keys, bool is_root,
                    bool relax_occupancy) const;

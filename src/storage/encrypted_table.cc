@@ -1,33 +1,12 @@
 #include "storage/encrypted_table.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
-#include "common/coding.h"
-#include "concealer/epoch_io.h"
 #include "storage/node_store.h"
 #include "storage/row_store.h"
 
 namespace concealer {
-
-namespace {
-
-std::atomic<bool> g_bulk_index_probing{[] {
-  const char* env = std::getenv("CONCEALER_BULK_INDEX");
-  return env == nullptr || env[0] != '0';
-}()};
-
-}  // namespace
-
-void SetBulkIndexProbing(bool enabled) {
-  g_bulk_index_probing.store(enabled, std::memory_order_relaxed);
-}
-
-bool BulkIndexProbing() {
-  return g_bulk_index_probing.load(std::memory_order_relaxed);
-}
 
 EncryptedTable::EncryptedTable(std::string name, size_t num_columns,
                                size_t index_column,
@@ -65,68 +44,41 @@ Status EncryptedTable::FetchRefs(const std::vector<Bytes>& keys,
   // B+-tree itself is read-only here (paged page-cache traffic is
   // internally locked).
   const size_t n = keys.size();
-  const size_t out_base = out->size();
-  out->reserve(out_base + n);
+  // Sort the probe set once (a permutation array, so the caller-visible
+  // output order is untouched), resolve every probe in one shared descent
+  // (BPlusTree::BulkFind), then emit matches in the original order. A
+  // fetch unit's hundreds of trapdoors amortize the root-to-leaf descent
+  // instead of repeating it per probe, and on a paged index the batch
+  // prefetches its leaf pages in one shot before any probe blocks on disk.
+  std::vector<uint32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+  std::sort(perm.begin(), perm.end(), [&keys](uint32_t a, uint32_t b) {
+    return Slice(keys[a]).Compare(keys[b]) < 0;
+  });
+  std::vector<Slice> sorted(n);
+  for (size_t i = 0; i < n; ++i) sorted[i] = keys[perm[i]];
+  std::vector<uint64_t> sorted_ids(n);
+  size_t bulk_hits = 0;
+  // Fail closed: a paged-index I/O error returns before any ref is
+  // appended or any adversary-visible counter moves.
+  CONCEALER_RETURN_IF_ERROR(
+      index_.BulkFind(sorted.data(), n, sorted_ids.data(), &bulk_hits));
+  std::vector<uint64_t> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[perm[i]] = sorted_ids[i];
   const uint64_t generation = store_->generation();
   uint64_t hits = 0;
   uint64_t bytes = 0;
-  Status st;
-  if (n > 1 && BulkIndexProbing()) {
-    // Bulk path: sort the probe set once (a permutation array, so the
-    // caller-visible output order is untouched), resolve every probe in
-    // one shared descent plus a leaf-chain merge (BPlusTree::BulkFind),
-    // then emit matches in the original order. Refs, order and every stat
-    // are identical to the per-key loop below — a fetch unit's hundreds
-    // of trapdoors amortize the root-to-leaf descent instead of repeating
-    // it per probe, and on a paged index the batch prefetches its leaf
-    // pages in one shot before any probe blocks on disk.
-    std::vector<uint32_t> perm(n);
-    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-    std::sort(perm.begin(), perm.end(), [&keys](uint32_t a, uint32_t b) {
-      return Slice(keys[a]).Compare(keys[b]) < 0;
-    });
-    std::vector<Slice> sorted(n);
-    for (size_t i = 0; i < n; ++i) sorted[i] = keys[perm[i]];
-    std::vector<uint64_t> sorted_ids(n);
-    size_t bulk_hits = 0;
-    st = index_.BulkFind(sorted.data(), n, sorted_ids.data(), &bulk_hits);
-    if (st.ok()) {
-      std::vector<uint64_t> ids(n);
-      for (size_t i = 0; i < n; ++i) ids[perm[i]] = sorted_ids[i];
-      for (size_t i = 0; i < n; ++i) {
-        if (ids[i] == BPlusTree::kNoMatch) continue;
-        const Row* row = store_->GetRef(ids[i]);
-        // A null ref for an indexed id means the row's segment is evicted;
-        // the lifecycle layer keeps queried epochs resident, so treat it
-        // like a miss rather than crash (debug builds assert upstream).
-        if (row == nullptr) continue;
-        ++hits;
-        bytes += RowByteSize(*row);
-        out->push_back(RowRef{ids[i], row, store_.get(), generation});
-      }
-    }
-  } else {
-    // Per-key fallback (single probes, or CONCEALER_BULK_INDEX=0): one
-    // full descent per probe; Find reports misses through `found` so the
-    // hot loop builds no Status.
-    for (const Bytes& key : keys) {
-      uint64_t row_id = 0;
-      bool found = false;
-      st = index_.Find(key, &row_id, &found);
-      if (!st.ok()) break;
-      if (!found) continue;
-      const Row* row = store_->GetRef(row_id);
-      if (row == nullptr) continue;  // Evicted segment: same as above.
-      ++hits;
-      bytes += RowByteSize(*row);
-      out->push_back(RowRef{row_id, row, store_.get(), generation});
-    }
-  }
-  if (!st.ok()) {
-    // Fail closed: a paged-index I/O error must not leak a partial ref
-    // batch or skew the adversary-visible counters.
-    out->resize(out_base);
-    return st;
+  out->reserve(out->size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] == BPlusTree::kNoMatch) continue;
+    const Row* row = store_->GetRef(ids[i]);
+    // A null ref for an indexed id means the row's segment is evicted;
+    // the lifecycle layer keeps queried epochs resident, so treat it like
+    // a miss rather than crash (debug builds assert upstream).
+    if (row == nullptr) continue;
+    ++hits;
+    bytes += RowByteSize(*row);
+    out->push_back(RowRef{ids[i], row, store_.get(), generation});
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.index_probes += n;
@@ -134,26 +86,6 @@ Status EncryptedTable::FetchRefs(const std::vector<Bytes>& keys,
   stats_.rows_fetched += hits;
   stats_.bytes_fetched += bytes;
   return Status::OK();
-}
-
-StatusOr<std::vector<Row>> EncryptedTable::FetchByIndexKeys(
-    const std::vector<Bytes>& keys) const {
-  std::vector<RowRef> refs;
-  CONCEALER_RETURN_IF_ERROR(FetchRefs(keys, &refs));
-  std::vector<Row> out;
-  out.reserve(refs.size());
-  for (const RowRef& ref : refs) out.push_back(*ref.get());
-  return out;
-}
-
-StatusOr<std::vector<std::pair<uint64_t, Row>>> EncryptedTable::FetchWithIds(
-    const std::vector<Bytes>& keys) const {
-  std::vector<RowRef> refs;
-  CONCEALER_RETURN_IF_ERROR(FetchRefs(keys, &refs));
-  std::vector<std::pair<uint64_t, Row>> out;
-  out.reserve(refs.size());
-  for (const RowRef& ref : refs) out.emplace_back(ref.row_id, *ref.get());
-  return out;
 }
 
 Status EncryptedTable::Scan(
@@ -213,20 +145,6 @@ Status EncryptedTable::ReplaceRows(
   return Status::OK();
 }
 
-Status EncryptedTable::PersistIndex(const std::string& sidecar_path) const {
-  Bytes body;
-  PutFixed64(&body, store_->durable_generation());
-  PutFixed64(&body, index_.size());
-  CONCEALER_RETURN_IF_ERROR(index_.ForEach([&](Slice key, uint64_t row_id) {
-    PutLengthPrefixed(&body, key);
-    PutFixed64(&body, row_id);
-    return true;
-  }));
-  Bytes framed;
-  AppendFramedRecord(&framed, body);
-  return WriteFileBytes(sidecar_path, framed);
-}
-
 Status EncryptedTable::PersistPagedIndex() {
   NodeStore* ns = store_->node_store();
   if (ns == nullptr) {
@@ -239,47 +157,20 @@ Status EncryptedTable::PersistPagedIndex() {
   return index_.AttachPaged(ns);
 }
 
-Status EncryptedTable::RecoverIndex(const std::string& sidecar_path) {
+Status EncryptedTable::RecoverIndex() {
   if (index_.size() != 0) {
     return Status::FailedPrecondition("index already built");
   }
-  // Fastest path: a fresh node file attaches the paged index without
-  // touching row bytes or leaf pages (two small reads: footer + directory).
-  // Any failure — absent file, stale stamp, torn tail, corrupt directory —
-  // falls through; the frame checksums make corruption indistinguishable
-  // from staleness here, and both get the same safe answer: rebuild.
+  // A fresh node file attaches the paged index without touching row bytes
+  // or leaf pages (two small reads: footer + directory). Any failure —
+  // absent file, stale stamp, torn tail, corrupt directory — falls through
+  // to the rebuild: the frame checksums make corruption indistinguishable
+  // from staleness here, and both get the same safe answer.
   if (NodeStore* ns = store_->node_store()) {
     if (ns->Open().ok() && ns->stamp() == store_->durable_generation() &&
         index_.AttachPaged(ns).ok()) {
       return Status::OK();
     }
-    index_ = BPlusTree();
-  }
-  // Fast path: a fresh sidecar (generation stamp matches the engine's
-  // durable record count) restores the index without touching row bytes.
-  StatusOr<Bytes> blob = ReadFileBytes(sidecar_path);
-  if (blob.ok()) {
-    size_t off = 0;
-    StatusOr<Slice> body = ReadFramedRecord(*blob, &off);
-    if (body.ok() && off == blob->size() && body->size() >= 16) {
-      const uint64_t stamp = DecodeFixed64(body->data());
-      const uint64_t count = DecodeFixed64(body->data() + 8);
-      if (stamp == store_->durable_generation()) {
-        size_t boff = 16;
-        bool ok = true;
-        for (uint64_t i = 0; i < count && ok; ++i) {
-          Slice key;
-          ok = GetLengthPrefixedView(*body, &boff, &key) &&
-               boff + 8 <= body->size();
-          if (!ok) break;
-          const uint64_t row_id = DecodeFixed64(body->data() + boff);
-          boff += 8;
-          ok = row_id < store_->size() && index_.Insert(key, row_id).ok();
-        }
-        if (ok && boff == body->size()) return Status::OK();
-      }
-    }
-    // Stale or mangled sidecar: fall through to the authoritative rebuild.
     index_ = BPlusTree();
   }
   for (uint64_t id = 0; id < store_->size(); ++id) {

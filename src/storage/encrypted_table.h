@@ -16,14 +16,6 @@
 
 namespace concealer {
 
-/// Process-wide switch between FetchRefs' bulk multi-probe index path (the
-/// default) and the legacy per-key descent loop. The bench flips it to
-/// measure the bulk speedup in one process (bench_exp16_index);
-/// CONCEALER_BULK_INDEX=0 in the environment is the emergency rollback.
-/// Refs, output order and stats are identical on either path.
-void SetBulkIndexProbing(bool enabled);
-bool BulkIndexProbing();
-
 /// Cumulative access statistics observable by the (untrusted) service
 /// provider — exactly the adversary's view the paper reasons about: which
 /// index keys were probed and how many rows came back. Benches and security
@@ -96,22 +88,14 @@ class EncryptedTable {
   /// ciphertext bytes in place (for the mmap engine, straight out of the
   /// mapped segment). See RowRef for the borrow rules.
   ///
+  /// The whole probe set resolves through one BPlusTree::BulkFind (a
+  /// single probe is a batch of one); refs come back in `keys` order.
   /// With a paged index a probe may hit disk, so this can fail — and it
   /// fails closed (no partial refs appended, stats untouched) rather than
   /// answering from a corrupt page. On a fully resident index it always
   /// succeeds.
   Status FetchRefs(const std::vector<Bytes>& keys,
                    std::vector<RowRef>* out) const;
-
-  /// Copying fetch for callers that need owned rows. Built on FetchRefs
-  /// (one copy per row, straight from the store).
-  StatusOr<std::vector<Row>> FetchByIndexKeys(
-      const std::vector<Bytes>& keys) const;
-
-  /// Like FetchByIndexKeys but also returns the matched row ids (needed by
-  /// the dynamic-insertion path to rewrite rows in place).
-  StatusOr<std::vector<std::pair<uint64_t, Row>>> FetchWithIds(
-      const std::vector<Bytes>& keys) const;
 
   /// Full scan in row-id order (Opaque baseline). Visitor returns false to
   /// stop. Fails with FailedPrecondition on a row whose segment is evicted
@@ -130,28 +114,22 @@ class EncryptedTable {
 
   // --- Index persistence (persistent engines) -------------------------
 
-  /// Rebuilds the B+-tree after the engine was re-opened from disk. Tries,
-  /// in order: (1) the engine's node file (paged engines) — if its
-  /// durable-generation stamp is fresh, the index ATTACHES instead of
-  /// loading: internal levels come from the directory, leaves stay on
-  /// disk, so an index larger than RAM reopens in two small reads;
-  /// (2) the sidecar written by PersistIndex, if fresh; (3) a full scan of
-  /// the engine's rows (which must all be resident). A torn or corrupt
-  /// node file / sidecar falls through to the next source — never a wrong
-  /// index. Call once, before serving queries.
-  Status RecoverIndex(const std::string& sidecar_path);
-
-  /// Writes the index sidecar: every (key, row_id) pair, stamped with the
-  /// engine generation so a stale sidecar (rows appended or rewritten
-  /// after the dump) is detected and ignored at recovery.
-  Status PersistIndex(const std::string& sidecar_path) const;
+  /// Rebuilds the B+-tree after the engine was re-opened from disk. If the
+  /// engine's node file (paged engines) carries a fresh durable-generation
+  /// stamp, the index ATTACHES instead of loading: internal levels come
+  /// from the directory, leaves stay on disk, so an index larger than RAM
+  /// reopens in two small reads. In every other case — no node store, an
+  /// absent, stale, torn or corrupt node file — the index is rebuilt from
+  /// the engine's rows (which must all be resident); never a wrong index.
+  /// Call once, before serving queries.
+  Status RecoverIndex();
 
   /// Paged engines only (engine()->node_store() != null): serializes the
   /// B+-tree's leaves into the engine's node file (crash-safe tmp+rename,
   /// stamped with durable_generation), then re-attaches the index to the
   /// new file — resident leaf memory drops to page stubs, and the bounded
   /// node cache takes over. The persist schedule is the service layer's
-  /// (geometric, with the sidecar).
+  /// (geometric in the table size).
   Status PersistPagedIndex();
 
   /// True when the index is currently serving leaves from the node file.

@@ -9,7 +9,7 @@
 namespace concealer {
 
 /// Deterministic fault-injection shim over the file operations the durable
-/// paths issue (WAL appends, meta/sidecar write-then-rename, segment
+/// paths issue (WAL appends, meta/node-file write-then-rename, segment
 /// msync/ftruncate). Every durability-relevant syscall in the storage and
 /// epoch-io layers goes through these wrappers, so a crash-point sweep can
 /// *enumerate* the injection points instead of sampling them:

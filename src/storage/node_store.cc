@@ -5,22 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/coding.h"
 #include "concealer/epoch_io.h"
 #include "storage/fault_fs.h"
-
-#if defined(CONCEALER_IO_URING) && __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-
-#include <atomic>
-#define CONCEALER_HAVE_IO_URING 1
-#endif
 
 namespace concealer {
 
@@ -31,118 +20,12 @@ constexpr size_t kFooterBody = 6 * 8;
 
 }  // namespace
 
-// --- io_uring backend ------------------------------------------------------
-
-#ifdef CONCEALER_HAVE_IO_URING
-
-struct NodeStore::IoUring {
-  int fd = -1;
-  void* sq_ring = nullptr;
-  void* cq_ring = nullptr;
-  void* sqes = nullptr;
-  size_t sq_ring_len = 0, cq_ring_len = 0, sqes_len = 0;
-  io_uring_params params{};
-
-  ~IoUring() {
-    if (sq_ring != nullptr) ::munmap(sq_ring, sq_ring_len);
-    if (cq_ring != nullptr) ::munmap(cq_ring, cq_ring_len);
-    if (sqes != nullptr) ::munmap(sqes, sqes_len);
-    if (fd >= 0) ::close(fd);
-  }
-
-  static std::unique_ptr<IoUring> Create() {
-    auto ring = std::make_unique<IoUring>();
-    ring->fd = static_cast<int>(
-        ::syscall(__NR_io_uring_setup, 128u, &ring->params));
-    if (ring->fd < 0) return nullptr;
-    const io_uring_params& p = ring->params;
-    ring->sq_ring_len = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    ring->cq_ring_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    ring->sqes_len = p.sq_entries * sizeof(io_uring_sqe);
-    ring->sq_ring = ::mmap(nullptr, ring->sq_ring_len, PROT_READ | PROT_WRITE,
-                           MAP_SHARED | MAP_POPULATE, ring->fd,
-                           IORING_OFF_SQ_RING);
-    ring->cq_ring = ::mmap(nullptr, ring->cq_ring_len, PROT_READ | PROT_WRITE,
-                           MAP_SHARED | MAP_POPULATE, ring->fd,
-                           IORING_OFF_CQ_RING);
-    ring->sqes = ::mmap(nullptr, ring->sqes_len, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring->fd, IORING_OFF_SQES);
-    if (ring->sq_ring == MAP_FAILED || ring->cq_ring == MAP_FAILED ||
-        ring->sqes == MAP_FAILED) {
-      if (ring->sq_ring == MAP_FAILED) ring->sq_ring = nullptr;
-      if (ring->cq_ring == MAP_FAILED) ring->cq_ring = nullptr;
-      if (ring->sqes == MAP_FAILED) ring->sqes = nullptr;
-      return nullptr;
-    }
-    return ring;
-  }
-
-  /// Submits FADVISE(WILLNEED) for every (offset, len) pair. Completions
-  /// are reaped opportunistically — the advice is fire-and-forget.
-  void AdviseWillNeed(int file_fd,
-                      const std::pair<uint64_t, uint64_t>* ranges, size_t n) {
-    const io_uring_params& p = params;
-    auto* sq_tail = reinterpret_cast<std::atomic<unsigned>*>(
-        static_cast<char*>(sq_ring) + p.sq_off.tail);
-    auto* sq_array = reinterpret_cast<unsigned*>(
-        static_cast<char*>(sq_ring) + p.sq_off.array);
-    const unsigned sq_mask = *reinterpret_cast<unsigned*>(
-        static_cast<char*>(sq_ring) + p.sq_off.ring_mask);
-    auto* all_sqes = static_cast<io_uring_sqe*>(sqes);
-    size_t done = 0;
-    while (done < n) {
-      const size_t batch = std::min<size_t>(n - done, p.sq_entries);
-      unsigned tail = sq_tail->load(std::memory_order_relaxed);
-      for (size_t i = 0; i < batch; ++i) {
-        const unsigned idx = tail & sq_mask;
-        io_uring_sqe* sqe = &all_sqes[idx];
-        std::memset(sqe, 0, sizeof(*sqe));
-        sqe->opcode = IORING_OP_FADVISE;
-        sqe->fd = file_fd;
-        sqe->off = ranges[done + i].first;
-        sqe->len = static_cast<unsigned>(ranges[done + i].second);
-        sqe->fadvise_advice = POSIX_FADV_WILLNEED;
-        sq_array[idx] = idx;
-        ++tail;
-      }
-      sq_tail->store(tail, std::memory_order_release);
-      ::syscall(__NR_io_uring_enter, fd, static_cast<unsigned>(batch), 0u, 0u,
-                nullptr, 0u);
-      // Drain whatever completed (results ignored: advice is advisory; an
-      // old kernel answering -EINVAL just means no readahead started).
-      auto* cq_head = reinterpret_cast<std::atomic<unsigned>*>(
-          static_cast<char*>(cq_ring) + p.cq_off.head);
-      auto* cq_tail = reinterpret_cast<std::atomic<unsigned>*>(
-          static_cast<char*>(cq_ring) + p.cq_off.tail);
-      cq_head->store(cq_tail->load(std::memory_order_acquire),
-                     std::memory_order_release);
-      done += batch;
-    }
-  }
-};
-
-#else  // !CONCEALER_HAVE_IO_URING
-
-struct NodeStore::IoUring {};
-
-#endif
-
 // --- NodeStore -------------------------------------------------------------
 
 NodeStore::NodeStore(Options options)
-    : options_(std::move(options)),
-      cache_budget_(options_.cache_bytes),
-      prefetch_mode_(PrefetchModeFromEnv()) {}
+    : options_(std::move(options)), cache_budget_(options_.cache_bytes) {}
 
 NodeStore::~NodeStore() { Close(); }
-
-NodeStore::PrefetchMode NodeStore::PrefetchModeFromEnv() {
-  const char* env = std::getenv("CONCEALER_NODE_PREFETCH");
-  if (env == nullptr) return PrefetchMode::kFadvise;
-  if (std::strcmp(env, "off") == 0) return PrefetchMode::kOff;
-  if (std::strcmp(env, "iouring") == 0) return PrefetchMode::kIoUring;
-  return PrefetchMode::kFadvise;
-}
 
 bool NodeStore::is_open() const { return fd_ >= 0; }
 
@@ -354,33 +237,10 @@ void NodeStore::Prefetch(const uint32_t* ids, size_t n) {
     std::lock_guard<std::mutex> slock(stats_mu_);
     prefetched_pages_ += ranges.size();
   }
-  if (prefetch_mode_ == PrefetchMode::kIoUring &&
-      PrefetchIoUring(nullptr, 0)) {
-#ifdef CONCEALER_HAVE_IO_URING
-    ring_->AdviseWillNeed(fd_, ranges.data(), ranges.size());
-    return;
-#endif
-  }
   for (const auto& [off, len] : ranges) {
     ::posix_fadvise(fd_, static_cast<off_t>(off), static_cast<off_t>(len),
                     POSIX_FADV_WILLNEED);
   }
-}
-
-bool NodeStore::PrefetchIoUring(const PageLoc* /*locs*/, size_t /*n*/) {
-#ifdef CONCEALER_HAVE_IO_URING
-  if (ring_ != nullptr) return true;
-  if (ring_failed_) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_ == nullptr && !ring_failed_) {
-    ring_ = IoUring::Create();
-    if (ring_ == nullptr) ring_failed_ = true;
-  }
-  return ring_ != nullptr;
-#else
-  ring_failed_ = true;
-  return false;
-#endif
 }
 
 void NodeStore::TrimLocked(uint64_t target_bytes) {

@@ -21,7 +21,7 @@ namespace concealer {
 /// page cache.
 ///
 /// File layout (every region is a standard epoch_io frame, so the same
-/// magic/version/FNV checks that guard segments and sidecars guard node
+/// magic/version/FNV checks that guard segments and epoch metas guard node
 /// pages):
 ///
 ///   [page 0][page 1]...[page N-1][page table][tree directory][footer]
@@ -37,9 +37,9 @@ namespace concealer {
 /// The footer is fixed-size and last, so Open() reads it with one pread
 /// and never touches leaf bytes — attaching a multi-GB index at restart
 /// costs two small reads (footer + directory). `stamp` carries the
-/// engine's durable_generation() at write time, the same freshness rule
-/// the index sidecar uses: a stale stamp means rows changed after the
-/// dump and the file is ignored.
+/// engine's durable_generation() at write time: a stale stamp means rows
+/// changed after the dump, so recovery ignores the file and rebuilds the
+/// index from the rows.
 ///
 /// Corruption policy is fail-closed: a mangled footer/table/directory
 /// fails Open(); a mangled leaf page fails the GetPage() that touches it
@@ -82,14 +82,9 @@ class NodeStore {
   /// How Prefetch turns a batch of wanted pages into I/O.
   ///  - kOff:     no-op (the control leg benches compare against).
   ///  - kFadvise: one posix_fadvise(WILLNEED) per uncached page — the
-  ///              portable default; the kernel starts readahead for every
-  ///              page before the first probe blocks on any of them.
-  ///  - kIoUring: same advice submitted as one batched io_uring ring of
-  ///              FADVISE ops — one enter() syscall for the whole level
-  ///              instead of one syscall per page. Falls back to kFadvise
-  ///              at runtime if the ring cannot be set up (seccomp,
-  ///              old kernel, or built without CONCEALER_IO_URING).
-  enum class PrefetchMode { kOff, kFadvise, kIoUring };
+  ///              default; the kernel starts readahead for every page
+  ///              before the first probe blocks on any of them.
+  enum class PrefetchMode { kOff, kFadvise };
 
   explicit NodeStore(Options options);
   ~NodeStore();
@@ -135,10 +130,9 @@ class NodeStore {
   uint64_t cache_bytes() const;
   void set_cache_budget(uint64_t bytes);
 
+  /// Not synchronized with Prefetch: set it before probes run.
   void set_prefetch_mode(PrefetchMode mode) { prefetch_mode_ = mode; }
   PrefetchMode prefetch_mode() const { return prefetch_mode_; }
-  /// CONCEALER_NODE_PREFETCH = off | fadvise (default) | iouring.
-  static PrefetchMode PrefetchModeFromEnv();
 
   // --- Observability (tests and the exp16 paged leg) ---------------------
   uint64_t loads() const;          // Pages read from disk.
@@ -158,8 +152,6 @@ class NodeStore {
 
   StatusOr<std::shared_ptr<const Page>> LoadPage(uint32_t id) const;
   void TrimLocked(uint64_t target_bytes);
-  /// Returns false if the ring is unavailable (caller falls back).
-  bool PrefetchIoUring(const PageLoc* locs, size_t n);
 
   Options options_;
   int fd_ = -1;
@@ -175,12 +167,7 @@ class NodeStore {
   uint64_t cache_bytes_ = 0;
   uint64_t cache_budget_;
 
-  PrefetchMode prefetch_mode_;
-  // io_uring ring state (lazily set up on first kIoUring prefetch;
-  // ring_failed_ latches a setup failure so we fall back exactly once).
-  struct IoUring;
-  std::unique_ptr<IoUring> ring_;
-  bool ring_failed_ = false;
+  PrefetchMode prefetch_mode_ = PrefetchMode::kFadvise;
 
   mutable std::mutex stats_mu_;
   uint64_t loads_ = 0;

@@ -28,7 +28,7 @@ constexpr char kSegSuffix[] = ".seg";
 /// Sentinel row id of a compaction purge marker: the only record left in a
 /// compacted segment's file. Its single 8-byte column holds the number of
 /// records the compaction removed, so the restart replay can keep
-/// durable_generation() — the index-sidecar freshness stamp — identical to
+/// durable_generation() — the node file's freshness stamp — identical to
 /// the pre-restart value even though the purged records are gone. Real row
 /// ids are dense-from-zero, so the sentinel can never collide.
 constexpr uint64_t kPurgeMarkerRowId = ~0ull;
@@ -79,12 +79,10 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(Options options) {
   CONCEALER_RETURN_IF_ERROR(MkdirRecursive(options.dir));
 
   std::unique_ptr<SegmentEngine> engine(new SegmentEngine(std::move(options)));
-  if (engine->options_.paged_index) {
-    NodeStore::Options node_options;
-    node_options.path = engine->options_.dir + "/index-nodes";
-    node_options.cache_bytes = engine->options_.node_cache_bytes;
-    engine->node_store_ = std::make_unique<NodeStore>(node_options);
-  }
+  NodeStore::Options node_options;
+  node_options.path = engine->options_.dir + "/index-nodes";
+  node_options.cache_bytes = engine->options_.node_cache_bytes;
+  engine->node_store_ = std::make_unique<NodeStore>(node_options);
 
   // Collect existing segment files and recover them in index order.
   std::vector<uint32_t> indexes;
@@ -649,8 +647,6 @@ StorageOptions StorageOptions::FromEnv() {
   if (env != nullptr && std::strcmp(env, "mmap") == 0) {
     options.engine = Engine::kMmap;
   }
-  const char* paged = std::getenv("CONCEALER_PAGED_INDEX");
-  if (paged != nullptr && paged[0] == '0') options.paged_index = false;
   const char* cache = std::getenv("CONCEALER_NODE_CACHE_BYTES");
   if (cache != nullptr) {
     const uint64_t bytes = std::strtoull(cache, nullptr, 10);
@@ -666,7 +662,6 @@ StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
   }
   SegmentEngine::Options seg_options;
   seg_options.segment_bytes = options.segment_bytes;
-  seg_options.paged_index = options.paged_index;
   seg_options.node_cache_bytes = options.node_cache_bytes;
   if (options.dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");

@@ -53,9 +53,6 @@ class SegmentEngine : public StorageEngine {
     /// Ephemeral mode: unlink every file and remove the directory on
     /// destruction (benches/tests that only want mmap semantics).
     bool remove_on_close = false;
-    /// Attach a NodeStore over "<dir>/index-nodes" so the table's B+-tree
-    /// can page its leaves to disk (StorageOptions::paged_index).
-    bool paged_index = true;
     /// Node-page cache budget (see StorageOptions::node_cache_bytes).
     uint64_t node_cache_bytes = 64ull << 20;
   };
@@ -91,7 +88,7 @@ class SegmentEngine : public StorageEngine {
   /// small purge marker. The marker (a) keeps the segment file present so
   /// recovery's dense-numbering check still detects a genuinely missing
   /// segment as data loss, and (b) carries the purged-record count so
-  /// durable_generation() — the index-sidecar freshness stamp — replays to
+  /// durable_generation() — the node file's freshness stamp — replays to
   /// the same value after a restart even though the purged records are
   /// gone. Exclusive access required (bumps generation(): borrows go
   /// stale).
@@ -112,7 +109,8 @@ class SegmentEngine : public StorageEngine {
 
   const std::string& dir() const { return options_.dir; }
 
-  /// The paged-index node store (null when Options::paged_index is off).
+  /// The paged-index node store over "<dir>/index-nodes", where the
+  /// table's B+-tree pages its leaves.
   NodeStore* node_store() override { return node_store_.get(); }
 
  private:

@@ -60,9 +60,9 @@ class StorageEngine {
 
   /// Durable mutation counter: Append/Replace only — the record count a
   /// persistent engine recomputes from its log on restart, so it is
-  /// stable across reopen and serves as the index-sidecar freshness
-  /// stamp. (generation() also counts residency flips, which do not
-  /// change the rows and would spuriously invalidate the sidecar.)
+  /// stable across reopen and serves as the node file's freshness stamp.
+  /// (generation() also counts residency flips, which do not change the
+  /// rows and would spuriously invalidate the node file.)
   virtual uint64_t durable_generation() const { return generation(); }
 
   /// Engine name for stats/bench output ("memory", "mmap").
@@ -154,16 +154,14 @@ struct StorageOptions {
   std::string dir;
   /// Capacity of one segment file. Oversized rows get a dedicated segment.
   uint64_t segment_bytes = 8ull << 20;
-  /// Page the B+-tree index to disk for kMmap engines: leaf pages live in
-  /// an `index-nodes` file beside the segments and load on demand through
-  /// a bounded cache, so an index larger than RAM stays serveable.
-  /// CONCEALER_PAGED_INDEX=0 is the rollback toggle. No effect on kMemory.
-  bool paged_index = true;
   /// Byte budget of the node-page LRU cache (CONCEALER_NODE_CACHE_BYTES).
+  /// kMmap engines page the B+-tree index to disk: leaf pages live in an
+  /// `index-nodes` file beside the segments and load on demand through
+  /// this cache, so an index larger than RAM stays serveable.
   uint64_t node_cache_bytes = 64ull << 20;
 
-  /// Reads CONCEALER_STORAGE_ENGINE ("memory" default, "mmap"), plus the
-  /// paged-index toggles above.
+  /// Reads CONCEALER_STORAGE_ENGINE ("memory" default, "mmap") and
+  /// CONCEALER_NODE_CACHE_BYTES.
   static StorageOptions FromEnv();
 };
 

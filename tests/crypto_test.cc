@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -358,6 +359,18 @@ std::vector<const AesBackendOps*> AllBackends() {
   if (AcceleratedAesBackend() != nullptr) v.push_back(AcceleratedAesBackend());
   return v;
 }
+
+}  // namespace
+
+// gtest would print the parameter as the backend's address, which changes
+// from run to run and ends up in the test ids that ctest discovers; print
+// the backend's name instead. It lives in namespace concealer, not the
+// anonymous one, so gtest's printer finds it by argument-dependent lookup.
+static void PrintTo(const AesBackendOps* ops, std::ostream* os) {
+  *os << ops->name;
+}
+
+namespace {
 
 class AesBackendTest
     : public ::testing::TestWithParam<const AesBackendOps*> {};

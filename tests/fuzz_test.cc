@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
 // extensions) of a serialized epoch must always come back as a clean error
 // or an untouched round-trip — never a crash or a silently different
 // epoch. The same frame guards segment records, epoch metas and the index
-// sidecar, so this corpus covers the persistent engine's on-disk parsing
+// node file, so this corpus covers the persistent engine's on-disk parsing
 // too.
 class EpochBlobFuzz : public ::testing::TestWithParam<uint64_t> {};
 

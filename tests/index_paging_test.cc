@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,7 +146,7 @@ TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
   }
 
   // Bulk probes: sorted batches mixing hits, misses and duplicates must
-  // reproduce BulkGet's output array exactly.
+  // reproduce the resident tree's BulkFind output array exactly.
   std::vector<Slice> probes;
   for (int i = 0; i < 600; ++i) {
     probes.push_back(keys[rng.Uniform(n)]);
@@ -159,8 +160,11 @@ TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
   std::sort(probes.begin(), probes.end(),
             [](Slice a, Slice b) { return a.Compare(b) < 0; });
   std::vector<uint64_t> want_ids(probes.size()), got_ids(probes.size());
-  const size_t want_hits =
-      resident.BulkGet(probes.data(), probes.size(), want_ids.data());
+  size_t want_hits = 0;
+  ASSERT_TRUE(resident
+                  .BulkFind(probes.data(), probes.size(), want_ids.data(),
+                            &want_hits)
+                  .ok());
   size_t got_hits = 0;
   ASSERT_TRUE(
       paged.BulkFind(probes.data(), probes.size(), got_ids.data(), &got_hits)
@@ -168,13 +172,15 @@ TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
   EXPECT_EQ(got_hits, want_hits);
   EXPECT_EQ(got_ids, want_ids);
 
-  // Ordered iteration: ForEach over the paged tree == Scan over the
+  // Ordered iteration: ForEach over the paged tree == ForEach over the
   // resident one, pair for pair.
   std::vector<std::pair<Bytes, uint64_t>> want_seq, got_seq;
-  resident.Scan([&](Slice k, uint64_t v) {
-    want_seq.emplace_back(k.ToBytes(), v);
-    return true;
-  });
+  ASSERT_TRUE(resident
+                  .ForEach([&](Slice k, uint64_t v) {
+                    want_seq.emplace_back(k.ToBytes(), v);
+                    return true;
+                  })
+                  .ok());
   ASSERT_TRUE(paged
                   .ForEach([&](Slice k, uint64_t v) {
                     got_seq.emplace_back(k.ToBytes(), v);
@@ -328,6 +334,13 @@ TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
   // when a probe pins that page — and then it must surface as an error,
   // not a wrong answer.
   NodeStore* ns = table->engine()->node_store();
+  Bytes damaged_key;  // A stored key that lives in the damaged page.
+  {
+    StatusOr<NodeStore::PagePin> pin = ns->GetPage(0);
+    ASSERT_TRUE(pin.ok());
+    ASSERT_FALSE((*pin)->keys.empty());
+    damaged_key = (*pin)->keys.front().ToBytes();
+  }
   FlipByteAt(ns->path(), 25);
   ns->DropCache();
 
@@ -346,12 +359,12 @@ TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
   EXPECT_EQ(stats.index_probes, 0u);
   EXPECT_EQ(stats.rows_fetched, 0u);
 
-  // The per-key path fails closed too.
-  SetBulkIndexProbing(false);
-  refs.clear();
-  EXPECT_FALSE(table->FetchRefs(all_keys, &refs).ok());
-  SetBulkIndexProbing(true);
+  // A single probe is a batch of one, and a key in the damaged page fails
+  // closed the same way.
+  EXPECT_FALSE(table->FetchRefs({damaged_key}, &refs).ok());
   EXPECT_TRUE(refs.empty());
+  EXPECT_EQ(table->stats().index_probes, 0u);
+  EXPECT_EQ(table->stats().rows_fetched, 0u);
 
   // CheckInvariants doubles as the full-file integrity scan.
   // (Through the table: a fresh attach at recovery also refuses the file
@@ -363,7 +376,6 @@ TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
 
 TEST(IndexPagingTest, CorruptDirectoryFallsBackAtRecovery) {
   const std::string dir = TempDir();
-  const std::string sidecar = dir + "/index.sidecar";
   const uint64_t n = 1500;
   {
     auto table = std::make_unique<EncryptedTable>(
@@ -390,18 +402,17 @@ TEST(IndexPagingTest, CorruptDirectoryFallsBackAtRecovery) {
   {
     auto table = std::make_unique<EncryptedTable>(
         "t", 2, 1, OpenSegEngine(dir, 1u << 20));
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());
+    ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_FALSE(table->paged_index());  // Fell back to a resident rebuild.
-    auto rows = table->FetchByIndexKeys({Key(3), Key(n - 1)});
-    ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(rows->size(), 2u);
+    std::vector<RowRef> refs;
+    ASSERT_TRUE(table->FetchRefs({Key(3), Key(n - 1)}, &refs).ok());
+    EXPECT_EQ(refs.size(), 2u);
   }
   RemoveDirRecursive(dir);
 }
 
 TEST(IndexPagingTest, StaleStampIgnoredAtRecovery) {
   const std::string dir = TempDir();
-  const std::string sidecar = dir + "/index.sidecar";
   {
     auto table = std::make_unique<EncryptedTable>(
         "t", 2, 1, OpenSegEngine(dir, 1u << 20));
@@ -416,19 +427,18 @@ TEST(IndexPagingTest, StaleStampIgnoredAtRecovery) {
   {
     auto table = std::make_unique<EncryptedTable>(
         "t", 2, 1, OpenSegEngine(dir, 1u << 20));
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());
+    ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_FALSE(table->paged_index());  // Stale node file was ignored.
-    auto rows = table->FetchByIndexKeys({Key(9999)});
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows->size(), 1u);  // The post-dump row is indexed.
-    EXPECT_EQ((*rows)[0].columns[0], Column(Bytes{0xaa}));
+    std::vector<RowRef> refs;
+    ASSERT_TRUE(table->FetchRefs({Key(9999)}, &refs).ok());
+    ASSERT_EQ(refs.size(), 1u);  // The post-dump row is indexed.
+    EXPECT_EQ(refs[0].get()->columns[0], Column(Bytes{0xaa}));
   }
   RemoveDirRecursive(dir);
 }
 
 TEST(IndexPagingTest, FreshNodeFileAttachesAtRecovery) {
   const std::string dir = TempDir();
-  const std::string sidecar = dir + "/index.sidecar";
   const uint64_t n = 1200;
   std::vector<uint64_t> want_ids;
   {
@@ -448,8 +458,8 @@ TEST(IndexPagingTest, FreshNodeFileAttachesAtRecovery) {
   {
     auto table = std::make_unique<EncryptedTable>(
         "t", 2, 1, OpenSegEngine(dir, /*node_cache_bytes=*/4096));
-    // No sidecar was ever written: recovery must attach the node file.
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());
+    // The node file's stamp is fresh: recovery must attach it.
+    ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_TRUE(table->paged_index());
     std::vector<RowRef> refs;
     std::vector<Bytes> probes;
@@ -513,10 +523,8 @@ TEST(IndexPagingTest, PersistCrashSweepRecovers) {
     SCOPED_TRACE("crash at op " + std::to_string(k) + " of " +
                  std::to_string(num_ops));
     const std::string dir = TempDir();
-    const std::string sidecar = dir + "/index.sidecar";
     {
       auto table = build(dir);
-      ASSERT_TRUE(table->PersistIndex(sidecar).ok());
       ASSERT_TRUE(table->engine()->Sync().ok());
       fault_fs::Arm(k, /*torn=*/(k % 2) == 0);
       const Status st = table->PersistPagedIndex();
@@ -531,7 +539,7 @@ TEST(IndexPagingTest, PersistCrashSweepRecovers) {
     // engine recovers the durable rows; only the index needs rebuilding.
     auto table = std::make_unique<EncryptedTable>(
         "t", 2, 1, OpenSegEngine(dir, 1u << 20));
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());
+    ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_EQ(probe_ids(table.get()), want_ids);
     // And the next persist heals the node file for good.
     ASSERT_TRUE(table->PersistPagedIndex().ok());
@@ -614,6 +622,13 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
       EXPECT_EQ(SerializeQueryResult(*result), want[i]) << i;
     }
   }
+  // The node file is the index's only on-disk copy.
+  std::vector<std::string> index_files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("index", 0) == 0) index_files.push_back(name);
+  }
+  EXPECT_EQ(index_files, std::vector<std::string>{"index-nodes"});
   {
     // Restart: recovery attaches the node file when its stamp is fresh
     // (the last ingest persisted it) and answers stay byte-identical.

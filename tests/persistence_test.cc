@@ -69,7 +69,7 @@ EncryptedEpoch TestEpoch() {
 
 // --- epoch_io negative paths ----------------------------------------------
 // These same framing checks guard the segment files, the epoch metas and
-// the index sidecar; each must fail cleanly, never crash.
+// the index node file; each must fail cleanly, never crash.
 
 class EpochIoNegativeTest : public ::testing::Test {
  protected:
@@ -299,12 +299,13 @@ TEST(PersistenceEndToEndTest, RecoveryRebuildsIndexWithoutSidecar) {
     ASSERT_TRUE(result.ok());
     want = SerializeQueryResult(*result);
   }
-  // Delete the sidecar: recovery must fall back to rebuilding the B+-tree
-  // from the segment rows and still answer identically.
-  ASSERT_EQ(::unlink((dir + "/index.sidecar").c_str()), 0);
+  // Delete the node file: recovery must fall back to rebuilding the
+  // B+-tree from the segment rows and still answer identically.
+  ASSERT_EQ(::unlink((dir + "/index-nodes").c_str()), 0);
   {
     auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+    EXPECT_FALSE((*sp)->table().paged_index());  // Rebuilt, not attached.
     auto result = (*sp)->Execute(q);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(SerializeQueryResult(*result), want);

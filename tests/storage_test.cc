@@ -12,11 +12,13 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "common/coding.h"
 #include "common/random.h"
 #include "storage/bplus_tree.h"
 #include "storage/encrypted_table.h"
+#include "storage/node_store.h"
 #include "storage/row_store.h"
 #include "storage/segment_engine.h"
 
@@ -49,10 +51,21 @@ void RemoveDirRecursive(const std::string& dir) {
   ASSERT_EQ(std::system(cmd.c_str()), 0);
 }
 
+// Per-key probe: the row id on a hit, nullopt on a miss. A probe error
+// fails the calling test.
+std::optional<uint64_t> FindId(const BPlusTree& tree, Slice key) {
+  uint64_t row_id = 0;
+  bool found = false;
+  const Status st = tree.Find(key, &row_id, &found);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  if (!st.ok() || !found) return std::nullopt;
+  return row_id;
+}
+
 TEST(BPlusTreeTest, EmptyTree) {
   BPlusTree tree;
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_FALSE(tree.Get(Key(1)).ok());
+  EXPECT_FALSE(FindId(tree, Key(1)).has_value());
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -60,11 +73,11 @@ TEST(BPlusTreeTest, InsertAndGet) {
   BPlusTree tree;
   ASSERT_TRUE(tree.Insert(Key(10), 100).ok());
   ASSERT_TRUE(tree.Insert(Key(20), 200).ok());
-  auto v = tree.Get(Key(10));
-  ASSERT_TRUE(v.ok());
+  const std::optional<uint64_t> v = FindId(tree, Key(10));
+  ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 100u);
-  EXPECT_TRUE(tree.Get(Key(15)).status().IsNotFound());
-  EXPECT_TRUE(tree.Contains(Key(20)));
+  EXPECT_FALSE(FindId(tree, Key(15)).has_value());
+  EXPECT_TRUE(FindId(tree, Key(20)).has_value());
 }
 
 TEST(BPlusTreeTest, RejectsDuplicates) {
@@ -83,8 +96,8 @@ TEST(BPlusTreeTest, SplitsGrowHeight) {
   EXPECT_GT(tree.height(), 1);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   for (uint64_t i = 0; i < 10000; ++i) {
-    auto v = tree.Get(Key(i));
-    ASSERT_TRUE(v.ok()) << i;
+    const std::optional<uint64_t> v = FindId(tree, Key(i));
+    ASSERT_TRUE(v.has_value()) << i;
     EXPECT_EQ(*v, i);
   }
 }
@@ -101,10 +114,11 @@ TEST(BPlusTreeTest, ScanVisitsInOrder) {
   for (uint64_t k : shuffled) ASSERT_TRUE(tree.Insert(OrderedKey(k), k).ok());
 
   std::vector<uint64_t> visited;
-  tree.Scan([&](Slice, uint64_t v) {
-    visited.push_back(v);
-    return true;
-  });
+  ASSERT_TRUE(tree.ForEach([&](Slice, uint64_t v) {
+                    visited.push_back(v);
+                    return true;
+                  })
+                  .ok());
   EXPECT_EQ(visited, keys);
 }
 
@@ -112,7 +126,8 @@ TEST(BPlusTreeTest, ScanEarlyStop) {
   BPlusTree tree;
   for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(tree.Insert(Key(i), i).ok());
   int count = 0;
-  tree.Scan([&](Slice, uint64_t) { return ++count < 10; });
+  // An early stop is not an error.
+  EXPECT_TRUE(tree.ForEach([&](Slice, uint64_t) { return ++count < 10; }).ok());
   EXPECT_EQ(count, 10);
 }
 
@@ -135,13 +150,13 @@ TEST_P(BPlusTreePropertyTest, MatchesMapOracle) {
   EXPECT_EQ(tree.size(), oracle.size());
   ASSERT_TRUE(tree.CheckInvariants().ok());
   for (const auto& [key, val] : oracle) {
-    auto v = tree.Get(key);
-    ASSERT_TRUE(v.ok());
+    const std::optional<uint64_t> v = FindId(tree, key);
+    ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, val);
   }
   // Absent keys miss.
   for (uint64_t k = 5000; k < 5100; ++k) {
-    EXPECT_FALSE(tree.Contains(Key(k)));
+    EXPECT_FALSE(FindId(tree, Key(k)).has_value());
   }
 }
 
@@ -156,27 +171,33 @@ TEST(BPlusTreeTest, VariableLengthKeys) {
   }
   EXPECT_TRUE(tree.CheckInvariants().ok());
   for (size_t i = 0; i < keys.size(); ++i) {
-    auto v = tree.Get(Slice(keys[i]));
-    ASSERT_TRUE(v.ok());
+    const std::optional<uint64_t> v = FindId(tree, Slice(keys[i]));
+    ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
 }
 
-// --- BulkGet ---------------------------------------------------------------
+// --- BulkFind --------------------------------------------------------------
+//
+// The suites keep the BPlusTreeBulkGet* names the batched probe had before
+// it became BulkFind, so their test ids stay the same across releases.
 
-// Differential check: runs BulkGet over `probes` (must be sorted ascending,
-// duplicates allowed) and compares every slot against the per-key Get path.
-// Returns the hit count (duplicates of a present key each count).
-size_t DifferentialBulkGet(const BPlusTree& tree,
-                           const std::vector<Bytes>& probes) {
+// Differential check: runs BulkFind over `probes` (must be sorted ascending,
+// duplicates allowed) and compares every slot against per-key Find.
+// Returns the per-slot row ids (kNoMatch on a miss).
+std::vector<uint64_t> DifferentialBulkFind(const BPlusTree& tree,
+                                           const std::vector<Bytes>& probes) {
   std::vector<Slice> views(probes.size());
   for (size_t i = 0; i < probes.size(); ++i) views[i] = Slice(probes[i]);
   std::vector<uint64_t> ids(probes.size(), 0xdead);
-  const size_t hits = tree.BulkGet(views.data(), views.size(), ids.data());
+  size_t hits = 0;
+  const Status st = tree.BulkFind(views.data(), views.size(), ids.data(),
+                                  &hits);
+  EXPECT_TRUE(st.ok()) << st.ToString();
   size_t expect_hits = 0;
   for (size_t i = 0; i < probes.size(); ++i) {
-    auto v = tree.Get(probes[i]);
-    if (v.ok()) {
+    const std::optional<uint64_t> v = FindId(tree, probes[i]);
+    if (v.has_value()) {
       ++expect_hits;
       EXPECT_EQ(ids[i], *v) << "probe " << i;
     } else {
@@ -184,14 +205,41 @@ size_t DifferentialBulkGet(const BPlusTree& tree,
     }
   }
   EXPECT_EQ(hits, expect_hits);
-  return hits;
+  return ids;
+}
+
+// Runs the differential against both BulkFind branches: `tree` as built
+// (the resident lockstep descent), then the same tree saved to a node file
+// and attached under a node cache smaller than one page, so every leaf the
+// paged branch touches is loaded, evicted and reloaded. Both branches must
+// also return the same row ids. Returns the hit count (duplicates of a
+// present key each count).
+size_t DifferentialBulkFindBothBranches(const BPlusTree& tree,
+                                        const std::vector<Bytes>& probes) {
+  const std::vector<uint64_t> want = DifferentialBulkFind(tree, probes);
+  const std::string dir = TempDir();
+  {
+    NodeStore store({dir + "/index-nodes", /*cache_bytes=*/256});
+    EXPECT_TRUE(tree.SavePaged(&store, /*stamp=*/1).ok());
+    EXPECT_TRUE(store.Open().ok());
+    BPlusTree paged;
+    EXPECT_TRUE(paged.AttachPaged(&store).ok());
+    EXPECT_EQ(DifferentialBulkFind(paged, probes), want);
+  }
+  RemoveDirRecursive(dir);
+  return static_cast<size_t>(std::count_if(
+      want.begin(), want.end(),
+      [](uint64_t id) { return id != BPlusTree::kNoMatch; }));
 }
 
 TEST(BPlusTreeBulkGetTest, EmptyTreeAndEmptyProbeSet) {
   BPlusTree tree;
-  EXPECT_EQ(tree.BulkGet(nullptr, 0, nullptr), 0u);
+  size_t hits = 1;
+  EXPECT_TRUE(tree.BulkFind(nullptr, 0, nullptr, &hits).ok());
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, {}), 0u);
   std::vector<Bytes> probes{OrderedKey(1), OrderedKey(2)};
-  EXPECT_EQ(DifferentialBulkGet(tree, probes), 0u);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, probes), 0u);
 }
 
 TEST(BPlusTreeBulkGetTest, SingleLeaf) {
@@ -202,7 +250,7 @@ TEST(BPlusTreeBulkGetTest, SingleLeaf) {
   ASSERT_EQ(tree.height(), 1);
   std::vector<Bytes> probes;  // Every even hits, every odd misses.
   for (uint64_t v = 0; v < 22; ++v) probes.push_back(OrderedKey(v));
-  EXPECT_EQ(DifferentialBulkGet(tree, probes), 10u);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, probes), 10u);
 }
 
 TEST(BPlusTreeBulkGetTest, DuplicateProbes) {
@@ -216,7 +264,7 @@ TEST(BPlusTreeBulkGetTest, DuplicateProbes) {
     probes.push_back(OrderedKey(1001));  // Absent.
   }
   std::sort(probes.begin(), probes.end());
-  EXPECT_EQ(DifferentialBulkGet(tree, probes), 3u);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, probes), 3u);
 }
 
 TEST(BPlusTreeBulkGetTest, LeafBoundaryAndGapProbes) {
@@ -230,7 +278,7 @@ TEST(BPlusTreeBulkGetTest, LeafBoundaryAndGapProbes) {
   ASSERT_GT(tree.height(), 1);
   std::vector<Bytes> probes;
   for (uint64_t v = 0; v < 2 * kN + 2; ++v) probes.push_back(OrderedKey(v));
-  EXPECT_EQ(DifferentialBulkGet(tree, probes), kN);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, probes), kN);
 }
 
 TEST(BPlusTreeBulkGetTest, ProbesSpanLazilyEmptiedLeaves) {
@@ -250,15 +298,15 @@ TEST(BPlusTreeBulkGetTest, ProbesSpanLazilyEmptiedLeaves) {
   ASSERT_TRUE(tree.CheckInvariants().ok());
   std::vector<Bytes> probes;
   for (uint64_t i = 900; i < 2100; ++i) probes.push_back(OrderedKey(i));
-  EXPECT_EQ(DifferentialBulkGet(tree, probes), 200u);
+  EXPECT_EQ(DifferentialBulkFindBothBranches(tree, probes), 200u);
   probes.clear();
   for (uint64_t i = 0; i < kN; i += 7) probes.push_back(OrderedKey(i));
-  DifferentialBulkGet(tree, probes);
+  DifferentialBulkFindBothBranches(tree, probes);
 }
 
 // Randomized differential property: random tree (with deletions), random
-// probe sets with duplicates, absent keys and boundary values — BulkGet
-// must answer exactly as per-key Get on every slot.
+// probe sets with duplicates, absent keys and boundary values — BulkFind
+// must answer exactly as per-key Find on every slot, on both branches.
 class BPlusTreeBulkGetPropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -295,7 +343,7 @@ TEST_P(BPlusTreeBulkGetPropertyTest, MatchesPerKeyGet) {
       probes.push_back(OrderedKey(v));
     }
     std::sort(probes.begin(), probes.end());
-    DifferentialBulkGet(tree, probes);
+    DifferentialBulkFindBothBranches(tree, probes);
   }
 }
 
@@ -409,11 +457,11 @@ TEST_P(EncryptedTableTest, InsertAndFetchByIndexKeys) {
   EXPECT_EQ(table->num_rows(), 100u);
 
   std::vector<Bytes> keys{Key(5), Key(50), Key(500)};  // Last one misses.
-  auto rows = table->FetchByIndexKeys(keys);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0].columns[0], Column(Bytes{5}));
-  EXPECT_EQ((*rows)[1].columns[0], Column(Bytes{50}));
+  std::vector<RowRef> refs;
+  ASSERT_TRUE(table->FetchRefs(keys, &refs).ok());
+  ASSERT_EQ(refs.size(), 2u);
+  EXPECT_EQ(refs[0].get()->columns[0], Column(Bytes{5}));
+  EXPECT_EQ(refs[1].get()->columns[0], Column(Bytes{50}));
 
   const TableStats stats = table->stats();
   EXPECT_EQ(stats.index_probes, 3u);
@@ -454,15 +502,15 @@ TEST_P(EncryptedTableTest, FetchWithIdsAndReplace) {
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
   }
-  auto pairs = table->FetchWithIds({Key(3)});
-  ASSERT_TRUE(pairs.ok());
-  ASSERT_EQ(pairs->size(), 1u);
+  std::vector<RowRef> refs;
+  ASSERT_TRUE(table->FetchRefs({Key(3)}, &refs).ok());
+  ASSERT_EQ(refs.size(), 1u);
   Row updated{{Bytes{0xee}, Key(3)}};
-  ASSERT_TRUE(table->ReplaceRows({{(*pairs)[0].first, updated}}).ok());
-  auto rows = table->FetchByIndexKeys({Key(3)});
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0].columns[0], Column(Bytes{0xee}));
+  ASSERT_TRUE(table->ReplaceRows({{refs[0].row_id, updated}}).ok());
+  refs.clear();
+  ASSERT_TRUE(table->FetchRefs({Key(3)}, &refs).ok());
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_EQ(refs[0].get()->columns[0], Column(Bytes{0xee}));
 }
 
 TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
@@ -501,21 +549,26 @@ TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   EXPECT_EQ(stats.rows_fetched, 3u);
   EXPECT_EQ(stats.bytes_fetched, 3u * 11u);
 
-  // The copying wrappers ride FetchRefs, so they count bytes too.
-  (void)table->FetchByIndexKeys({Key(1)});
+  // A single probe is a batch of one and counts bytes the same way.
+  refs.clear();
+  ASSERT_TRUE(table->FetchRefs({Key(1)}, &refs).ok());
   EXPECT_EQ(table->stats().bytes_fetched, 4u * 11u);
 }
 
 TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
-  // The bulk index path must be observationally identical to the per-key
-  // loop: same refs, same order, same stats — on both engines. The probe
-  // set is shuffled (FetchRefs sorts internally via a permutation) and
-  // mixes hits, misses and duplicates.
+  // FetchRefs' bulk probe must be observationally identical to a per-key
+  // fetch loop — one Find per key on a tree built by the same inserts, then
+  // the engine's borrowed row: same refs, same order, same stats. The
+  // probe set is shuffled (FetchRefs sorts internally via a permutation)
+  // and mixes hits, misses and duplicates. On the mmap engine the check
+  // runs again after the index is paged to the node file.
   auto table = MakeTable(2, 1);
+  BPlusTree per_key_index;
   for (uint64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(
         table->Insert(Row{{Bytes{uint8_t(i), uint8_t(i >> 8)}, Key(i * 3)}})
             .ok());
+    ASSERT_TRUE(per_key_index.Insert(Key(i * 3), i).ok());
   }
   Rng rng(77);
   std::vector<Bytes> keys;
@@ -523,29 +576,39 @@ TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
   keys.push_back(keys[0]);  // Guaranteed duplicate probe.
   rng.Shuffle(&keys);
 
-  table->ResetStats();
-  SetBulkIndexProbing(true);
-  std::vector<RowRef> bulk;
-  ASSERT_TRUE(table->FetchRefs(keys, &bulk).ok());
-  const TableStats bulk_stats = table->stats();
-
-  table->ResetStats();
-  SetBulkIndexProbing(false);
-  std::vector<RowRef> per_key;
-  ASSERT_TRUE(table->FetchRefs(keys, &per_key).ok());
-  const TableStats per_key_stats = table->stats();
-  SetBulkIndexProbing(true);  // Restore the process-wide default.
-
-  ASSERT_EQ(bulk.size(), per_key.size());
-  ASSERT_GT(bulk.size(), 0u);
-  for (size_t i = 0; i < bulk.size(); ++i) {
-    EXPECT_EQ(bulk[i].row_id, per_key[i].row_id) << i;
-    EXPECT_EQ(bulk[i].row, per_key[i].row) << i;  // Same borrowed pointer.
+  std::vector<std::pair<uint64_t, const Row*>> per_key;  // (row id, row)
+  uint64_t per_key_bytes = 0;
+  for (const Bytes& key : keys) {
+    const std::optional<uint64_t> id = FindId(per_key_index, key);
+    if (!id.has_value()) continue;
+    const Row* row = table->engine()->GetRef(*id);
+    ASSERT_NE(row, nullptr);
+    per_key_bytes += RowByteSize(*row);
+    per_key.emplace_back(*id, row);
   }
-  EXPECT_EQ(bulk_stats.index_probes, per_key_stats.index_probes);
-  EXPECT_EQ(bulk_stats.index_hits, per_key_stats.index_hits);
-  EXPECT_EQ(bulk_stats.rows_fetched, per_key_stats.rows_fetched);
-  EXPECT_EQ(bulk_stats.bytes_fetched, per_key_stats.bytes_fetched);
+  ASSERT_GT(per_key.size(), 0u);
+
+  const auto expect_identical = [&] {
+    table->ResetStats();
+    std::vector<RowRef> bulk;
+    ASSERT_TRUE(table->FetchRefs(keys, &bulk).ok());
+    ASSERT_EQ(bulk.size(), per_key.size());
+    for (size_t i = 0; i < bulk.size(); ++i) {
+      EXPECT_EQ(bulk[i].row_id, per_key[i].first) << i;
+      EXPECT_EQ(bulk[i].row, per_key[i].second) << i;  // Same borrowed row.
+    }
+    const TableStats stats = table->stats();
+    EXPECT_EQ(stats.index_probes, keys.size());
+    EXPECT_EQ(stats.index_hits, per_key.size());
+    EXPECT_EQ(stats.rows_fetched, per_key.size());
+    EXPECT_EQ(stats.bytes_fetched, per_key_bytes);
+  };
+  expect_identical();
+  if (table->engine()->node_store() != nullptr) {
+    ASSERT_TRUE(table->PersistPagedIndex().ok());
+    ASSERT_TRUE(table->paged_index());
+    expect_identical();
+  }
 }
 
 TEST_P(EncryptedTableTest, RowRefStaleAfterMutation) {
@@ -898,42 +961,6 @@ TEST(SegmentEngineTest, ScanFailsOnEvictedSegment) {
   RemoveDirRecursive(dir);
 }
 
-TEST(SegmentEngineTest, IndexSidecarRoundTripsAndDetectsStaleness) {
-  const std::string dir = TempDir();
-  const std::string sidecar = dir + "/index.sidecar";
-  {
-    auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir));
-    for (uint64_t i = 0; i < 40; ++i) {
-      ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
-    }
-    ASSERT_TRUE(table->PersistIndex(sidecar).ok());
-  }
-  {
-    // Fresh sidecar: recovery uses it and answers correctly.
-    auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir));
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());
-    auto rows = table->FetchByIndexKeys({Key(7)});
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows->size(), 1u);
-    EXPECT_EQ((*rows)[0].columns[0], Column(Bytes{7}));
-    // Append one more row WITHOUT refreshing the sidecar: the stamp is now
-    // stale and the next recovery must rebuild from rows instead.
-    ASSERT_TRUE(table->Insert(Row{{Bytes{0xaa}, Key(100)}}).ok());
-  }
-  {
-    auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir));
-    ASSERT_TRUE(table->RecoverIndex(sidecar).ok());  // Stale -> rebuild.
-    auto rows = table->FetchByIndexKeys({Key(100), Key(7)});
-    ASSERT_TRUE(rows.ok());
-    ASSERT_EQ(rows->size(), 2u);
-    EXPECT_EQ((*rows)[0].columns[0], Column(Bytes{0xaa}));
-  }
-  RemoveDirRecursive(dir);
-}
-
 // --- Segment compaction ----------------------------------------------------
 // Dynamic-mode churn (§6 rewrites) strands dead record versions in sealed
 // segments; Compact rewrites the survivors into the active segment and
@@ -1117,7 +1144,7 @@ TEST(SegmentCompactionTest, CompactedStateSurvivesReopen) {
     auto engine = SegmentEngine::Open(options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     // The purge markers re-count the compacted-away records, so the
-    // durable generation — the index sidecar's freshness stamp — is
+    // durable generation — the node file's freshness stamp — is
     // byte-stable across the restart.
     EXPECT_EQ((*engine)->durable_generation(), durable);
     EXPECT_EQ((*engine)->size(), 120u);
