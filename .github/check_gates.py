@@ -28,22 +28,68 @@ def _fmt(d, key):
 # holds; the message fn renders the diagnostic on failure.
 
 def crypto_checks(d):
-    cpu_aes = "aes" in open("/proc/cpuinfo").read().split()
+    flags = open("/proc/cpuinfo").read().split()
+    cpu_aes = "aes" in flags
+    cpu_sha = "sha_ni" in flags
     print(
         "crypto: cpu aes flag:", cpu_aes,
         "| active backend:", d["active_backend"],
+        "| cpu sha_ni flag:", cpu_sha,
+        "| active sha backend:", d["sha_active_backend"],
         "| speedups:", d["speedups"],
     )
-    # The accelerated backend must actually engage on an AES-capable
-    # runner -- a silent soft fallback would quietly regress every query.
+    # The accelerated backends must actually engage on a capable runner --
+    # a silent soft fallback would quietly regress every query.
     if cpu_aes and not d["accelerated_available"]:
         return "CPU advertises AES but no accelerated backend was detected"
     if cpu_aes and d["active_backend"] == "soft":
         return "CPU advertises AES but dispatch fell back to the soft backend"
+    if cpu_sha and d["sha_active_backend"] == "soft":
+        return "CPU advertises sha_ni but SHA-256 dispatch fell back to soft"
     if not d["gate"]["soft_pass"]:
         return "pipelined soft backend below 1.5x seed: %s" % d["speedups"]
     if not d["gate"]["accel_pass"]:
         return "accelerated backend below 5x seed: %s" % d["speedups"]
+    # The hash-chain gate is waived only where the CPU has no SHA
+    # extensions to measure.
+    if cpu_sha and not d["gate"]["sha_pass"]:
+        return "three-lane chain step on SHA-NI below %sx soft: %s" % (
+            d["gate"]["sha_row_accel_over_soft_min"], d["speedups"]
+        )
+    return None
+
+
+def hash_chains_checks(d):
+    # A committed before/after record (not regenerated by CI): the claim,
+    # the end-to-end bounds and the layer moves it was accepted on must
+    # hold in the numbers it carries.
+    c = d["claim"]
+    print(
+        "hash chains: %s %s %d/%d pair wins, median %.1f vs %.1f "
+        "(parent IQR %.1f)"
+        % (c["workload"], c["metric"], c["wins"], c["pairs"],
+           c["change_median"], c["parent_median"], c["parent_iqr"]),
+    )
+    if not d["all_runs_correct"]:
+        return "a recorded run was not correct"
+    if c["wins"] < c["min_wins"]:
+        return "claim won %d of %d pairs (need %d)" % (
+            c["wins"], c["pairs"], c["min_wins"])
+    if abs(c["change_median"] - c["parent_median"]) <= c["parent_iqr"]:
+        return "claim's median gap within the parent's IQR"
+    for workload, m in d["end_to_end"].items():
+        for name, v in m.items():
+            if v["worse_by"] > v["bound"]:
+                return "%s %s worse by %.3f (bound %.2f)" % (
+                    workload, name, v["worse_by"], v["bound"])
+    t = d["traced"]
+    if t["verify_speedup"] < t["verify_min_speedup"]:
+        return "executor.verify_ms fell only %.2fx" % t["verify_speedup"]
+    if t["encrypt_speedup"] < t["encrypt_min_speedup"]:
+        return "data_provider.encrypt_epoch_ms fell only %.2fx" % (
+            t["encrypt_speedup"])
+    if not d["stored_bytes_identical"]:
+        return "stored_bytes_per_tuple changed: the hashes must change no byte"
     return None
 
 
@@ -130,7 +176,9 @@ def net_checks(d):
 
 
 GATES = {
+    "BENCH_crypto.json": crypto_checks,
     "BENCH_crypto_ci.json": crypto_checks,
+    "BENCH_hash_chains.json": hash_chains_checks,
     "BENCH_index.json": index_checks,
     "BENCH_storage.json": storage_checks,
     "BENCH_tenants.json": tenants_checks,

@@ -11,8 +11,8 @@
 //
 // Shape to hold: aggregate throughput (queries/s) grows with clients up to
 // the hardware parallelism, then flattens (admission gate + lock
-// contention); the cache hit rate climbs as overlapping clients reuse
-// trapdoor/filter work. On a 1-core container throughput stays ~flat — the
+// contention); the trapdoor cache hit rate climbs as overlapping clients
+// reuse trapdoor work. On a 1-core container throughput stays ~flat — the
 // interesting columns there are correctness and the hit rate.
 //
 // JSON: pass an output path as argv[1] (or set CONCEALER_BENCH_JSON) to
@@ -179,10 +179,8 @@ int main(int argc, char** argv) {
     row.seconds = timer.ElapsedSeconds();
     row.qps = row.seconds > 0 ? row.queries / row.seconds : 0;
     const auto after = service.cache_stats();
-    const uint64_t hits = (after.trapdoor_hits - before.trapdoor_hits) +
-                          (after.filter_hits - before.filter_hits);
-    const uint64_t misses = (after.trapdoor_misses - before.trapdoor_misses) +
-                            (after.filter_misses - before.filter_misses);
+    const uint64_t hits = after.trapdoor_hits - before.trapdoor_hits;
+    const uint64_t misses = after.trapdoor_misses - before.trapdoor_misses;
     row.cache_hit_rate =
         hits + misses > 0 ? 100.0 * hits / (hits + misses) : 0;
     for (int m : mismatches) row.identical = row.identical && m == 0;
@@ -196,8 +194,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nexpected shape: qps grows with clients up to hardware parallelism "
-      "then flattens;\ncache hit rate climbs as overlapping clients reuse "
-      "trapdoor/filter work;\nevery answer byte-identical to the serial "
+      "then flattens;\ntrapdoor cache hit rate climbs as overlapping clients "
+      "reuse trapdoor work;\nevery answer byte-identical to the serial "
       "replay (identical=yes)\n");
   uint64_t total_queries = expected.size();  // Serial replay.
   for (const SweepRow& r : rows) total_queries += r.queries;

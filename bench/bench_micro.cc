@@ -7,8 +7,9 @@
 //   - crypto sweep: `./bench_micro out.json` (or CONCEALER_BENCH_JSON=...)
 //     runs the self-timed crypto microbench — CTR / CMAC / KDF throughput,
 //     soft vs. accelerated backend vs. the seed's one-block-per-call
-//     implementation, across 1/4/8-block and bulk buffer sizes — and emits
-//     the BENCH_crypto.json artifact CI uploads and regresses against.
+//     implementation, across 1/4/8-block and bulk buffer sizes, plus
+//     hash-chain steps per SHA-256 backend — and emits the
+//     BENCH_crypto.json artifact CI uploads and regresses against.
 //     CONCEALER_BENCH_MIN_TIME (seconds, default 0.1) trades accuracy for
 //     runtime; CI smoke uses 0.02.
 
@@ -22,6 +23,7 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "concealer/wire.h"
 #include "crypto/aes.h"
 #include "crypto/aes_backend.h"
 #include "crypto/cmac.h"
@@ -176,7 +178,7 @@ struct SweepResult {
 
 void RunCryptoSweep(const char* json_path) {
   bench::PrintHeader(
-      "Crypto microbench: CTR / CMAC / KDF throughput per AES backend",
+      "Crypto microbench: CTR / CMAC / KDF / hash-chain throughput per backend",
       "infrastructure for the ROADMAP north star (hardware-speed crypto)");
 
   const AesBackendOps* soft = SoftAesBackend();
@@ -286,6 +288,44 @@ void RunCryptoSweep(const char* json_path) {
     }
   }
 
+  // Hash-chain steps (Alg. 1 lines 16-21): SHA256(ciphertext ‖ previous
+  // digest) over the El/Eo/Er ciphertext shapes, one column at a time
+  // (ChainStep) and as one three-lane row step (Sha256::HashPairs), on
+  // every SHA-256 backend.
+  const Sha256Backend* sha_soft = SoftSha256Backend();
+  const Sha256Backend* sha_accel = AcceleratedSha256Backend();
+  std::vector<const Sha256Backend*> sha_backends = {sha_soft};
+  if (sha_accel != nullptr) sha_backends.push_back(sha_accel);
+  const size_t kColumnBytes[3] = {29, 33, 45};
+  for (const Sha256Backend* backend : sha_backends) {
+    ScopedShaBackendOverride pin(backend);
+    Sha256::Digest digests[3] = {};
+    Bytes cols[3];
+    for (int c = 0; c < 3; ++c) cols[c] = Bytes(kColumnBytes[c], 0x5a);
+    for (int c = 0; c < 3; ++c) {
+      const double gbps = MeasureGbps(cols[c].size() + Sha256::kDigestSize,
+                                      [&] {
+                                        digests[c] =
+                                            ChainStep(cols[c], &digests[c]);
+                                      });
+      results.push_back(
+          {"chain_step", backend->name, cols[c].size(), 1, gbps});
+    }
+    const Slice cts[3] = {Slice(cols[0]), Slice(cols[1]), Slice(cols[2])};
+    const Slice prevs[3] = {Slice(digests[0].data(), Sha256::kDigestSize),
+                            Slice(digests[1].data(), Sha256::kDigestSize),
+                            Slice(digests[2].data(), Sha256::kDigestSize)};
+    const size_t row_bytes =
+        cols[0].size() + cols[1].size() + cols[2].size() +
+        3 * Sha256::kDigestSize;
+    Sha256::Digest next[3];
+    const double gbps = MeasureGbps(row_bytes, [&] {
+      Sha256::HashPairs(cts, prevs, 3, next);
+      benchmark::DoNotOptimize(next);
+    });
+    results.push_back({"chain_step_row", backend->name, row_bytes, 3, gbps});
+  }
+
   // KDF (HMAC-SHA256; independent of the AES backend).
   {
     const Bytes master(32, 0x11);
@@ -325,6 +365,24 @@ void RunCryptoSweep(const char* json_path) {
                         .c_str()
                   : "");
 
+  // The hash-chain gate: the three-lane row step on the accelerated
+  // backend against the same step on the portable one. Waived (and
+  // recorded as such) on a CPU without SHA extensions.
+  auto row_gbps = [&](const char* backend) {
+    for (const SweepResult& r : results) {
+      if (r.op == "chain_step_row" && r.backend == backend) return r.gbps;
+    }
+    return 0.0;
+  };
+  constexpr double kShaRowMin = 2.0;
+  const double sha_row_speedup =
+      sha_accel != nullptr && row_gbps(sha_soft->name) > 0
+          ? row_gbps(sha_accel->name) / row_gbps(sha_soft->name)
+          : 0;
+  const bool sha_pass = sha_accel == nullptr || sha_row_speedup >= kShaRowMin;
+  std::printf("chain step row (3 lanes) accelerated over soft: %.2fx%s\n",
+              sha_row_speedup, sha_accel == nullptr ? " (waived)" : "");
+
   bench::JsonWriter j;
   j.BeginObject();
   j.Key("bench"); j.String("crypto_micro");
@@ -333,6 +391,8 @@ void RunCryptoSweep(const char* json_path) {
   j.Key("accelerated_available"); j.Bool(accel != nullptr);
   j.Key("accelerated_backend");
   j.String(accel != nullptr ? accel->name : "none");
+  j.Key("sha_active_backend"); j.String(ActiveSha256Backend()->name);
+  j.Key("sha_accelerated_available"); j.Bool(sha_accel != nullptr);
   j.Key("min_measure_seconds"); j.Number(MinTime());
   j.Key("results");
   j.BeginArray();
@@ -352,6 +412,7 @@ void RunCryptoSweep(const char* json_path) {
   j.Key("ctr_64k_accel_over_seed"); j.Number(accel_speedup);
   j.Key("ctr_64k_accel_over_soft");
   j.Number(g_soft > 0 ? g_accel / g_soft : 0);
+  j.Key("chain_step_row_accel_over_soft"); j.Number(sha_row_speedup);
   j.EndObject();
   j.Key("gate");
   j.BeginObject();
@@ -360,6 +421,9 @@ void RunCryptoSweep(const char* json_path) {
   j.Key("soft_pass"); j.Bool(soft_speedup >= 1.5);
   j.Key("accel_pass");
   j.Bool(accel == nullptr || accel_speedup >= 5.0);
+  j.Key("sha_row_accel_over_soft_min"); j.Number(kShaRowMin);
+  j.Key("sha_waived"); j.Bool(sha_accel == nullptr);
+  j.Key("sha_pass"); j.Bool(sha_pass);
   j.EndObject();
   j.EndObject();
   bench::WriteFileOrDie(json_path, j.str());

@@ -1,14 +1,11 @@
 #include "concealer/encryptor.h"
 
-#include <unordered_map>
-
 #include "common/random.h"
 #include "concealer/grid.h"
 #include "concealer/wire.h"
 #include "crypto/det_cipher.h"
 #include "crypto/kdf.h"
 #include "crypto/rand_cipher.h"
-#include "crypto/sha256.h"
 
 namespace concealer {
 
@@ -42,12 +39,9 @@ StatusOr<EncryptedEpoch> EpochEncryptor::EncryptEpoch(
   layout.count_per_cell_id.assign(grid.num_cell_ids(), 0);
 
   // Stage 2: per-tuple encryption (Alg. 1 lines 4-11) + hash chains
-  // (lines 16-21), built incrementally in counter order.
-  struct RunningChains {
-    Sha256::Digest el, eo, er;
-    bool started = false;
-  };
-  std::unordered_map<uint32_t, RunningChains> chains;
+  // (lines 16-21), built incrementally in counter order. A cell-id's entry
+  // holds its running digests and, once the loop ends, its tags.
+  VerificationTags tags;
 
   EncryptedEpoch out;
   out.epoch_id = epoch_id;
@@ -85,11 +79,8 @@ StatusOr<EncryptedEpoch> EpochEncryptor::EncryptEpoch(
     row.columns[kColIndex] = std::move(cols[3]);
 
     if (config_.make_hash_chains) {
-      RunningChains& rc = chains[cid];
-      rc.el = ChainStep(row.columns[kColEl], rc.started ? &rc.el : nullptr);
-      rc.eo = ChainStep(row.columns[kColEo], rc.started ? &rc.eo : nullptr);
-      rc.er = ChainStep(row.columns[kColEr], rc.started ? &rc.er : nullptr);
-      rc.started = true;
+      const auto [chain, first] = tags.try_emplace(cid);
+      ChainStepRow(row, /*started=*/!first, &chain->second);
     }
     out.rows.push_back(std::move(row));
   }
@@ -136,10 +127,6 @@ StatusOr<EncryptedEpoch> EpochEncryptor::EncryptEpoch(
 
   out.enc_grid_layout = rand.Encrypt(SerializeGridLayout(layout));
 
-  VerificationTags tags;
-  for (const auto& [cid, rc] : chains) {
-    tags.emplace(cid, ChainTags{rc.el, rc.eo, rc.er});
-  }
   out.enc_verification_tags = rand.Encrypt(SerializeTags(tags));
   return out;
 }

@@ -85,15 +85,15 @@ std::string TrapdoorCacheKey(uint64_t epoch_id, uint64_t key_version,
   return ToStringKey(key);
 }
 
-// Cache key for one El filter ciphertext E_k(l‖t) (EnclaveWorkCache).
-std::string ElFilterCacheKey(uint64_t epoch_id, uint64_t key_version,
-                             const std::vector<uint64_t>& kv, uint64_t qtime) {
-  Bytes key;
-  PutFixed64(&key, epoch_id);
-  PutFixed64(&key, key_version);
-  PutFixed64(&key, qtime);
-  for (uint64_t k : kv) PutFixed64(&key, k);
-  return ToStringKey(key);
+// E_k of every plaintext through one EncryptBatch call: a query's filter
+// ciphertexts get their synthetic IVs from the multi-lane CMAC pipeline
+// together. Bytes identical to one Encrypt per plaintext.
+std::vector<Bytes> EncryptAll(const DetCipher& det,
+                              const std::vector<Bytes>& plains) {
+  const std::vector<Slice> views(plains.begin(), plains.end());
+  std::vector<Bytes> cts(plains.size());
+  det.EncryptBatch(views.data(), views.size(), cts.data());
+  return cts;
 }
 
 // Quantized timestamps of a query's time range clipped to one epoch.
@@ -372,21 +372,18 @@ Status QueryExecutor::Verify(const EpochState& state,
       return Status::Corruption("no verifiable tag for cell-id " +
                                 std::to_string(cid));
     }
-    Sha256::Digest el{}, eo{}, er{};
+    ChainTags got{};
     bool started = false;
     for (size_t idx : row_idxs) {
-      const Row& row = *fetched.rows[idx];
-      el = ChainStep(row.columns[kColEl], started ? &el : nullptr);
-      eo = ChainStep(row.columns[kColEo], started ? &eo : nullptr);
-      er = ChainStep(row.columns[kColEr], started ? &er : nullptr);
+      ChainStepRow(*fetched.rows[idx], started, &got);
       started = true;
     }
     const ChainTags& tags = tag_it->second;
-    if (!ConstantTimeEqual(Slice(el.data(), el.size()),
+    if (!ConstantTimeEqual(Slice(got.el.data(), got.el.size()),
                            Slice(tags.el.data(), tags.el.size())) ||
-        !ConstantTimeEqual(Slice(eo.data(), eo.size()),
+        !ConstantTimeEqual(Slice(got.eo.data(), got.eo.size()),
                            Slice(tags.eo.data(), tags.eo.size())) ||
-        !ConstantTimeEqual(Slice(er.data(), er.size()),
+        !ConstantTimeEqual(Slice(got.er.data(), got.er.size()),
                            Slice(tags.er.data(), tags.er.size()))) {
       return Status::Corruption("hash chain mismatch for cell-id " +
                                 std::to_string(cid));
@@ -409,24 +406,19 @@ StatusOr<QueryExecutor::FilterSet> QueryExecutor::BuildFilterSet(
   filters.use_el = query.agg != Aggregate::kKeysWithObservation;
   filters.use_eo = !query.observation.empty();
 
-  // The El cache is bypassed for oblivious queries: their §4.3 guarantee
-  // includes a constant enclave work trace, which reuse would perturb.
-  const bool use_cache = work_cache_ != nullptr && !query.oblivious;
   if (filters.use_el) {
     StatusOr<std::vector<std::vector<uint64_t>>> keys =
         KeyUniverse(config_, query);
     if (!keys.ok()) return keys.status();
+    std::vector<Bytes> plains;
     for (const auto& kv : *keys) {
-      for (uint64_t t : times) {
-        Bytes ct;
-        if (use_cache) {
-          ct = *work_cache_->el_filters.GetOrCompute(
-              ElFilterCacheKey(state.epoch_id(), key_version, kv, t),
-              [&] { return det->Encrypt(KeyTimePlain(kv, t)); });
-        } else {
-          ct = det->Encrypt(KeyTimePlain(kv, t));
-        }
-        std::string sk = ToStringKey(ct);
+      for (uint64_t t : times) plains.push_back(KeyTimePlain(kv, t));
+    }
+    const std::vector<Bytes> cts = EncryptAll(*det, plains);
+    size_t i = 0;
+    for (const auto& kv : *keys) {
+      for (size_t t = 0; t < times.size(); ++t) {
+        std::string sk = ToStringKey(cts[i++]);
         if (filters.el_to_key.emplace(sk, kv).second) {
           filters.el_ordered.emplace_back(std::move(sk), kv);
         }
@@ -434,9 +426,12 @@ StatusOr<QueryExecutor::FilterSet> QueryExecutor::BuildFilterSet(
     }
   }
   if (filters.use_eo) {
+    std::vector<Bytes> plains;
     for (uint64_t t : times) {
-      filters.eo_set.insert(
-          ToStringKey(det->Encrypt(ObsTimePlain(query.observation, t))));
+      plains.push_back(ObsTimePlain(query.observation, t));
+    }
+    for (const Bytes& ct : EncryptAll(*det, plains)) {
+      filters.eo_set.insert(ToStringKey(ct));
     }
   }
   return filters;

@@ -59,26 +59,28 @@ struct FetchedUnit {
   uint64_t key_version = 0;
 };
 
-/// Cross-query enclave-work caches shared by every session of the service
-/// layer: deterministic DET ciphertexts that would otherwise be recomputed
-/// by each overlapping query. Both maps are mutex-striped, so concurrent
-/// queries from different users fill and hit them safely.
+/// Cross-query enclave-work cache shared by every session of the service
+/// layer: per-cell trapdoor lists, the deterministic DET ciphertexts that
+/// would otherwise be recomputed by each overlapping query. The map is
+/// mutex-striped, so concurrent queries from different users fill and hit
+/// it safely. (Filter ciphertexts are not cached: a query derives its
+/// whole filter set in one batched DET call, and caching them cost memory
+/// in proportion to the queries served while saving no visible time.)
 ///
 /// Leakage: caching changes *when* the enclave computes a ciphertext, never
 /// *which* bytes leave the enclave. A trapdoor cache hit issues the exact
 /// trapdoors a miss would (DET encryption is deterministic), so the DBMS —
 /// the adversary's observation point — sees an access pattern independent
-/// of cache state; filter ciphertexts never leave the enclave at all. Cache
-/// hits therefore reveal nothing beyond the paper's §7 access-pattern
-/// leakage (which already exposes repeated retrieval of the same bin).
-/// Oblivious (§4.3) queries bypass both caches so their constant
-/// per-slot work trace is preserved. See docs/QUERY_LIFECYCLE.md.
+/// of cache state. Cache hits therefore reveal nothing beyond the paper's
+/// §7 access-pattern leakage (which already exposes repeated retrieval of
+/// the same bin). Oblivious (§4.3) queries bypass the cache so their
+/// constant per-slot work trace is preserved. See docs/QUERY_LIFECYCLE.md.
 struct EnclaveWorkCache {
-  /// `max_entries` bounds each map (0 = unbounded): long-lived services
+  /// `max_entries` bounds the map (0 = unbounded): long-lived services
   /// accrue epochs indefinitely, so without a cap the cache would grow
   /// monotonically; a full shard is flushed and repopulated on demand.
-  /// Both maps account their resident bytes (see bytes()/ReleaseBytes) so
-  /// a registry can budget cache memory globally across tenants
+  /// The map accounts its resident bytes (see bytes()/ReleaseBytes) so a
+  /// registry can budget cache memory globally across tenants
   /// (service/cache_budget.h).
   explicit EnclaveWorkCache(size_t shards = 16, size_t max_entries = 0)
       : cell_trapdoors(shards, max_entries,
@@ -86,9 +88,7 @@ struct EnclaveWorkCache {
                          size_t n = trapdoors.size() * sizeof(Bytes);
                          for (const Bytes& t : trapdoors) n += t.capacity();
                          return n;
-                       }),
-        el_filters(shards, max_entries,
-                   [](const Bytes& ct) { return ct.capacity(); }) {}
+                       }) {}
 
   /// (epoch, key version, cell-id) -> the cell's real trapdoors
   /// E_k(cid‖1..c_tuple[cid]), in counter order. Keyed by key version, so
@@ -97,31 +97,19 @@ struct EnclaveWorkCache {
   /// is on (ServiceProvider::set_dynamic_mode), since version bumps would
   /// otherwise pile up dead entries without bound.
   StripedMap<std::string, std::vector<Bytes>> cell_trapdoors;
-  /// (epoch, key version, key coords, time quantum) -> E_k(l‖t), one El
-  /// filter ciphertext. Overlapping time ranges from different queries
-  /// reuse the shared quanta.
-  StripedMap<std::string, Bytes> el_filters;
 
-  void Clear() {
-    cell_trapdoors.Clear();
-    el_filters.Clear();
-  }
+  void Clear() { cell_trapdoors.Clear(); }
 
-  /// Accounted bytes across both maps.
-  size_t bytes() const { return cell_trapdoors.bytes() + el_filters.bytes(); }
+  /// Accounted bytes.
+  size_t bytes() const { return cell_trapdoors.bytes(); }
 
   /// Releases at least `target` accounted bytes (or everything), coldest
-  /// shards first, trapdoors before the (much smaller) filter map. Safe
-  /// concurrently with traffic — values handed out stay alive; future
-  /// queries recompute, which is always correct (entries are keyed by
-  /// epoch/key-version, so recomputation can never resurrect a stale
-  /// ciphertext across key rotations). Returns the bytes released.
+  /// shards first. Safe concurrently with traffic — values handed out stay
+  /// alive; future queries recompute, which is always correct (entries are
+  /// keyed by epoch/key-version, so recomputation can never resurrect a
+  /// stale ciphertext across key rotations). Returns the bytes released.
   size_t ReleaseBytes(size_t target) {
-    size_t released = cell_trapdoors.ReleaseBytes(target);
-    if (released < target) {
-      released += el_filters.ReleaseBytes(target - released);
-    }
-    return released;
+    return cell_trapdoors.ReleaseBytes(target);
   }
 };
 

@@ -560,18 +560,14 @@ Status ServiceProvider::ReencryptBin(EpochState* state, uint32_t bin_index,
       update.erased.push_back(cid);
       continue;
     }
-    Sha256::Digest el{}, eo{}, er{};
+    ChainTags& chains = update.set[cid];
     bool started = false;
     for (size_t idx : row_idxs) {
       // The rewritten row for fetched.rows[idx] is rewrites[idx].second
       // (same position; only the placement id was shuffled).
-      const Row& row = rewrites[idx].second;
-      el = ChainStep(row.columns[kColEl], started ? &el : nullptr);
-      eo = ChainStep(row.columns[kColEo], started ? &eo : nullptr);
-      er = ChainStep(row.columns[kColEr], started ? &er : nullptr);
+      ChainStepRow(rewrites[idx].second, started, &chains);
       started = true;
     }
-    update.set[cid] = ChainTags{el, eo, er};
   }
 
   // WAL first (persistent providers): the record — key-version bump,

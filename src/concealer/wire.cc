@@ -153,6 +153,21 @@ Sha256::Digest ChainStep(Slice ciphertext, const Sha256::Digest* prev) {
   return h.Finish();
 }
 
+void ChainStepRow(const Row& row, bool started, ChainTags* chains) {
+  Sha256::Digest* digests[3] = {&chains->el, &chains->eo, &chains->er};
+  const Slice cts[3] = {row.columns[kColEl], row.columns[kColEo],
+                        row.columns[kColEr]};
+  Slice prevs[3];
+  if (started) {
+    for (int c = 0; c < 3; ++c) {
+      prevs[c] = Slice(digests[c]->data(), digests[c]->size());
+    }
+  }
+  Sha256::Digest next[3];
+  Sha256::HashPairs(cts, prevs, 3, next);
+  for (int c = 0; c < 3; ++c) *digests[c] = next[c];
+}
+
 uint64_t PayloadValue(const PlainTuple& tuple) {
   if (tuple.payload.size() < 8) return 0;
   return DecodeFixed64(

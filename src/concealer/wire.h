@@ -60,6 +60,12 @@ StatusOr<VerificationTags> DeserializeTags(Slice data);
 /// One hash-chain step: h_j = SHA256(ciphertext ‖ h_{j-1}); h_0 = SHA256(ct).
 Sha256::Digest ChainStep(Slice ciphertext, const Sha256::Digest* prev);
 
+/// One step of a row's El, Eo and Er chains together: each digest in
+/// `chains` advances by ChainStep over the row's matching column, from no
+/// previous digest when `started` is false. The three hashes run as lanes
+/// of one Sha256::HashPairs call; the digests equal three ChainStep calls.
+void ChainStepRow(const Row& row, bool started, ChainTags* chains);
+
 /// Numeric value convention for kSum/kMin/kMax aggregates: the first 8
 /// bytes of the payload, little-endian (0 if the payload is shorter).
 uint64_t PayloadValue(const PlainTuple& tuple);

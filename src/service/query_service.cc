@@ -114,6 +114,7 @@ void QueryService::set_dynamic_mode(bool on) {
 
 Status QueryService::MaintainStorage() {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
+  CONCEALER_RETURN_IF_ERROR(provider_->CheckpointDynamicState());
   return lifecycle_ != nullptr ? lifecycle_->MaintainStorage()
                                : provider_->MaintainStorage();
 }
@@ -278,10 +279,7 @@ QueryService::CacheStats QueryService::cache_stats() const {
   if (work_cache_ == nullptr) return stats;
   stats.trapdoor_hits = work_cache_->cell_trapdoors.hits();
   stats.trapdoor_misses = work_cache_->cell_trapdoors.misses();
-  stats.filter_hits = work_cache_->el_filters.hits();
-  stats.filter_misses = work_cache_->el_filters.misses();
   stats.trapdoor_entries = work_cache_->cell_trapdoors.size();
-  stats.filter_entries = work_cache_->el_filters.size();
   stats.bytes = work_cache_->bytes();
   return stats;
 }

@@ -61,11 +61,11 @@ struct QueryServiceOptions {
   std::function<void()> execute_fault_hook;
   /// Session token lifetime (Phase 2 amortization window).
   uint64_t session_ttl_seconds = 24 * 3600;
-  /// Share trapdoor/El-filter work across queries (EnclaveWorkCache).
+  /// Share trapdoor work across queries (EnclaveWorkCache).
   bool enable_work_cache = true;
-  /// Stripe count for the shared caches.
+  /// Stripe count for the shared cache.
   size_t cache_shards = 64;
-  /// Entry cap per cache map (0 = unbounded). Bounds memory on services
+  /// Entry cap of the cache (0 = unbounded). Bounds memory on services
   /// that accrue epochs for months; full shards are flushed and simply
   /// repopulate on demand.
   size_t cache_max_entries = 1 << 20;
@@ -97,10 +97,9 @@ struct QueryServiceOptions {
 ///  1. Sessions — OpenSession runs the Phase 2 proof check once and hands
 ///     out a token; every query on the token skips re-authentication and
 ///     reuses the derived result key (SessionManager).
-///  2. A cross-query enclave-work cache — trapdoor lists and El filter
-///     ciphertexts are deterministic per (epoch, key version, cell/quantum),
-///     so overlapping queries from different users reuse them instead of
-///     recomputing; the striped cache (EnclaveWorkCache) makes the reuse
+///  2. A cross-query enclave-work cache — trapdoor lists are
+///     deterministic per (epoch, key version, cell-id), so overlapping
+///     queries from different users reuse them instead of recomputing; the striped cache (EnclaveWorkCache) makes the reuse
 ///     thread-safe and the leakage notes there argue why hits reveal
 ///     nothing beyond the paper's access-pattern leakage.
 ///  3. Concurrency control — static-mode queries run under a shared
@@ -136,11 +135,11 @@ class QueryService {
   void set_dynamic_mode(bool on);
 
   /// Forces a storage-upkeep pass now: checkpoints the dynamic WAL into
-  /// the epoch metas and compacts mostly-dead segments, under the
-  /// exclusive epoch lock. Dynamic queries already do this opportunisti-
-  /// cally past growth thresholds; the network server calls it on
-  /// graceful drain so a SIGTERM'd process leaves a checkpointed log
-  /// behind rather than a replay-sized one.
+  /// the epoch metas whatever its size, leaving it empty, then compacts
+  /// mostly-dead segments, under the exclusive epoch lock. Dynamic queries
+  /// already do this opportunistically past growth thresholds; the network
+  /// server calls it on graceful drain so a SIGTERM'd process leaves an
+  /// empty log behind rather than one the next open must replay.
   Status MaintainStorage();
 
   // --- Sessions (Phase 2) ----------------------------------------------
@@ -200,9 +199,12 @@ class QueryService {
   struct CacheStats {
     uint64_t trapdoor_hits = 0;
     uint64_t trapdoor_misses = 0;
+    size_t trapdoor_entries = 0;
+    /// Always 0: filter ciphertexts are no longer cached. The fields stay
+    /// because the benchmark (perfbench/) still reads them to report
+    /// service.filter_cache_hit_ratio.
     uint64_t filter_hits = 0;
     uint64_t filter_misses = 0;
-    size_t trapdoor_entries = 0;
     size_t filter_entries = 0;
     size_t bytes = 0;  // Accounted bytes (what the global budget governs).
   };

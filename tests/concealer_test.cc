@@ -19,6 +19,7 @@
 #include "concealer/service_provider.h"
 #include "concealer/wire.h"
 #include "crypto/aes_backend.h"
+#include "crypto/sha256.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -400,88 +401,162 @@ class TamperTest : public ::testing::Test {
     return q;
   }
 
+  // The scenarios, shared by the TamperTest/DynamicTest cases and by
+  // SoftShaTamperTest, which reruns them on the portable SHA-256 backend.
+  void RunCleanDataVerifies() {
+    auto got = sp_->Execute(WholeEpochVerifyQuery());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->verified);
+    EXPECT_EQ(got->rows_matched, tuples_.size());
+  }
+
+  void RunFlippedCiphertextByteDetected() {
+    // Corrupt one stored row's El column.
+    Row corrupted;
+    uint64_t victim = 0;
+    uint64_t idx = 0;
+    sp_->mutable_table().Scan([&](const Row& row) {
+      corrupted = row;
+      victim = idx++;
+      return false;  // Take row 0.
+    });
+    corrupted.columns[kColEl][20] ^= 1;
+    ASSERT_TRUE(sp_->mutable_table().ReplaceRows({{victim, corrupted}}).ok());
+
+    auto got = sp_->Execute(WholeEpochVerifyQuery());
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
+
+  void RunCrossRowContentSpliceDetected() {
+    // Splice one row's El ciphertext into another row (a replay of valid
+    // ciphertext in the wrong position): the per-cell-id chains break.
+    std::vector<std::pair<uint64_t, Row>> rows;
+    uint64_t idx = 0;
+    sp_->mutable_table().Scan([&](const Row& row) {
+      rows.emplace_back(idx++, row);
+      return rows.size() < 2;
+    });
+    ASSERT_EQ(rows.size(), 2u);
+    rows[0].second.columns[kColEl] = rows[1].second.columns[kColEl];
+    ASSERT_TRUE(sp_->mutable_table()
+                    .ReplaceRows({{rows[0].first, rows[0].second}})
+                    .ok());
+
+    auto got = sp_->Execute(WholeEpochVerifyQuery());
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  }
+
+  void RunPhysicalRelocationIsHarmlessAndUndetected() {
+    // Swapping two rows *with* their index entries is a physical relocation,
+    // not tampering: trapdoor fetches return identical content, chains still
+    // verify, answers unchanged. Documents the integrity model's scope.
+    std::vector<std::pair<uint64_t, Row>> rows;
+    uint64_t idx = 0;
+    sp_->mutable_table().Scan([&](const Row& row) {
+      rows.emplace_back(idx++, row);
+      return rows.size() < 2;
+    });
+    ASSERT_EQ(rows.size(), 2u);
+    std::swap(rows[0].first, rows[1].first);
+    ASSERT_TRUE(sp_->mutable_table().ReindexRows(rows).ok());
+
+    auto got = sp_->Execute(WholeEpochVerifyQuery());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->verified);
+    EXPECT_EQ(got->rows_matched, tuples_.size());
+  }
+
+  void RunUnverifiedQueryDoesNotNoticeTampering() {
+    // Without the optional verification step the (wrong) answer comes back —
+    // this documents that verification is what provides integrity.
+    Row corrupted;
+    sp_->mutable_table().Scan([&](const Row& row) {
+      corrupted = row;
+      return false;
+    });
+    corrupted.columns[kColEl][20] ^= 1;
+    ASSERT_TRUE(sp_->mutable_table().ReplaceRows({{0, corrupted}}).ok());
+    Query q = WholeEpochVerifyQuery();
+    q.verify = false;
+    EXPECT_TRUE(sp_->Execute(q).ok());
+  }
+
+  void RunVerificationSurvivesReencryption() {
+    sp_->set_dynamic_mode(true);
+    Query q;
+    q.agg = Aggregate::kCount;
+    q.key_values = {{1}};
+    q.time_lo = 10 * 3600;
+    q.time_hi = 11 * 3600;
+    q.verify = true;
+    for (int round = 0; round < 3; ++round) {
+      auto got = sp_->Execute(q);
+      ASSERT_TRUE(got.ok()) << "round " << round << ": "
+                            << got.status().ToString();
+      EXPECT_TRUE(got->verified);
+    }
+  }
+
+  void RunSuperBinRoutingPreservesAnswers() {
+    auto state = sp_->epoch_state(0);
+    ASSERT_TRUE(state.ok());
+    auto plan = (*state)->GetBinPlan(PackAlgorithm::kFirstFitDecreasing);
+    ASSERT_TRUE(plan.ok());
+    const uint32_t num_bins = static_cast<uint32_t>((*plan)->bins.size());
+    // Find a nontrivial factor of num_bins (fall back to 1).
+    uint32_t f = 1;
+    for (uint32_t cand = 2; cand <= num_bins / 2; ++cand) {
+      if (num_bins % cand == 0) {
+        f = cand;
+        break;
+      }
+    }
+    CleartextDb oracle(config_.time_quantum);
+    oracle.Insert(tuples_);
+
+    Query q;
+    q.agg = Aggregate::kCount;
+    q.key_values = {{6}};
+    q.time_lo = 7 * 3600;
+    q.time_hi = 8 * 3600;
+
+    auto without = sp_->Execute(q);
+    ASSERT_TRUE(without.ok());
+    sp_->set_super_bin_factor(f);
+    auto with = sp_->Execute(q);
+    ASSERT_TRUE(with.ok()) << with.status().ToString();
+    sp_->set_super_bin_factor(0);
+
+    EXPECT_EQ(with->count, oracle.Execute(q)->count);
+    EXPECT_EQ(with->count, without->count);
+    if (f > 1) {
+      // Super-bin fetches at least as much as the plain bin fetch.
+      EXPECT_GE(with->rows_fetched, without->rows_fetched);
+    }
+  }
+
   ConcealerConfig config_;
   std::vector<PlainTuple> tuples_;
   std::unique_ptr<DataProvider> dp_;
   std::unique_ptr<ServiceProvider> sp_;
 };
 
-TEST_F(TamperTest, CleanDataVerifies) {
-  auto got = sp_->Execute(WholeEpochVerifyQuery());
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(got->verified);
-  EXPECT_EQ(got->rows_matched, tuples_.size());
-}
+TEST_F(TamperTest, CleanDataVerifies) { RunCleanDataVerifies(); }
 
 TEST_F(TamperTest, FlippedCiphertextByteDetected) {
-  // Corrupt one stored row's El column.
-  Row corrupted;
-  uint64_t victim = 0;
-  uint64_t idx = 0;
-  sp_->mutable_table().Scan([&](const Row& row) {
-    corrupted = row;
-    victim = idx++;
-    return false;  // Take row 0.
-  });
-  corrupted.columns[kColEl][20] ^= 1;
-  ASSERT_TRUE(sp_->mutable_table().ReplaceRows({{victim, corrupted}}).ok());
-
-  auto got = sp_->Execute(WholeEpochVerifyQuery());
-  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  RunFlippedCiphertextByteDetected();
 }
 
 TEST_F(TamperTest, CrossRowContentSpliceDetected) {
-  // Splice one row's El ciphertext into another row (a replay of valid
-  // ciphertext in the wrong position): the per-cell-id chains break.
-  std::vector<std::pair<uint64_t, Row>> rows;
-  uint64_t idx = 0;
-  sp_->mutable_table().Scan([&](const Row& row) {
-    rows.emplace_back(idx++, row);
-    return rows.size() < 2;
-  });
-  ASSERT_EQ(rows.size(), 2u);
-  rows[0].second.columns[kColEl] = rows[1].second.columns[kColEl];
-  ASSERT_TRUE(sp_->mutable_table()
-                  .ReplaceRows({{rows[0].first, rows[0].second}})
-                  .ok());
-
-  auto got = sp_->Execute(WholeEpochVerifyQuery());
-  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  RunCrossRowContentSpliceDetected();
 }
 
 TEST_F(TamperTest, PhysicalRelocationIsHarmlessAndUndetected) {
-  // Swapping two rows *with* their index entries is a physical relocation,
-  // not tampering: trapdoor fetches return identical content, chains still
-  // verify, answers unchanged. Documents the integrity model's scope.
-  std::vector<std::pair<uint64_t, Row>> rows;
-  uint64_t idx = 0;
-  sp_->mutable_table().Scan([&](const Row& row) {
-    rows.emplace_back(idx++, row);
-    return rows.size() < 2;
-  });
-  ASSERT_EQ(rows.size(), 2u);
-  std::swap(rows[0].first, rows[1].first);
-  ASSERT_TRUE(sp_->mutable_table().ReindexRows(rows).ok());
-
-  auto got = sp_->Execute(WholeEpochVerifyQuery());
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(got->verified);
-  EXPECT_EQ(got->rows_matched, tuples_.size());
+  RunPhysicalRelocationIsHarmlessAndUndetected();
 }
 
 TEST_F(TamperTest, UnverifiedQueryDoesNotNoticeTampering) {
-  // Without the optional verification step the (wrong) answer comes back —
-  // this documents that verification is what provides integrity.
-  Row corrupted;
-  sp_->mutable_table().Scan([&](const Row& row) {
-    corrupted = row;
-    return false;
-  });
-  corrupted.columns[kColEl][20] ^= 1;
-  ASSERT_TRUE(sp_->mutable_table().ReplaceRows({{0, corrupted}}).ok());
-  Query q = WholeEpochVerifyQuery();
-  q.verify = false;
-  EXPECT_TRUE(sp_->Execute(q).ok());
+  RunUnverifiedQueryDoesNotNoticeTampering();
 }
 
 // --- Dynamic insertion (§6) ---
@@ -537,19 +612,7 @@ TEST_F(DynamicTest, ReencryptionRewritesCiphertexts) {
 }
 
 TEST_F(DynamicTest, VerificationSurvivesReencryption) {
-  sp_->set_dynamic_mode(true);
-  Query q;
-  q.agg = Aggregate::kCount;
-  q.key_values = {{1}};
-  q.time_lo = 10 * 3600;
-  q.time_hi = 11 * 3600;
-  q.verify = true;
-  for (int round = 0; round < 3; ++round) {
-    auto got = sp_->Execute(q);
-    ASSERT_TRUE(got.ok()) << "round " << round << ": "
-                          << got.status().ToString();
-    EXPECT_TRUE(got->verified);
-  }
+  RunVerificationSurvivesReencryption();
 }
 
 TEST_F(DynamicTest, EveryRoundFetchesAtLeastLogBins) {
@@ -578,41 +641,42 @@ TEST_F(DynamicTest, EveryRoundFetchesAtLeastLogBins) {
 // --- Super-bins (§8) ---
 
 TEST_F(TamperTest, SuperBinRoutingPreservesAnswers) {
-  auto state = sp_->epoch_state(0);
-  ASSERT_TRUE(state.ok());
-  auto plan = (*state)->GetBinPlan(PackAlgorithm::kFirstFitDecreasing);
-  ASSERT_TRUE(plan.ok());
-  const uint32_t num_bins = static_cast<uint32_t>((*plan)->bins.size());
-  // Find a nontrivial factor of num_bins (fall back to 1).
-  uint32_t f = 1;
-  for (uint32_t cand = 2; cand <= num_bins / 2; ++cand) {
-    if (num_bins % cand == 0) {
-      f = cand;
-      break;
-    }
-  }
-  CleartextDb oracle(config_.time_quantum);
-  oracle.Insert(tuples_);
+  RunSuperBinRoutingPreservesAnswers();
+}
 
-  Query q;
-  q.agg = Aggregate::kCount;
-  q.key_values = {{6}};
-  q.time_lo = 7 * 3600;
-  q.time_hi = 8 * 3600;
+// The integrity scenarios again with every hash chain — DP encryption,
+// enclave verification and §6 re-encryption alike — on the portable
+// SHA-256 block function, whatever the CPU offers.
+class SoftShaTamperTest : public TamperTest {
+ private:
+  // Constructed before SetUp, so the DP's epoch encryption is covered.
+  ScopedShaBackendOverride pin_{SoftSha256Backend()};
+};
 
-  auto without = sp_->Execute(q);
-  ASSERT_TRUE(without.ok());
-  sp_->set_super_bin_factor(f);
-  auto with = sp_->Execute(q);
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  sp_->set_super_bin_factor(0);
+TEST_F(SoftShaTamperTest, CleanDataVerifies) { RunCleanDataVerifies(); }
 
-  EXPECT_EQ(with->count, oracle.Execute(q)->count);
-  EXPECT_EQ(with->count, without->count);
-  if (f > 1) {
-    // Super-bin fetches at least as much as the plain bin fetch.
-    EXPECT_GE(with->rows_fetched, without->rows_fetched);
-  }
+TEST_F(SoftShaTamperTest, FlippedCiphertextByteDetected) {
+  RunFlippedCiphertextByteDetected();
+}
+
+TEST_F(SoftShaTamperTest, CrossRowContentSpliceDetected) {
+  RunCrossRowContentSpliceDetected();
+}
+
+TEST_F(SoftShaTamperTest, PhysicalRelocationIsHarmlessAndUndetected) {
+  RunPhysicalRelocationIsHarmlessAndUndetected();
+}
+
+TEST_F(SoftShaTamperTest, UnverifiedQueryDoesNotNoticeTampering) {
+  RunUnverifiedQueryDoesNotNoticeTampering();
+}
+
+TEST_F(SoftShaTamperTest, VerificationSurvivesReencryption) {
+  RunVerificationSurvivesReencryption();
+}
+
+TEST_F(SoftShaTamperTest, SuperBinRoutingPreservesAnswers) {
+  RunSuperBinRoutingPreservesAnswers();
 }
 
 // --- Parallel fetch path ---
@@ -673,10 +737,11 @@ TEST_F(ConcealerE2ETest, ParallelExecutionIsDeterministic) {
 // --- Crypto backend equivalence (the tentpole's correctness contract) ---
 //
 // Runs the full DP -> SP -> query pipeline once under the forced software
-// AES backend and once under the hardware backend, and byte-compares the
-// serialized epochs (ciphertexts + trapdoor-matchable Index columns) and
-// every query answer. This is what "hardware acceleration changes timing,
-// never bytes" means operationally.
+// AES and SHA-256 backends and once under the hardware ones, and
+// byte-compares the serialized epochs (ciphertexts, trapdoor-matchable
+// Index columns, encrypted hash-chain tags) and every query answer. This
+// is what "hardware acceleration changes timing, never bytes" means
+// operationally.
 TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
   if (AcceleratedAesBackend() == nullptr) {
     GTEST_SKIP() << "no hardware AES on this CPU";
@@ -691,8 +756,9 @@ TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
     std::vector<Bytes> epoch_blobs;
     std::vector<Bytes> answers;
   };
-  auto run = [&](const AesBackendOps* backend) {
+  auto run = [&](const AesBackendOps* backend, const Sha256Backend* sha) {
     ScopedAesBackendOverride forced(backend);
+    ScopedShaBackendOverride forced_sha(sha);
     PipelineBytes out;
     DataProvider dp(config, Bytes(32, 0x42));
     ServiceProvider sp(config, dp.shared_secret());
@@ -723,8 +789,9 @@ TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
     return out;
   };
 
-  const PipelineBytes soft = run(SoftAesBackend());
-  const PipelineBytes accel = run(AcceleratedAesBackend());
+  const PipelineBytes soft = run(SoftAesBackend(), SoftSha256Backend());
+  const PipelineBytes accel =
+      run(AcceleratedAesBackend(), ActiveSha256Backend());
   ASSERT_EQ(soft.epoch_blobs.size(), accel.epoch_blobs.size());
   for (size_t i = 0; i < soft.epoch_blobs.size(); ++i) {
     EXPECT_EQ(soft.epoch_blobs[i], accel.epoch_blobs[i])

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -710,6 +711,186 @@ TEST(BackendDispatchTest, ScopedOverrideRebindsNewInstances) {
   Aes aes_after;
   ASSERT_TRUE(aes_after.SetKey(Bytes(16, 1)).ok());
   EXPECT_EQ(aes_after.backend(), ActiveAesBackend());
+}
+
+// --- SHA-256 backends ---
+//
+// Every SHA-256 known-answer and HMAC vector runs on each backend this CPU
+// has, and the lane call is checked against plain streaming hashes.
+
+std::vector<const Sha256Backend*> AllShaBackends() {
+  std::vector<const Sha256Backend*> v = {SoftSha256Backend()};
+  if (AcceleratedSha256Backend() != nullptr) {
+    v.push_back(AcceleratedSha256Backend());
+  }
+  return v;
+}
+
+std::string HexDigest(const Sha256::Digest& d) {
+  return HexEncode(Slice(d.data(), d.size()));
+}
+
+Bytes RandomBytes(Rng* rng, size_t n) {
+  Bytes b(n);
+  rng->FillBytes(b.data(), n);
+  return b;
+}
+
+}  // namespace
+
+// Test ids name the backend, as for AesBackendTest above.
+static void PrintTo(const Sha256Backend* backend, std::ostream* os) {
+  *os << backend->name;
+}
+
+namespace {
+
+class Sha256BackendTest
+    : public ::testing::TestWithParam<const Sha256Backend*> {
+ protected:
+  ScopedShaBackendOverride pin_{GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, Sha256BackendTest, ::testing::ValuesIn(AllShaBackends()),
+    [](const ::testing::TestParamInfo<const Sha256Backend*>& info) {
+      return std::string(info.param->name);
+    });
+
+TEST_P(Sha256BackendTest, Fips180KnownAnswers) {
+  ASSERT_EQ(ActiveSha256Backend(), GetParam());
+  EXPECT_EQ(HexDigest(Sha256::Hash(Slice())),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(HexDigest(Sha256::Hash(Slice("abc", 3))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(HexDigest(Sha256::Hash(Slice(std::string(
+                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")))),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  Sha256 h;
+  const std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.Update(Slice(chunk));
+  EXPECT_EQ(HexDigest(h.Finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256BackendTest, HmacRfc4231Cases) {
+  EXPECT_EQ(HexDigest(HmacSha256::Compute(Bytes(20, 0x0b),
+                                          Slice("Hi There", 8))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(HexDigest(HmacSha256::Compute(
+                Slice("Jefe", 4), Slice("what do ya want for nothing?", 28))),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  EXPECT_EQ(HexDigest(HmacSha256::Compute(Bytes(20, 0xaa), Bytes(50, 0xdd))),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+  EXPECT_EQ(HexDigest(HmacSha256::Compute(
+                Bytes(131, 0xaa),
+                Slice(std::string("Test Using Larger Than Block-Size Key - "
+                                  "Hash Key First")))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(
+      HexDigest(HmacSha256::Compute(
+          Bytes(131, 0xaa),
+          Slice(std::string(
+              "This is a test using a larger than block-size key and a larger "
+              "than block-size data. The key needs to be hashed before being "
+              "used by the HMAC algorithm.")))),
+      "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+// The lane call against a streaming hash of each chain step, three lanes
+// shaped like a row's El/Eo/Er ciphertexts: step 1 has no previous digest.
+TEST_P(Sha256BackendTest, HashPairsMatchesManualChains) {
+  Rng rng(17);
+  const size_t kColumnBytes[3] = {29, 33, 45};
+  for (size_t steps = 1; steps <= 50; ++steps) {
+    Sha256::Digest lanes[3], manual[3];
+    for (size_t s = 0; s < steps; ++s) {
+      Bytes cols[3];
+      Slice a[3], b[3];
+      for (int c = 0; c < 3; ++c) {
+        cols[c] = RandomBytes(&rng, kColumnBytes[c]);
+        a[c] = Slice(cols[c]);
+        if (s > 0) b[c] = Slice(lanes[c].data(), lanes[c].size());
+      }
+      Sha256::Digest next[3];
+      Sha256::HashPairs(a, b, 3, next);
+      for (int c = 0; c < 3; ++c) {
+        lanes[c] = next[c];
+        Sha256 h;
+        h.Update(a[c]);
+        if (s > 0) h.Update(Slice(manual[c].data(), manual[c].size()));
+        manual[c] = h.Finish();
+        ASSERT_EQ(lanes[c], manual[c]) << "steps " << steps << " step " << s;
+      }
+    }
+  }
+}
+
+// More messages than lanes, of lengths that cross block boundaries at
+// different steps, so lanes drop out of the lockstep at different blocks.
+TEST_P(Sha256BackendTest, HashPairsMatchesHashAcrossLengthsAndLaneCounts) {
+  Rng rng(29);
+  for (size_t n = 0; n <= 3 * Sha256::kMaxLanes + 1; ++n) {
+    std::vector<Bytes> as(n), bs(n);
+    std::vector<Slice> a(n), b(n);
+    for (size_t i = 0; i < n; ++i) {
+      as[i] = RandomBytes(&rng, rng.Uniform(200));
+      bs[i] = RandomBytes(&rng, rng.Uniform(70));
+      a[i] = Slice(as[i]);
+      b[i] = Slice(bs[i]);
+    }
+    std::vector<Sha256::Digest> got(n);
+    Sha256::HashPairs(a.data(), b.data(), n, got.data());
+    for (size_t i = 0; i < n; ++i) {
+      Bytes joined = as[i];
+      joined.insert(joined.end(), bs[i].begin(), bs[i].end());
+      ASSERT_EQ(got[i], Sha256::Hash(joined)) << "n " << n << " lane " << i;
+    }
+  }
+}
+
+TEST(Sha256BackendDifferentialTest, SoftAndAcceleratedAgreeOnRandomSplits) {
+  const Sha256Backend* accel = AcceleratedSha256Backend();
+  if (accel == nullptr) GTEST_SKIP() << "no hardware SHA-256 on this CPU";
+  Rng rng(2026);
+  // Hashes `msg` fed through Update in random pieces, on `backend`.
+  const auto split_hash = [&](const Sha256Backend* backend, const Bytes& msg) {
+    ScopedShaBackendOverride pin(backend);
+    Sha256 h;
+    size_t off = 0;
+    while (off < msg.size()) {
+      const size_t take = 1 + rng.Uniform(msg.size() - off);
+      h.Update(Slice(msg.data() + off, take));
+      off += take;
+    }
+    return h.Finish();
+  };
+  for (size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = RandomBytes(&rng, len);
+    const Sha256::Digest soft = split_hash(SoftSha256Backend(), msg);
+    ASSERT_EQ(soft, split_hash(accel, msg)) << "len " << len;
+    ScopedShaBackendOverride pin(accel);
+    ASSERT_EQ(soft, Sha256::Hash(msg)) << "len " << len;
+  }
+}
+
+TEST(Sha256BackendDispatchTest, ShaNiCpuDispatchesToTheAcceleratedBackend) {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string word;
+  bool sha_ni = false;
+  while (cpuinfo >> word && !sha_ni) sha_ni = word == "sha_ni";
+  if (!sha_ni) GTEST_SKIP() << "CPU does not report sha_ni";
+  ASSERT_NE(AcceleratedSha256Backend(), nullptr);
+  EXPECT_EQ(ActiveSha256Backend(), AcceleratedSha256Backend());
+}
+
+TEST(Sha256BackendDispatchTest, ScopedOverridePinsAndRestores) {
+  const Sha256Backend* before = ActiveSha256Backend();
+  {
+    ScopedShaBackendOverride pin(SoftSha256Backend());
+    EXPECT_EQ(ActiveSha256Backend(), SoftSha256Backend());
+  }
+  EXPECT_EQ(ActiveSha256Backend(), before);
 }
 
 // Property sweep: DET uniqueness over distinct inputs (no SIV collisions in

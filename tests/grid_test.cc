@@ -278,5 +278,24 @@ TEST(WireTest, ChainStepMatchesManualChain) {
   EXPECT_EQ(h1, h.Finish());
 }
 
+TEST(WireTest, ChainStepRowMatchesThreeChainSteps) {
+  Row row;
+  row.columns.resize(kNumRowColumns);
+  ChainTags lanes{}, single{};
+  for (uint8_t step = 0; step < 5; ++step) {
+    row.columns[kColEl] = Bytes(29, step);
+    row.columns[kColEo] = Bytes(33, uint8_t(step + 1));
+    row.columns[kColEr] = Bytes(45, uint8_t(step + 2));
+    const bool started = step > 0;
+    ChainStepRow(row, started, &lanes);
+    single.el = ChainStep(row.columns[kColEl], started ? &single.el : nullptr);
+    single.eo = ChainStep(row.columns[kColEo], started ? &single.eo : nullptr);
+    single.er = ChainStep(row.columns[kColEr], started ? &single.er : nullptr);
+    EXPECT_EQ(lanes.el, single.el) << int(step);
+    EXPECT_EQ(lanes.eo, single.eo) << int(step);
+    EXPECT_EQ(lanes.er, single.er) << int(step);
+  }
+}
+
 }  // namespace
 }  // namespace concealer

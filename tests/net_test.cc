@@ -24,6 +24,7 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <condition_variable>
@@ -732,6 +733,71 @@ TEST(NetServerTest, RetryingClientRidesOutRestartByteIdentically) {
 
   server.reset();
   registry.reset();
+  RemoveDirRecursive(root);
+}
+
+TEST(NetServerTest, DrainLeavesAnEmptyWalBehind) {
+  // A few §6 queries log far less than the WAL's checkpoint threshold, so
+  // only the drain's own checkpoint can empty the log.
+  const std::string root = TempDir();
+  TenantFixture acme = MakeTenant("acme", 0x3b);
+  TenantRegistryOptions registry_options;
+  registry_options.root_dir = root;
+  registry_options.storage.engine = StorageOptions::Engine::kMmap;
+  const std::string wal_path = root + "/" + acme.id + "/dynamic.wal";
+  const auto wal_bytes = [&] {
+    struct stat st;
+    EXPECT_EQ(::stat(wal_path.c_str(), &st), 0) << wal_path;
+    return static_cast<uint64_t>(st.st_size);
+  };
+  const Query probe = CountQuery(5, 0, 10);
+  Bytes want;
+  {
+    TenantRegistry registry(registry_options);
+    Provision(&registry, acme);
+    ConcealerServer server(&registry);
+    ASSERT_TRUE(server.Start().ok());
+    ConcealerClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    auto token = client.OpenSession(acme.id, "alice", Slice(AliceProof(acme)));
+    ASSERT_TRUE(token.ok());
+    auto service = registry.tenant(acme.id);
+    ASSERT_TRUE(service.ok());
+    (*service)->set_dynamic_mode(true);
+    for (uint64_t key = 1; key <= 3; ++key) {
+      auto got = client.Query(acme.id, *token, CountQuery(key, 0, 9));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+    }
+    (*service)->set_dynamic_mode(false);
+    auto before = client.Query(acme.id, *token, probe);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    want = SerializeQueryResult(*before);
+    ASSERT_GT(wal_bytes(), 0u);
+
+    ASSERT_TRUE(server.Drain().ok());
+    EXPECT_EQ(wal_bytes(), 0u);
+  }
+
+  // The reopened tenant replays nothing and answers byte-identically from
+  // the checkpointed metas.
+  TenantRegistry registry(registry_options);
+  ASSERT_TRUE(registry
+                  .OpenAll([&](const std::string& id)
+                               -> StatusOr<TenantRegistry::TenantCredentials> {
+                    if (id != acme.id) return Status::NotFound("unknown");
+                    return TenantRegistry::TenantCredentials{
+                        acme.config, acme.dp->shared_secret()};
+                  })
+                  .ok());
+  ASSERT_TRUE(
+      registry.LoadRegistry(acme.id, Slice(acme.dp->EncryptedRegistry()))
+          .ok());
+  auto token =
+      registry.OpenSession(acme.id, "alice", Slice(AliceProof(acme)));
+  ASSERT_TRUE(token.ok());
+  auto after = registry.Query(acme.id, *token, probe);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(SerializeQueryResult(*after), want);
   RemoveDirRecursive(root);
 }
 

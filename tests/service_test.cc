@@ -301,17 +301,14 @@ TEST_F(QueryServiceTest, RepeatedQueriesHitTheCache) {
   ASSERT_TRUE(first.ok());
   const auto cold = service->cache_stats();
   EXPECT_GT(cold.trapdoor_misses, 0u);
-  EXPECT_GT(cold.filter_misses, 0u);
 
-  // Same cells + quanta again (another "user" asking the same thing): all
-  // enclave DET work is reused, and the answer is byte-identical.
+  // Same cells again (another "user" asking the same thing): the trapdoor
+  // work is reused, and the answer is byte-identical.
   auto second = service->Execute(*token, q);
   ASSERT_TRUE(second.ok());
   const auto warm = service->cache_stats();
   EXPECT_GT(warm.trapdoor_hits, cold.trapdoor_hits);
-  EXPECT_GT(warm.filter_hits, cold.filter_hits);
   EXPECT_EQ(warm.trapdoor_misses, cold.trapdoor_misses);
-  EXPECT_EQ(warm.filter_misses, cold.filter_misses);
   EXPECT_EQ(SerializeQueryResult(*first), SerializeQueryResult(*second));
 }
 
