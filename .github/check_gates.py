@@ -93,6 +93,52 @@ def hash_chains_checks(d):
     return None
 
 
+def executor_checks(d):
+    # A committed before/after record of the per-unit executor (not
+    # regenerated by CI): the claim, the end-to-end bounds, the byte
+    # identity of the store and the traced serial replica must hold in the
+    # numbers it carries.
+    c = d["claim"]
+    print(
+        "executor: %s %s %d/%d pair wins, median %.1f vs %.1f "
+        "(parent IQR %.1f)"
+        % (c["workload"], c["metric"], c["wins"], c["pairs"],
+           c["change_median"], c["parent_median"], c["parent_iqr"]),
+    )
+    if not d["all_runs_correct"]:
+        return "a recorded run was not correct"
+    if c["wins"] < c["min_wins"]:
+        return "claim won %d of %d pairs (need %d)" % (
+            c["wins"], c["pairs"], c["min_wins"])
+    gap = c["parent_median"] - c["change_median"]
+    if c["better"] == "higher":
+        gap = -gap
+    if gap <= c["parent_iqr"]:
+        return "claim's median gain %.2f within the parent's IQR %.2f" % (
+            gap, c["parent_iqr"])
+    for workload, m in d["end_to_end"].items():
+        for name, v in m.items():
+            if v["worse_by"] > v["bound"]:
+                return "%s %s worse by %.3f (bound %.2f)" % (
+                    workload, name, v["worse_by"], v["bound"])
+        s = m["stored_bytes_per_tuple"]
+        if s["change_median"] != s["parent_median"]:
+            return "%s stored_bytes_per_tuple changed: %s -> %s" % (
+                workload, s["parent_median"], s["change_median"])
+    if not d["stored_bytes_identical"]:
+        return "stored_bytes_per_tuple changed: the executor writes no byte"
+    for workload, t in d["traced"].items():
+        for side in ("parent", "change"):
+            checks = t[side + "_checks"]
+            if checks["replica_mismatches"] != 0:
+                return "%s traced %s: %d replica mismatches" % (
+                    workload, side, checks["replica_mismatches"])
+            if checks["volume_violations"] or checks["wrong_answers"]:
+                return "%s traced %s: volume or answer failure %s" % (
+                    workload, side, checks)
+    return None
+
+
 def index_checks(d):
     print("index gate:", d["gate"])
     if not d["gate"]["identical"]:
@@ -179,6 +225,7 @@ GATES = {
     "BENCH_crypto.json": crypto_checks,
     "BENCH_crypto_ci.json": crypto_checks,
     "BENCH_hash_chains.json": hash_chains_checks,
+    "BENCH_executor.json": executor_checks,
     "BENCH_index.json": index_checks,
     "BENCH_storage.json": storage_checks,
     "BENCH_tenants.json": tenants_checks,

@@ -1,9 +1,10 @@
 // Exp 11 (implementation extension, no paper counterpart): parallel fetch
 // of independent FetchUnits. The paper's enclave executes Step 3/Step 4
 // serially; since BPB bins, eBPB cell covers and winSecRange intervals are
-// independent volume-constant retrievals, they can fetch and verify
-// concurrently. Answers stay byte-identical (the filter/merge stage runs
-// serially in unit order).
+// independent volume-constant retrievals, each can run as one task (fetch,
+// verify, filter/aggregate into its own state). Answers stay byte-identical
+// (the unit states fold in unit order, and a row counts only in the first
+// unit of the plan that lists its cell).
 //
 // Shape to hold: wall-clock drops as threads grow until the per-query unit
 // count is exhausted; winSecRange (most units per query) scales best,

@@ -1,8 +1,6 @@
 #include "concealer/query_executor.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/coding.h"
 #include "concealer/wire.h"
@@ -14,23 +12,27 @@ namespace concealer {
 
 namespace {
 
-std::string ToStringKey(Slice b) {
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+std::string_view View(Slice b) {
+  return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
-// Stages `count` Index(cid, ctr) plaintexts (ctr = first..first+count-1) in
+// Stages `count` Index(cid, ctr(j)) plaintexts (j = 0..count-1) in
 // scratch->plain_bufs / plain_views, ready for one DetCipher::EncryptBatch
 // call. The buffers are worker-slot scratch, so the per-trapdoor plaintext
 // assembly allocates only until the high-water mark is reached.
+template <typename Counter>
 void StageIndexPlains(QueryExecutor::UnitScratch* scratch, uint32_t cid,
-                      uint64_t first, size_t count) {
+                      size_t count, const Counter& ctr) {
   if (scratch->plain_bufs.size() < count) scratch->plain_bufs.resize(count);
   scratch->plain_views.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    IndexPlainTo(&scratch->plain_bufs[i], cid, first + i);
-    scratch->plain_views[i] = Slice(scratch->plain_bufs[i]);
+  for (size_t j = 0; j < count; ++j) {
+    IndexPlainTo(&scratch->plain_bufs[j], cid, ctr(j));
+    scratch->plain_views[j] = Slice(scratch->plain_bufs[j]);
   }
 }
+
+// A real cell-id's counters 1..count.
+uint64_t CellCounter(size_t j) { return j + 1; }
 
 // One cell-id's real trapdoors E_k(cid‖1..count), in counter order — the
 // unit of work the EnclaveWorkCache memoizes. Derived through the multi-lane
@@ -41,7 +43,7 @@ std::vector<Bytes> CellTrapdoors(const DetCipher& det, uint32_t cid,
                                  QueryExecutor::UnitScratch* scratch) {
   std::vector<Bytes> tds(count);
   if (count == 0) return tds;
-  StageIndexPlains(scratch, cid, 1, count);
+  StageIndexPlains(scratch, cid, count, CellCounter);
   det.EncryptBatch(scratch->plain_views.data(), count, tds.data());
   return tds;
 }
@@ -75,25 +77,30 @@ Status DecryptAndAbsorb(const DetCipher& det,
   return Status::OK();
 }
 
-// Cache key for one cell-id's trapdoor list (EnclaveWorkCache).
-std::string TrapdoorCacheKey(uint64_t epoch_id, uint64_t key_version,
-                             uint32_t cell_id) {
+// Key of one (epoch, key version, cell-id): the EnclaveWorkCache's
+// trapdoor lists, and a query's cell ownership (FilterInto's `seen_cells`,
+// ExecuteUnitsParallel's owner map).
+std::string CellKey(uint64_t epoch_id, uint64_t key_version,
+                    uint32_t cell_id) {
   Bytes key;
   PutFixed64(&key, epoch_id);
   PutFixed64(&key, key_version);
   PutFixed32(&key, cell_id);
-  return ToStringKey(key);
+  return std::string(View(key));
 }
 
-// E_k of every plaintext through one EncryptBatch call: a query's filter
-// ciphertexts get their synthetic IVs from the multi-lane CMAC pipeline
-// together. Bytes identical to one Encrypt per plaintext.
-std::vector<Bytes> EncryptAll(const DetCipher& det,
-                              const std::vector<Bytes>& plains) {
-  const std::vector<Slice> views(plains.begin(), plains.end());
-  std::vector<Bytes> cts(plains.size());
-  det.EncryptBatch(views.data(), views.size(), cts.data());
-  return cts;
+// Sets `fresh` (parallel to fetched.rows) to 1, then to 0 for the rows
+// aligned to each cell-id `owns(cid)` says this unit does not own. Called
+// once per listed cell-id. Rows no trapdoor aligns are fakes (or damaged),
+// which stay fresh.
+template <typename Owns>
+void MarkFresh(const FetchedUnit& fetched, const Owns& owns,
+               std::vector<uint64_t>* fresh) {
+  fresh->assign(fetched.rows.size(), 1);
+  for (const auto& [cid, rows] : fetched.real_row_of_cid) {
+    if (owns(cid)) continue;
+    for (size_t i : rows) (*fresh)[i] = 0;
+  }
 }
 
 // Quantized timestamps of a query's time range clipped to one epoch.
@@ -150,64 +157,68 @@ StatusOr<std::vector<std::vector<uint64_t>>> KeyUniverse(
 
 }  // namespace
 
-StatusOr<std::vector<Bytes>> QueryExecutor::MakeTrapdoors(
-    const EpochState& state, const FetchUnit& unit, bool oblivious,
-    uint64_t* issued, UnitScratch* scratch) const {
+Status QueryExecutor::MakeTrapdoors(const EpochState& state,
+                                    const FetchUnit& unit, bool oblivious,
+                                    UnitScratch* scratch) const {
   StatusOr<DetCipher> det =
       enclave_->EpochDetCipher(state.epoch_id(), unit.key_version);
   if (!det.ok()) return det.status();
 
   const auto& c_tuple = state.layout().count_per_cell_id;
   const uint64_t fake_pool = state.num_fake_tuples();
+  for (uint32_t cid : unit.cell_ids) {
+    if (cid >= c_tuple.size()) {
+      return Status::InvalidArgument("cell-id out of range");
+    }
+  }
+  std::vector<Slice>& trapdoors = scratch->trapdoors;
+  trapdoors.clear();
+  scratch->borrowed.clear();
 
   if (!oblivious) {
     // Plain Step 3: one trapdoor per (cid, counter) plus the fake range.
     // With a work cache attached, each cell-id's trapdoor list is computed
-    // once per (epoch, key version) and reused by every later query that
+    // once per (epoch, key version) and borrowed by every later query that
     // touches the cell — the issued bytes (and their order) are identical
-    // either way, since DET encryption is deterministic.
-    std::vector<Bytes> trapdoors;
+    // either way, since DET encryption is deterministic. Derived trapdoors
+    // land in scratch->derived, sized up front so the views stay valid.
+    const bool fakes = fake_pool > 0 && unit.fake_count > 0;
+    size_t to_derive = fakes ? unit.fake_count : 0;
+    if (work_cache_ == nullptr) {
+      for (uint32_t cid : unit.cell_ids) to_derive += c_tuple[cid];
+    }
+    if (scratch->derived.size() < to_derive) {
+      scratch->derived.resize(to_derive);
+    }
+    Bytes* out = scratch->derived.data();
     for (uint32_t cid : unit.cell_ids) {
-      if (cid >= c_tuple.size()) {
-        return Status::InvalidArgument("cell-id out of range");
-      }
+      const uint32_t count = c_tuple[cid];
       if (work_cache_ != nullptr) {
         std::shared_ptr<const std::vector<Bytes>> cell =
             work_cache_->cell_trapdoors.GetOrCompute(
-                TrapdoorCacheKey(state.epoch_id(), unit.key_version, cid),
-                [&] {
-                  return CellTrapdoors(*det, cid, c_tuple[cid], scratch);
-                });
+                CellKey(state.epoch_id(), unit.key_version, cid),
+                [&] { return CellTrapdoors(*det, cid, count, scratch); });
         trapdoors.insert(trapdoors.end(), cell->begin(), cell->end());
+        scratch->borrowed.push_back(std::move(cell));
         continue;
       }
-      const uint32_t count = c_tuple[cid];
       if (count == 0) continue;
-      const size_t base = trapdoors.size();
-      trapdoors.resize(base + count);
-      StageIndexPlains(scratch, cid, 1, count);
-      det->EncryptBatch(scratch->plain_views.data(), count, &trapdoors[base]);
+      StageIndexPlains(scratch, cid, count, CellCounter);
+      det->EncryptBatch(scratch->plain_views.data(), count, out);
+      trapdoors.insert(trapdoors.end(), out, out + count);
+      out += count;
     }
     // Fakes degrade gracefully when no pool is provisioned (fake_pool == 0:
     // issue none), matching the per-item loop this batch replaced.
-    if (fake_pool > 0 && unit.fake_count > 0) {
-      const size_t count = unit.fake_count;
-      const size_t base = trapdoors.size();
-      trapdoors.resize(base + count);
-      if (scratch->plain_bufs.size() < count) {
-        scratch->plain_bufs.resize(count);
-      }
-      scratch->plain_views.resize(count);
-      for (size_t j = 0; j < count; ++j) {
-        uint64_t fid = unit.fake_lo + j;
-        if (unit.cycle_fakes) fid = (fid - 1) % fake_pool + 1;
-        IndexPlainTo(&scratch->plain_bufs[j], kFakeCellId, fid);
-        scratch->plain_views[j] = Slice(scratch->plain_bufs[j]);
-      }
-      det->EncryptBatch(scratch->plain_views.data(), count, &trapdoors[base]);
+    if (fakes) {
+      StageIndexPlains(scratch, kFakeCellId, unit.fake_count, [&](size_t j) {
+        const uint64_t fid = unit.fake_lo + j;
+        return unit.cycle_fakes ? (fid - 1) % fake_pool + 1 : fid;
+      });
+      det->EncryptBatch(scratch->plain_views.data(), unit.fake_count, out);
+      trapdoors.insert(trapdoors.end(), out, out + unit.fake_count);
     }
-    *issued = trapdoors.size();
-    return trapdoors;
+    return Status::OK();
   }
 
   // Oblivious Step 3 (§4.3): generate the same number of trapdoor slots for
@@ -262,95 +273,67 @@ StatusOr<std::vector<Bytes>> QueryExecutor::MakeTrapdoors(
   }
   ObliviousPartitionByFlag(&slots);
 
-  std::vector<Bytes> trapdoors;
-  trapdoors.reserve(valid);
+  // The partition is stable and the planner's slot shapes cover every
+  // listed cell-id's count, so the valid prefix is the plain trapdoor list
+  // in the plain order.
+  if (scratch->derived.size() < valid) scratch->derived.resize(valid);
   for (uint64_t i = 0; i < valid; ++i) {
-    trapdoors.push_back(std::move(slots[i].payload));
+    scratch->derived[i] = std::move(slots[i].payload);
+    trapdoors.push_back(Slice(scratch->derived[i]));
   }
-  *issued = trapdoors.size();
-  return trapdoors;
-}
-
-StatusOr<FetchedUnit> QueryExecutor::FetchWithIds(
-    const EpochState& state, const FetchUnit& unit, bool oblivious,
-    std::vector<uint64_t>* row_ids, UnitScratch* scratch) const {
-  UnitScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-
-  uint64_t issued = 0;
-  StatusOr<std::vector<Bytes>> trapdoors =
-      MakeTrapdoors(state, unit, oblivious, &issued, scratch);
-  if (!trapdoors.ok()) return trapdoors.status();
-
-  FetchedUnit fetched;
-  fetched.trapdoors_issued = issued;
-  fetched.key_version = unit.key_version;
-
-  // Zero-copy fetch: borrow the matched rows from the store instead of
-  // copying each one (see FetchedUnit's borrow rules).
-  std::vector<RowRef> refs;
-  CONCEALER_RETURN_IF_ERROR(table_->FetchRefs(*trapdoors, &refs));
-  fetched.rows.reserve(refs.size());
-  if (row_ids != nullptr) row_ids->reserve(refs.size());
-  for (const RowRef& ref : refs) {
-    if (row_ids != nullptr) row_ids->push_back(ref.row_id);
-    // Checked borrow handoff: asserts (debug builds) that the store has not
-    // invalidated the ref between fetch and use.
-    fetched.rows.push_back(ref.get());
-  }
-
-  // Align rows back to cell-ids for verification: a row's Index column is
-  // byte-identical to the trapdoor that fetched it. The map is per-worker
-  // scratch — cleared here, its buckets reused across units.
-  std::unordered_map<std::string, size_t>& by_index = scratch->by_index;
-  by_index.clear();
-  by_index.reserve(fetched.rows.size());
-  for (size_t i = 0; i < fetched.rows.size(); ++i) {
-    by_index.emplace(ToStringKey(fetched.rows[i]->columns[kColIndex]), i);
-  }
-  const auto& c_tuple = state.layout().count_per_cell_id;
-  if (!oblivious) {
-    // Plain Step 3 laid `trapdoors` out cell-major in counter order (reals
-    // first, fakes after), so the alignment probes are direct slices of the
-    // vector just issued — no repeated DET work, cached or not.
-    size_t offset = 0;
-    for (uint32_t cid : unit.cell_ids) {
-      auto& list = fetched.real_row_of_cid[cid];
-      for (uint32_t ctr = 0; ctr < c_tuple[cid]; ++ctr) {
-        auto it = by_index.find(ToStringKey((*trapdoors)[offset + ctr]));
-        if (it != by_index.end()) list.push_back(it->second);
-      }
-      offset += c_tuple[cid];
-    }
-    return fetched;
-  }
-  // Oblivious Step 3 reorders its slots, so recompute the per-cell probes.
-  StatusOr<DetCipher> det =
-      enclave_->EpochDetCipher(state.epoch_id(), unit.key_version);
-  if (!det.ok()) return det.status();
-  for (uint32_t cid : unit.cell_ids) {
-    // The map entry must exist even for empty cells: Verify walks every
-    // entry and checks the expected count (0 included).
-    auto& list = fetched.real_row_of_cid[cid];
-    const uint32_t count = c_tuple[cid];
-    if (count == 0) continue;
-    StageIndexPlains(scratch, cid, 1, count);
-    if (scratch->td_bufs.size() < count) scratch->td_bufs.resize(count);
-    det->EncryptBatch(scratch->plain_views.data(), count,
-                      scratch->td_bufs.data());
-    for (uint32_t ctr = 0; ctr < count; ++ctr) {
-      auto it = by_index.find(ToStringKey(scratch->td_bufs[ctr]));
-      if (it != by_index.end()) list.push_back(it->second);
-    }
-  }
-  return fetched;
+  return Status::OK();
 }
 
 StatusOr<FetchedUnit> QueryExecutor::Fetch(const EpochState& state,
                                            const FetchUnit& unit,
                                            bool oblivious,
                                            UnitScratch* scratch) const {
-  return FetchWithIds(state, unit, oblivious, nullptr, scratch);
+  UnitScratch local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  CONCEALER_RETURN_IF_ERROR(MakeTrapdoors(state, unit, oblivious, scratch));
+  const std::vector<Slice>& trapdoors = scratch->trapdoors;
+
+  FetchedUnit fetched;
+  fetched.trapdoors_issued = trapdoors.size();
+  fetched.key_version = unit.key_version;
+
+  // Zero-copy fetch: borrow the matched rows from the store instead of
+  // copying each one (see FetchedUnit's borrow rules).
+  std::vector<RowRef>& refs = scratch->refs;
+  refs.clear();
+  CONCEALER_RETURN_IF_ERROR(
+      table_->FetchRefs(trapdoors.data(), trapdoors.size(), &refs));
+  fetched.rows.reserve(refs.size());
+  fetched.row_ids.reserve(refs.size());
+  for (const RowRef& ref : refs) {
+    fetched.row_ids.push_back(ref.row_id);
+    // Checked borrow handoff: asserts (debug builds) that the store has not
+    // invalidated the ref between fetch and use.
+    fetched.rows.push_back(ref.get());
+  }
+
+  // Align rows back to cell-ids for verification. Both modes issue each
+  // listed cell-id's real trapdoors cell-major in counter order, so a ref's
+  // probe position names its cell and counter; the row aligns only if its
+  // Index column is that trapdoor's bytes, so a damaged row fails its
+  // cell's count alone. Refs come back in probe order: one cursor suffices.
+  const auto& c_tuple = state.layout().count_per_cell_id;
+  size_t r = 0;
+  size_t cell_end = 0;
+  for (uint32_t cid : unit.cell_ids) {
+    // The map entry must exist even for empty cells: Verify walks every
+    // entry and checks the expected count (0 included).
+    std::vector<size_t>& list = fetched.real_row_of_cid[cid];
+    cell_end += c_tuple[cid];
+    for (; r < refs.size() && refs[r].probe < cell_end; ++r) {
+      if (Slice(fetched.rows[r]->columns[kColIndex]) ==
+          trapdoors[refs[r].probe]) {
+        list.push_back(r);
+      }
+    }
+  }
+  scratch->borrowed.clear();
+  return fetched;
 }
 
 Status QueryExecutor::Verify(const EpochState& state,
@@ -406,64 +389,80 @@ StatusOr<QueryExecutor::FilterSet> QueryExecutor::BuildFilterSet(
   filters.use_el = query.agg != Aggregate::kKeysWithObservation;
   filters.use_eo = !query.observation.empty();
 
+  std::vector<std::vector<uint64_t>> keys;
   if (filters.use_el) {
-    StatusOr<std::vector<std::vector<uint64_t>>> keys =
+    StatusOr<std::vector<std::vector<uint64_t>>> universe =
         KeyUniverse(config_, query);
-    if (!keys.ok()) return keys.status();
-    std::vector<Bytes> plains;
-    for (const auto& kv : *keys) {
-      for (uint64_t t : times) plains.push_back(KeyTimePlain(kv, t));
-    }
-    const std::vector<Bytes> cts = EncryptAll(*det, plains);
-    size_t i = 0;
-    for (const auto& kv : *keys) {
-      for (size_t t = 0; t < times.size(); ++t) {
-        std::string sk = ToStringKey(cts[i++]);
-        if (filters.el_to_key.emplace(sk, kv).second) {
-          filters.el_ordered.emplace_back(std::move(sk), kv);
-        }
-      }
-    }
+    if (!universe.ok()) return universe.status();
+    keys = std::move(*universe);
+  }
+  // Every El then Eo filter through one EncryptBatch call (bytes identical
+  // to one Encrypt each). `cts` is never resized after this, so the views
+  // the lookups key on stay valid.
+  std::vector<Bytes> plains;
+  plains.reserve(keys.size() * times.size() +
+                 (filters.use_eo ? times.size() : 0));
+  for (const auto& kv : keys) {
+    for (uint64_t t : times) plains.push_back(KeyTimePlain(kv, t));
   }
   if (filters.use_eo) {
-    std::vector<Bytes> plains;
     for (uint64_t t : times) {
       plains.push_back(ObsTimePlain(query.observation, t));
     }
-    for (const Bytes& ct : EncryptAll(*det, plains)) {
-      filters.eo_set.insert(ToStringKey(ct));
+  }
+  const std::vector<Slice> views(plains.begin(), plains.end());
+  filters.cts.resize(views.size());
+  det->EncryptBatch(views.data(), views.size(), filters.cts.data());
+  size_t i = 0;
+  filters.el_index.reserve(keys.size() * times.size());
+  for (const auto& kv : keys) {
+    for (size_t t = 0; t < times.size(); ++t) {
+      const std::string_view ct = View(filters.cts[i++]);
+      if (filters.el_index.emplace(ct, filters.el_ordered.size()).second) {
+        filters.el_ordered.emplace_back(ct, kv);
+      }
     }
   }
-  return filters;
+  for (; i < filters.cts.size(); ++i) {
+    filters.eo_set.insert(View(filters.cts[i]));
+  }
+  return StatusOr<FilterSet>(std::move(filters));
 }
 
 Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
                                  const FetchedUnit& fetched, bool oblivious,
                                  AggState* agg,
-                                 std::unordered_set<std::string>* seen_rows,
+                                 std::unordered_set<std::string>* seen_cells,
                                  FilterCache* filter_cache,
                                  UnitScratch* scratch) const {
-  const FilterSet* filters_ptr = nullptr;
-  FilterSet local;
-  if (filter_cache != nullptr) {
-    auto it = filter_cache->find(fetched.key_version);
-    if (it == filter_cache->end()) {
-      StatusOr<FilterSet> built =
-          BuildFilterSet(state, query, fetched.key_version);
-      if (!built.ok()) return built.status();
-      it = filter_cache->emplace(fetched.key_version, std::move(*built))
-               .first;
-    }
-    filters_ptr = &it->second;
-  } else {
+  FilterCache local_cache;
+  if (filter_cache == nullptr) filter_cache = &local_cache;
+  auto it = filter_cache->find(fetched.key_version);
+  if (it == filter_cache->end()) {
     StatusOr<FilterSet> built =
         BuildFilterSet(state, query, fetched.key_version);
     if (!built.ok()) return built.status();
-    local = std::move(*built);
-    filters_ptr = &local;
+    it = filter_cache->emplace(fetched.key_version, std::move(*built)).first;
   }
-  const FilterSet& filters = *filters_ptr;
+  UnitScratch local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  MarkFresh(
+      fetched,
+      [&](uint32_t cid) {
+        return seen_cells == nullptr ||
+               seen_cells
+                   ->insert(CellKey(state.epoch_id(), fetched.key_version, cid))
+                   .second;
+      },
+      &scratch->fresh);
+  return MatchInto(state, query, fetched, it->second, oblivious, agg,
+                   scratch);
+}
 
+Status QueryExecutor::MatchInto(const EpochState& state, const Query& query,
+                                const FetchedUnit& fetched,
+                                const FilterSet& filters, bool oblivious,
+                                AggState* agg, UnitScratch* scratch) const {
   StatusOr<DetCipher> det =
       enclave_->EpochDetCipher(state.epoch_id(), fetched.key_version);
   if (!det.ok()) return det.status();
@@ -474,19 +473,7 @@ Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
                            query.agg == Aggregate::kMin ||
                            query.agg == Aggregate::kMax;
   const bool q4 = query.agg == Aggregate::kKeysWithObservation;
-
-  UnitScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-
-  // Dedup across fetch units: the Index column identifies a row uniquely
-  // within a key version (DET over distinct (cid, ctr) plaintexts).
-  auto is_fresh = [&](const Row& row) -> bool {
-    if (seen_rows == nullptr) return true;
-    return seen_rows
-        ->insert(ToStringKey(row.columns[kColIndex]) + '#' +
-                 std::to_string(fetched.key_version))
-        .second;
-  };
+  const std::vector<uint64_t>& fresh = scratch->fresh;
 
   // Value aggregates absorb decrypted tuples; the decryption itself runs
   // batched (one enclave "transition" worth of rows per DecryptBatch call)
@@ -503,25 +490,23 @@ Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
   };
 
   if (!oblivious) {
+    // Lookups hash views of the stored columns: no per-row allocation.
     scratch->ct_views.clear();
-    for (const Row* row_ptr : fetched.rows) {
-      const Row& row = *row_ptr;
-      if (!is_fresh(row)) continue;
-      const std::string el = ToStringKey(row.columns[kColEl]);
-      const std::string eo = ToStringKey(row.columns[kColEo]);
-      const bool eo_ok = !filters.use_eo || filters.eo_set.count(eo) > 0;
-      bool matched = false;
+    for (size_t i = 0; i < fetched.rows.size(); ++i) {
+      if (fresh[i] == 0) continue;
+      const Row& row = *fetched.rows[i];
       const std::vector<uint64_t>* key_coords = nullptr;
       if (q4) {
-        matched = filters.eo_set.count(eo) > 0;
+        if (filters.eo_set.count(View(row.columns[kColEo])) == 0) continue;
       } else {
-        auto it = filters.el_to_key.find(el);
-        if (it != filters.el_to_key.end() && eo_ok) {
-          matched = true;
-          key_coords = &it->second;
+        auto it = filters.el_index.find(View(row.columns[kColEl]));
+        if (it == filters.el_index.end()) continue;
+        if (filters.use_eo &&
+            filters.eo_set.count(View(row.columns[kColEo])) == 0) {
+          continue;
         }
+        key_coords = &filters.el_ordered[it->second].second;
       }
-      if (!matched) continue;
       ++agg->rows_matched;
       ++agg->count;
       if (needs_value || q4) {
@@ -537,10 +522,11 @@ Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
     return Status::OK();
   }
 
-  // Oblivious Step 4 (§4.3): every row is string-matched against every
-  // filter with branchless flag updates; per-filter counters accumulate the
-  // grouped counts; rows are then obliviously partitioned by the match flag
-  // and only the matched prefix is decrypted (when decryption is needed).
+  // Oblivious Step 4 (§4.3): every row is compared against every filter
+  // with branchless flag updates — a row another unit owns only has its
+  // fresh flag zeroed; per-filter counters accumulate the grouped counts;
+  // rows are then obliviously partitioned by the match flag and only the
+  // matched prefix is decrypted (when decryption is needed).
   const size_t n = fetched.rows.size();
   std::vector<uint64_t> flags(n, 0);
   std::vector<uint64_t> filter_hits(filters.el_ordered.size(), 0);
@@ -548,21 +534,22 @@ Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
     const Row& row = *fetched.rows[i];
     const Slice el(row.columns[kColEl]);
     const Slice eo(row.columns[kColEo]);
-    const uint64_t fresh = is_fresh(row) ? 1 : 0;
     uint64_t eo_ok = filters.use_eo ? 0 : 1;
-    for (const std::string& f : filters.eo_set) {
-      const uint64_t eq = ConstantTimeEqual(eo, Slice(f)) ? 1 : 0;
+    for (std::string_view f : filters.eo_set) {
+      const uint64_t eq =
+          ConstantTimeEqual(eo, Slice(f.data(), f.size())) ? 1 : 0;
       eo_ok = OMove(eq, 1, eo_ok);
     }
     if (q4) {
-      flags[i] = (filters.use_eo ? eo_ok : 0) & fresh;
+      flags[i] = (filters.use_eo ? eo_ok : 0) & fresh[i];
       continue;
     }
     uint64_t el_hit = 0;
     for (size_t fi = 0; fi < filters.el_ordered.size(); ++fi) {
+      const std::string_view f = filters.el_ordered[fi].first;
       const uint64_t eq =
-          ConstantTimeEqual(el, Slice(filters.el_ordered[fi].first)) ? 1 : 0;
-      const uint64_t hit = eq & eo_ok & fresh;
+          ConstantTimeEqual(el, Slice(f.data(), f.size())) ? 1 : 0;
+      const uint64_t hit = eq & eo_ok & fresh[i];
       el_hit = OMove(hit, 1, el_hit);
       filter_hits[fi] += hit;
     }
@@ -610,93 +597,79 @@ Status QueryExecutor::FilterInto(const EpochState& state, const Query& query,
   return Status::OK();
 }
 
-Status QueryExecutor::ExecuteUnitsParallel(
-    const EpochState& state, const Query& query,
-    const std::vector<FetchUnit>& units, ThreadPool* pool, AggState* agg,
-    std::unordered_set<std::string>* seen_rows,
-    FilterCache* filter_cache) const {
+void QueryExecutor::AggState::Merge(const AggState& other) {
+  count += other.count;
+  for (const auto& [keys, c] : other.group_counts) group_counts[keys] += c;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+  rows_fetched += other.rows_fetched;
+  rows_matched += other.rows_matched;
+  any_verified = any_verified || other.any_verified;
+}
+
+Status QueryExecutor::ExecuteUnitsParallel(const EpochState& state,
+                                           const Query& query,
+                                           const std::vector<FetchUnit>& units,
+                                           ThreadPool* pool,
+                                           AggState* agg) const {
   const size_t n = units.size();
   if (n == 0) return Status::OK();
 
-  FilterCache local_cache;
-  if (filter_cache == nullptr) filter_cache = &local_cache;
-
-  if (pool == nullptr || n == 1) {
-    // Serial loop — the reference semantics the parallel path must match.
-    // One scratch serves every unit (single thread).
-    UnitScratch scratch;
-    for (const FetchUnit& unit : units) {
-      StatusOr<FetchedUnit> fetched =
-          Fetch(state, unit, query.oblivious, &scratch);
-      if (!fetched.ok()) return fetched.status();
-      if (query.verify) {
-        CONCEALER_RETURN_IF_ERROR(Verify(state, *fetched));
-        agg->any_verified = true;
-      }
-      CONCEALER_RETURN_IF_ERROR(FilterInto(state, query, *fetched,
-                                           query.oblivious, agg, seen_rows,
-                                           filter_cache, &scratch));
-    }
-    return Status::OK();
-  }
-
-  // Distinct key versions whose FilterSets are not cached yet: build them on
-  // the pool alongside the fetches instead of lazily on the merge path.
-  std::vector<uint64_t> versions;
-  for (const FetchUnit& unit : units) {
-    if (filter_cache->count(unit.key_version) == 0 &&
-        std::find(versions.begin(), versions.end(), unit.key_version) ==
-            versions.end()) {
-      versions.push_back(unit.key_version);
-    }
-  }
-
-  // Fan out: tasks [0, n) fetch (and optionally verify) one unit each;
-  // tasks [n, n+versions) each build one FilterSet. All tasks touch only
-  // their own output slot, their worker slot's scratch, the const
-  // table/enclave, and `state` read-only. Scratch is per worker slot — each
-  // slot is driven by one thread at a time (ParallelFor contract), so the
-  // reused crypto buffers never race.
-  std::vector<StatusOr<FetchedUnit>> fetched(
-      n, StatusOr<FetchedUnit>(Status::Internal("unit not fetched")));
-  std::vector<Status> verify_status(n);
-  std::vector<StatusOr<FilterSet>> filters(
-      versions.size(), StatusOr<FilterSet>(Status::Internal("not built")));
-  std::vector<UnitScratch> scratch(pool->num_threads());
-  pool->ParallelFor(n + versions.size(), [&](size_t i, size_t worker) {
-    if (i < n) {
-      fetched[i] = Fetch(state, units[i], query.oblivious, &scratch[worker]);
-      if (query.verify && fetched[i].ok()) {
-        verify_status[i] = Verify(state, *fetched[i]);
-      }
-    } else {
-      filters[i - n] = BuildFilterSet(state, query, versions[i - n]);
-    }
-  });
-
-  // Serial merge in unit order: cross-unit dedup (`seen_rows`) and the
-  // aggregation state evolve exactly as in the serial loop above. Errors
-  // surface in the same order too — a unit's fetch/verify error first, then
-  // a filter-build error at the first unit needing that key version (where
-  // the serial path's lazy build would have hit it). The merge runs on the
-  // calling thread, whose worker slot is 0 — its scratch is free again.
-  UnitScratch& merge_scratch = scratch[0];
+  // Settled before the fan-out and read-only during it: one FilterSet per
+  // key version, and the owner of each (cell-id, key version) — the first
+  // unit in plan order that lists it. A unit fetches every counter of each
+  // cell it lists, so counting a cell's rows only in its owner counts each
+  // row once, as FilterInto's `seen_cells` does in unit order.
+  std::map<uint64_t, StatusOr<FilterSet>> filters;
+  std::unordered_map<std::string, size_t> owner;
   for (size_t i = 0; i < n; ++i) {
-    if (!fetched[i].ok()) return fetched[i].status();
+    const uint64_t version = units[i].key_version;
+    if (filters.count(version) == 0) {
+      filters.emplace(version, BuildFilterSet(state, query, version));
+    }
+    for (uint32_t cid : units[i].cell_ids) {
+      owner.emplace(CellKey(state.epoch_id(), version, cid), i);
+    }
+  }
+
+  // One task per unit: it writes only its own AggState and status, and
+  // its worker slot's scratch (each slot is driven by one thread at a
+  // time, per the ParallelFor contract).
+  std::vector<AggState> partial(n);
+  std::vector<Status> status(n);
+  std::vector<UnitScratch> slots(pool == nullptr ? 1 : pool->num_threads());
+  auto run_unit = [&](size_t i, UnitScratch* scratch) -> Status {
+    const FetchUnit& unit = units[i];
+    StatusOr<FetchedUnit> fetched =
+        Fetch(state, unit, query.oblivious, scratch);
+    if (!fetched.ok()) return fetched.status();
     if (query.verify) {
-      CONCEALER_RETURN_IF_ERROR(verify_status[i]);
-      agg->any_verified = true;
+      CONCEALER_RETURN_IF_ERROR(Verify(state, *fetched));
+      partial[i].any_verified = true;
     }
-    if (filter_cache->count(units[i].key_version) == 0) {
-      const size_t vi =
-          std::find(versions.begin(), versions.end(), units[i].key_version) -
-          versions.begin();
-      if (!filters[vi].ok()) return filters[vi].status();
-      filter_cache->emplace(versions[vi], std::move(*filters[vi]));
-    }
-    CONCEALER_RETURN_IF_ERROR(FilterInto(state, query, *fetched[i],
-                                         query.oblivious, agg, seen_rows,
-                                         filter_cache, &merge_scratch));
+    const StatusOr<FilterSet>& unit_filters = filters.at(unit.key_version);
+    if (!unit_filters.ok()) return unit_filters.status();
+    const auto owns = [&](uint32_t cid) {
+      return owner.at(CellKey(state.epoch_id(), unit.key_version, cid)) == i;
+    };
+    MarkFresh(*fetched, owns, &scratch->fresh);
+    return MatchInto(state, query, *fetched, *unit_filters, query.oblivious,
+                     &partial[i], scratch);
+  };
+  auto run = [&](size_t i, size_t worker) {
+    status[i] = run_unit(i, &slots[worker]);
+  };
+  if (pool == nullptr || n == 1) {
+    for (size_t i = 0; i < n && (i == 0 || status[i - 1].ok()); ++i) run(i, 0);
+  } else {
+    pool->ParallelFor(n, run);
+  }
+
+  // Fold in unit order; the first failing unit's error surfaces.
+  for (size_t i = 0; i < n; ++i) {
+    CONCEALER_RETURN_IF_ERROR(status[i]);
+    agg->Merge(partial[i]);
   }
   return Status::OK();
 }

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -43,8 +45,8 @@ struct FetchUnit {
 };
 
 /// Result of fetching one unit, with enclave-side alignment of rows back to
-/// cell-ids (by matching the Index column against the issued trapdoors) for
-/// hash-chain verification.
+/// cell-ids for hash-chain verification: a row aligns to the trapdoor at
+/// its probe position only if its Index column equals that trapdoor.
 ///
 /// Rows are borrowed from the table's row store (zero-copy fetch): valid
 /// while the table is not ingesting or rewriting, which the epoch-level
@@ -53,7 +55,10 @@ struct FetchUnit {
 /// reading a unit before it rewrites that unit's rows.
 struct FetchedUnit {
   std::vector<const Row*> rows;
-  /// Real rows grouped per cell-id in counter order (chain order).
+  /// Row ids, parallel to `rows` (the §6 rewrite path writes them back).
+  std::vector<uint64_t> row_ids;
+  /// Real rows grouped per cell-id in counter order (chain order), with an
+  /// entry for every cell-id the unit lists, empty ones included.
   std::map<uint32_t, std::vector<size_t>> real_row_of_cid;  // Index into rows.
   uint64_t trapdoors_issued = 0;
   uint64_t key_version = 0;
@@ -118,42 +123,56 @@ struct EnclaveWorkCache {
 /// verification, and filtering/aggregation (plain and oblivious).
 class QueryExecutor {
  public:
-  /// DET filter values the enclave string-matches against fetched rows
-  /// (Table 4): El filters map back to the key vector that produced them so
-  /// grouped aggregates know each match's group. Built once per
-  /// (query, epoch, key version) and cached across fetch units.
+  /// DET filter values the enclave matches against fetched rows (Table 4):
+  /// El filters map back to the key vector that produced them so grouped
+  /// aggregates know each match's group. Built once per (query, epoch, key
+  /// version). The lookups are views into `cts`, so a FilterSet moves but
+  /// never copies.
   struct FilterSet {
-    std::unordered_map<std::string, std::vector<uint64_t>> el_to_key;
-    std::unordered_set<std::string> eo_set;
+    FilterSet() = default;
+    FilterSet(FilterSet&&) = default;  // Deletes the copy operations.
+
+    /// Every El then Eo filter ciphertext, stored once.
+    std::vector<Bytes> cts;
+    /// Distinct El filters in derivation order (the oblivious per-filter
+    /// counters' order), each with its key vector.
+    std::vector<std::pair<std::string_view, std::vector<uint64_t>>>
+        el_ordered;
+    /// El ciphertext -> its position in el_ordered.
+    std::unordered_map<std::string_view, size_t> el_index;
+    std::unordered_set<std::string_view> eo_set;
     bool use_el = false;
     bool use_eo = false;
-    /// Stable filter order for the oblivious per-filter counters.
-    std::vector<std::pair<std::string, std::vector<uint64_t>>> el_ordered;
   };
   /// Per-query filter cache, keyed by key version.
   using FilterCache = std::map<uint64_t, FilterSet>;
 
-  /// Reusable per-worker scratch for the fetch/decrypt loop: one of these
-  /// per ParallelFor worker slot (or one per serial loop) turns the
-  /// per-row/per-trapdoor allocations into amortized reuse of the same
-  /// buffers. Not thread-safe — each instance must be driven by one thread
-  /// at a time, which the worker-slot ParallelFor guarantees.
+  /// Reusable per-worker scratch for the per-unit loop: one of these per
+  /// ParallelFor worker slot (or one per serial loop) turns the per-row and
+  /// per-trapdoor allocations into amortized reuse of the same buffers. Not
+  /// thread-safe — each instance must be driven by one thread at a time,
+  /// which the worker-slot ParallelFor guarantees.
   struct UnitScratch {
-    /// Index-column -> row position map built per fetched unit.
-    std::unordered_map<std::string, size_t> by_index;
     /// Batched-decrypt staging: ciphertext views and plaintext buffers.
     std::vector<Slice> ct_views;
     std::vector<Bytes> pt_bufs;
     /// Batched trapdoor staging: plaintext buffers + views fed to
-    /// DetCipher::EncryptBatch, and ciphertext outputs for the alignment
-    /// re-derivation (the cell-major trapdoor paths write straight into
-    /// their result vectors instead).
+    /// DetCipher::EncryptBatch.
     std::vector<Bytes> plain_bufs;
     std::vector<Slice> plain_views;
-    std::vector<Bytes> td_bufs;
+    /// One unit's trapdoors in issue order (real ones cell-major in counter
+    /// order, then fakes), the ones derived here, and the work-cache cell
+    /// lists the rest borrow from.
+    std::vector<Slice> trapdoors;
+    std::vector<Bytes> derived;
+    std::vector<std::shared_ptr<const std::vector<Bytes>>> borrowed;
+    std::vector<RowRef> refs;
+    /// Per-row flag, parallel to FetchedUnit::rows: 1 if this unit counts
+    /// the row, 0 if an earlier unit of the query owns its cell.
+    std::vector<uint64_t> fresh;
   };
 
-  /// Running aggregation state, merged across fetch units and epochs.
+  /// Aggregation state of one fetch unit, or merged across units/epochs.
   struct AggState {
     uint64_t count = 0;
     std::map<std::vector<uint64_t>, uint64_t> group_counts;
@@ -163,6 +182,9 @@ class QueryExecutor {
     uint64_t rows_fetched = 0;
     uint64_t rows_matched = 0;
     bool any_verified = false;
+
+    /// Folds in another unit's state (sums, min, max: order-free).
+    void Merge(const AggState& other);
   };
 
   QueryExecutor(const Enclave* enclave, const EncryptedTable* table,
@@ -170,17 +192,12 @@ class QueryExecutor {
       : enclave_(enclave), table_(table), config_(config) {}
 
   /// Alg. 2 Step 3 (+ §4.3 oblivious variant): formulates trapdoors for a
-  /// unit and fetches its rows from the DBMS. `scratch` (optional) reuses
-  /// one worker's buffers across units.
+  /// unit, fetches its rows and row ids from the DBMS and aligns them to
+  /// cell-ids. `scratch` (optional) reuses one worker's buffers across
+  /// units.
   StatusOr<FetchedUnit> Fetch(const EpochState& state, const FetchUnit& unit,
                               bool oblivious,
                               UnitScratch* scratch = nullptr) const;
-
-  /// Like Fetch but also returns row ids (dynamic-insertion rewrite path).
-  StatusOr<FetchedUnit> FetchWithIds(const EpochState& state,
-                                     const FetchUnit& unit, bool oblivious,
-                                     std::vector<uint64_t>* row_ids,
-                                     UnitScratch* scratch = nullptr) const;
 
   /// Step 4 verification: recomputes the hash chains of every *complete*
   /// cell-id in the fetched unit and compares against the epoch's tags.
@@ -188,31 +205,28 @@ class QueryExecutor {
 
   /// Step 4 filtering + aggregation into `agg`. Oblivious mode performs the
   /// §4.3 constant-trace matching and an oblivious partition before any
-  /// decryption. `seen_rows` (optional) deduplicates rows fetched by more
-  /// than one unit of the same query — winSecRange intervals and eBPB
-  /// columns may share cell-ids, so the same row can arrive twice; it must
-  /// count once.
+  /// decryption. `seen_cells` (optional) counts once the rows that several
+  /// units of one query fetch (winSecRange intervals and eBPB columns share
+  /// cell-ids): called in unit order, the first unit to list a (cell-id,
+  /// key version) owns its rows, and later units count none of the rows
+  /// they align to it (oblivious mode zeroes their flags, same work).
   Status FilterInto(const EpochState& state, const Query& query,
                     const FetchedUnit& fetched, bool oblivious,
                     AggState* agg,
-                    std::unordered_set<std::string>* seen_rows = nullptr,
+                    std::unordered_set<std::string>* seen_cells = nullptr,
                     FilterCache* filter_cache = nullptr,
                     UnitScratch* scratch = nullptr) const;
 
-  /// Runs the full per-unit loop (Fetch, optional Verify, FilterInto) for a
-  /// plan's units, fanning the fetch+verify stage out across `pool`. Units
-  /// are independent volume-constant retrievals, so they fetch concurrently;
-  /// filtering/aggregation then merges serially in unit order so the
-  /// cross-unit row dedup and the aggregation state are built exactly as the
-  /// serial loop builds them — answers are byte-identical by construction.
-  /// The per-key-version FilterSets are prebuilt on the pool alongside the
-  /// fetches. With a null pool (or a single unit) this degenerates to the
-  /// serial loop.
+  /// Runs a plan's units (Fetch, optional Verify, filter/aggregate) into
+  /// `agg`, each as one task on `pool` with its own AggState. The
+  /// FilterSets and each (cell-id, key version)'s owner, the first unit
+  /// listing it, are settled before the fan-out; the merge folds the unit
+  /// states in unit order. Answers and errors (the first failing unit's
+  /// fetch, verify, filter-set build or match) are those of the serial
+  /// FilterInto loop. A null pool or a single unit runs inline.
   Status ExecuteUnitsParallel(const EpochState& state, const Query& query,
                               const std::vector<FetchUnit>& units,
-                              ThreadPool* pool, AggState* agg,
-                              std::unordered_set<std::string>* seen_rows,
-                              FilterCache* filter_cache) const;
+                              ThreadPool* pool, AggState* agg) const;
 
   /// Produces the final answer from merged aggregation state.
   static QueryResult Finalize(const Query& query, const AggState& agg);
@@ -226,14 +240,19 @@ class QueryExecutor {
   const ConcealerConfig& config() const { return config_; }
 
  private:
-  StatusOr<std::vector<Bytes>> MakeTrapdoors(const EpochState& state,
-                                             const FetchUnit& unit,
-                                             bool oblivious, uint64_t* issued,
-                                             UnitScratch* scratch) const;
+  /// Fills scratch->trapdoors with the unit's Step 3 trapdoors.
+  Status MakeTrapdoors(const EpochState& state, const FetchUnit& unit,
+                       bool oblivious, UnitScratch* scratch) const;
 
   StatusOr<FilterSet> BuildFilterSet(const EpochState& state,
                                      const Query& query,
                                      uint64_t key_version) const;
+
+  /// Matches the rows flagged in scratch->fresh against `filters` and
+  /// aggregates the matches into `agg`.
+  Status MatchInto(const EpochState& state, const Query& query,
+                   const FetchedUnit& fetched, const FilterSet& filters,
+                   bool oblivious, AggState* agg, UnitScratch* scratch) const;
 
   const Enclave* enclave_;
   const EncryptedTable* table_;

@@ -430,15 +430,12 @@ Status ServiceProvider::ExecuteOnEpoch(EpochState* state, const Query& query,
   }
 
   // Units of one query may fetch overlapping cell-ids (winSecRange
-  // intervals, eBPB columns); rows must count once. Filters are built once
-  // per key version and shared across units. With a pool configured, the
-  // fetch+verify stage fans out across units; merge order stays serial, so
-  // answers are identical to the single-threaded path.
-  std::unordered_set<std::string> seen_rows;
-  QueryExecutor::FilterCache filter_cache;
+  // intervals, eBPB columns); the executor counts each row once. With a
+  // pool configured, each unit runs as one task on it; the per-unit states
+  // fold in unit order, so answers are identical to the single-threaded
+  // path.
   ThreadPool* pool = shared_pool_ != nullptr ? shared_pool_ : pool_.get();
-  return executor_.ExecuteUnitsParallel(*state, query, *units, pool, agg,
-                                        &seen_rows, &filter_cache);
+  return executor_.ExecuteUnitsParallel(*state, query, *units, pool, agg);
 }
 
 Status ServiceProvider::ExecuteOnEpochDynamic(EpochState* state,
@@ -472,9 +469,8 @@ Status ServiceProvider::ExecuteOnEpochDynamic(EpochState* state,
   for (uint32_t b : bins) {
     StatusOr<FetchUnit> unit = planner_.UnitForBin(state, b);
     if (!unit.ok()) return unit.status();
-    std::vector<uint64_t> row_ids;
     StatusOr<FetchedUnit> fetched =
-        executor_.FetchWithIds(*state, *unit, query.oblivious, &row_ids);
+        executor_.Fetch(*state, *unit, query.oblivious);
     if (!fetched.ok()) return fetched.status();
     if (query.verify) {
       CONCEALER_RETURN_IF_ERROR(executor_.Verify(*state, *fetched));
@@ -482,17 +478,13 @@ Status ServiceProvider::ExecuteOnEpochDynamic(EpochState* state,
     }
     CONCEALER_RETURN_IF_ERROR(
         executor_.FilterInto(*state, query, *fetched, query.oblivious, agg));
-    CONCEALER_RETURN_IF_ERROR(ReencryptBin(state, b, *fetched, row_ids));
+    CONCEALER_RETURN_IF_ERROR(ReencryptBin(state, b, *fetched));
   }
   return Status::OK();
 }
 
 Status ServiceProvider::ReencryptBin(EpochState* state, uint32_t bin_index,
-                                     const FetchedUnit& fetched,
-                                     const std::vector<uint64_t>& row_ids) {
-  if (fetched.rows.size() != row_ids.size()) {
-    return Status::Internal("fetched rows and row ids out of step");
-  }
+                                     const FetchedUnit& fetched) {
   const uint64_t old_version = state->bin_key_version(bin_index);
   const uint64_t new_version = old_version + 1;
 
@@ -543,7 +535,7 @@ Status ServiceProvider::ReencryptBin(EpochState* state, uint32_t bin_index,
   // Permute the physical placement of the rewritten rows (the Path-ORAM-
   // inspired shuffle of §6 step iii): row content i lands at a random
   // row id from the fetched set.
-  std::vector<uint64_t> shuffled_ids = row_ids;
+  std::vector<uint64_t> shuffled_ids = fetched.row_ids;
   rng_.Shuffle(&shuffled_ids);
   std::vector<std::pair<uint64_t, Row>> rewrites;
   rewrites.reserve(new_rows.size());

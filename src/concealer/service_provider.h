@@ -6,7 +6,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -234,8 +233,7 @@ class ServiceProvider {
   // Re-encrypts one fetched bin under the next key version, permutes the
   // row placement, rewrites the DBMS rows and refreshes the enclave tags.
   Status ReencryptBin(EpochState* state, uint32_t bin_index,
-                      const FetchedUnit& fetched,
-                      const std::vector<uint64_t>& row_ids);
+                      const FetchedUnit& fetched);
 
   ConcealerConfig config_;
   Enclave enclave_;

@@ -37,13 +37,12 @@ Status EncryptedTable::InsertBatch(std::vector<Row> rows) {
   return Status::OK();
 }
 
-Status EncryptedTable::FetchRefs(const std::vector<Bytes>& keys,
+Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
                                  std::vector<RowRef>* out) const {
   // Counters are accumulated locally and folded in under the lock once per
   // batch: fetches run concurrently in the parallel query path, and the
   // B+-tree itself is read-only here (paged page-cache traffic is
   // internally locked).
-  const size_t n = keys.size();
   // Sort the probe set once (a permutation array, so the caller-visible
   // output order is untouched), resolve every probe in one shared descent
   // (BPlusTree::BulkFind), then emit matches in the original order. A
@@ -52,8 +51,8 @@ Status EncryptedTable::FetchRefs(const std::vector<Bytes>& keys,
   // prefetches its leaf pages in one shot before any probe blocks on disk.
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [&keys](uint32_t a, uint32_t b) {
-    return Slice(keys[a]).Compare(keys[b]) < 0;
+  std::sort(perm.begin(), perm.end(), [keys](uint32_t a, uint32_t b) {
+    return keys[a].Compare(keys[b]) < 0;
   });
   std::vector<Slice> sorted(n);
   for (size_t i = 0; i < n; ++i) sorted[i] = keys[perm[i]];
@@ -78,7 +77,7 @@ Status EncryptedTable::FetchRefs(const std::vector<Bytes>& keys,
     if (row == nullptr) continue;
     ++hits;
     bytes += RowByteSize(*row);
-    out->push_back(RowRef{ids[i], row, store_.get(), generation});
+    out->push_back(RowRef{ids[i], row, store_.get(), generation, i});
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.index_probes += n;

@@ -43,6 +43,9 @@ struct RowRef {
   const Row* row = nullptr;
   const StorageEngine* engine = nullptr;
   uint64_t generation = 0;
+  /// Position in the FetchRefs probe batch of the key that matched this
+  /// row.
+  size_t probe = 0;
 
   /// True iff the engine has invalidated this borrow since it was handed
   /// out.
@@ -89,13 +92,19 @@ class EncryptedTable {
   /// mapped segment). See RowRef for the borrow rules.
   ///
   /// The whole probe set resolves through one BPlusTree::BulkFind (a
-  /// single probe is a batch of one); refs come back in `keys` order.
+  /// single probe is a batch of one); refs come back in `keys` order, each
+  /// tagged with the position of the key that matched it (RowRef::probe).
   /// With a paged index a probe may hit disk, so this can fail — and it
   /// fails closed (no partial refs appended, stats untouched) rather than
   /// answering from a corrupt page. On a fully resident index it always
   /// succeeds.
-  Status FetchRefs(const std::vector<Bytes>& keys,
+  Status FetchRefs(const Slice* keys, size_t n,
                    std::vector<RowRef>* out) const;
+  Status FetchRefs(const std::vector<Bytes>& keys,
+                   std::vector<RowRef>* out) const {
+    const std::vector<Slice> views(keys.begin(), keys.end());
+    return FetchRefs(views.data(), views.size(), out);
+  }
 
   /// Full scan in row-id order (Opaque baseline). Visitor returns false to
   /// stop. Fails with FailedPrecondition on a row whose segment is evicted

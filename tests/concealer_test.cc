@@ -481,6 +481,40 @@ class TamperTest : public ::testing::Test {
     EXPECT_TRUE(sp_->Execute(q).ok());
   }
 
+  void RunDamagedIndexColumnDetected() {
+    // Damage one real row's stored Index column and leave the index entry
+    // pointing at it: the trapdoor still fetches the row, but the row no
+    // longer aligns to that trapdoor, so its cell-id comes back short.
+    auto det = sp_->enclave().EpochDetCipher(0);
+    ASSERT_TRUE(det.ok());
+    Row damaged;
+    uint64_t victim = 0;
+    uint64_t idx = 0;
+    sp_->mutable_table().Scan([&](const Row& row) {
+      if (!det->Decrypt(row.columns[kColEr]).ok()) {
+        ++idx;
+        return true;  // A fake row: keep looking.
+      }
+      damaged = row;
+      victim = idx;
+      return false;
+    });
+    ASSERT_FALSE(damaged.columns.empty());
+    const size_t last = damaged.columns[kColIndex].size() - 1;
+    damaged.columns[kColIndex][last] ^= 1;
+    ASSERT_TRUE(sp_->mutable_table().ReplaceRows({{victim, damaged}}).ok());
+
+    auto verified = sp_->Execute(WholeEpochVerifyQuery());
+    EXPECT_TRUE(verified.status().IsCorruption())
+        << verified.status().ToString();
+    // Unverified, the row's El/Eo/Er are intact: it still matches, once.
+    Query q = WholeEpochVerifyQuery();
+    q.verify = false;
+    auto got = sp_->Execute(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->rows_matched, tuples_.size());
+  }
+
   void RunVerificationSurvivesReencryption() {
     sp_->set_dynamic_mode(true);
     Query q;
@@ -557,6 +591,10 @@ TEST_F(TamperTest, PhysicalRelocationIsHarmlessAndUndetected) {
 
 TEST_F(TamperTest, UnverifiedQueryDoesNotNoticeTampering) {
   RunUnverifiedQueryDoesNotNoticeTampering();
+}
+
+TEST_F(TamperTest, DamagedIndexColumnDetected) {
+  RunDamagedIndexColumnDetected();
 }
 
 // --- Dynamic insertion (§6) ---
@@ -669,6 +707,10 @@ TEST_F(SoftShaTamperTest, PhysicalRelocationIsHarmlessAndUndetected) {
 
 TEST_F(SoftShaTamperTest, UnverifiedQueryDoesNotNoticeTampering) {
   RunUnverifiedQueryDoesNotNoticeTampering();
+}
+
+TEST_F(SoftShaTamperTest, DamagedIndexColumnDetected) {
+  RunDamagedIndexColumnDetected();
 }
 
 TEST_F(SoftShaTamperTest, VerificationSurvivesReencryption) {

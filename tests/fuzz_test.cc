@@ -23,6 +23,7 @@
 #include "concealer/dynamic_wal.h"
 #include "concealer/epoch_io.h"
 #include "concealer/service_provider.h"
+#include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -107,15 +108,29 @@ TEST_P(PipelineFuzz, RandomConfigAndQueriesMatchOracle) {
     q.k = 1 + static_cast<uint32_t>(rng.Uniform(5));
     q.threshold = 1 + static_cast<uint32_t>(rng.Uniform(10));
 
-    auto got = sp.Execute(q);
-    ASSERT_TRUE(got.ok()) << "seed " << GetParam() << " query " << i << ": "
-                          << got.status().ToString();
+    // Serially and with each unit as one task on a 4-thread pool: both
+    // answers must match the oracle, byte for byte alike.
     auto want = oracle.Execute(q);
     ASSERT_TRUE(want.ok());
-    EXPECT_EQ(got->count, want->count)
-        << "seed " << GetParam() << " query " << i;
-    EXPECT_EQ(got->keyed_counts, want->keyed_counts)
-        << "seed " << GetParam() << " query " << i;
+    Bytes serial;
+    StatusOr<QueryResult> got = Status::Internal("unset");
+    for (uint32_t threads : {1u, 4u}) {
+      sp.set_num_threads(threads);
+      got = sp.Execute(q);
+      ASSERT_TRUE(got.ok()) << "seed " << GetParam() << " query " << i
+                            << " threads " << threads << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->count, want->count)
+          << "seed " << GetParam() << " query " << i << " threads " << threads;
+      EXPECT_EQ(got->keyed_counts, want->keyed_counts)
+          << "seed " << GetParam() << " query " << i << " threads " << threads;
+      if (threads == 1) {
+        serial = SerializeQueryResult(*got);
+      } else {
+        EXPECT_EQ(SerializeQueryResult(*got), serial)
+            << "seed " << GetParam() << " query " << i;
+      }
+    }
 
     // Volume hiding: single-key point BPB queries within one epoch must
     // always fetch the same number of rows (one bin). Whole-domain queries

@@ -202,21 +202,26 @@ TEST_F(PlannerTest, TrapdoorCountEqualsBinSizeForEveryBin) {
 }
 
 TEST_F(PlannerTest, ObliviousTrapdoorsFetchSameRowsAsPlain) {
+  // The §4.3 partition is stable, so the oblivious valid prefix is the
+  // plain trapdoor list in the plain order: both modes fetch the same row
+  // sequence and align it to cell-ids identically, for every bin.
   QueryExecutor executor(&sp_->enclave(), &sp_->table(), config_);
-  auto unit = planner_->UnitForBin(state_, 0);
-  ASSERT_TRUE(unit.ok());
-  auto plain = executor.Fetch(*state_, *unit, /*oblivious=*/false);
-  auto oblivious = executor.Fetch(*state_, *unit, /*oblivious=*/true);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(oblivious.ok());
-  EXPECT_EQ(plain->trapdoors_issued, oblivious->trapdoors_issued);
-  // Same row multiset (order may differ after the oblivious sort).
-  auto index_set = [](const FetchedUnit& f) {
-    std::multiset<Bytes> s;
-    for (const Row* r : f.rows) s.insert(r->columns[kColIndex].ToBytes());
-    return s;
-  };
-  EXPECT_EQ(index_set(*plain), index_set(*oblivious));
+  auto plan = state_->GetBinPlan(PackAlgorithm::kFirstFitDecreasing);
+  ASSERT_TRUE(plan.ok());
+  for (uint32_t b = 0; b < (*plan)->bins.size(); ++b) {
+    auto unit = planner_->UnitForBin(state_, b);
+    ASSERT_TRUE(unit.ok());
+    auto plain = executor.Fetch(*state_, *unit, /*oblivious=*/false);
+    auto oblivious = executor.Fetch(*state_, *unit, /*oblivious=*/true);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_TRUE(oblivious.ok());
+    EXPECT_EQ(plain->trapdoors_issued, oblivious->trapdoors_issued)
+        << "bin " << b;
+    EXPECT_EQ(plain->rows, oblivious->rows) << "bin " << b;
+    EXPECT_EQ(plain->row_ids, oblivious->row_ids) << "bin " << b;
+    EXPECT_EQ(plain->real_row_of_cid, oblivious->real_row_of_cid)
+        << "bin " << b;
+  }
 }
 
 TEST_F(PlannerTest, FetchAlignsEveryRealRowToItsCellId) {

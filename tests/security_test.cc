@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -14,6 +15,7 @@
 #include "concealer/data_provider.h"
 #include "concealer/epoch_io.h"
 #include "concealer/leakage.h"
+#include "concealer/range_planner.h"
 #include "concealer/service_provider.h"
 #include "concealer/super_bins.h"
 #include "concealer/wire.h"
@@ -133,6 +135,65 @@ TEST_F(SecurityTest, ObliviousQueryTraceIsDataIndependent) {
   std::set<uint64_t> distinct(op_counts.begin(), op_counts.end());
   EXPECT_EQ(distinct.size(), 1u)
       << "oblivious op trace varies across point queries";
+
+  // Multi-unit Concealer+ plans whose units share cell-ids: a shared cell's
+  // rows count only in the first unit that lists it, and that dedup must
+  // not move the trace either. Within each plan shape the window and key
+  // columns are fixed and only the observation filter varies, so the plans
+  // are identical while the matched row counts are not. OpCounter is
+  // thread-local, so the units run serially on this thread.
+  sp_->set_num_threads(1);
+  auto state = sp_->epoch_state(0);
+  ASSERT_TRUE(state.ok());
+  RangePlanner planner(config_);
+  for (RangeMethod method : {RangeMethod::kWinSecRange, RangeMethod::kEBPB}) {
+    Query q;
+    q.agg = Aggregate::kCount;
+    q.method = method;
+    q.time_lo = 2 * 3600;
+    q.time_hi = 8 * 3600;
+    q.oblivious = true;
+    bool shared = false;
+    for (uint64_t k = 1; k < 20 && !shared; ++k) {
+      q.key_values = {{0}, {k}};
+      auto units = planner.Plan(*state, q);
+      ASSERT_TRUE(units.ok());
+      std::map<uint32_t, int> listed;
+      for (const FetchUnit& unit : *units) {
+        for (uint32_t cid : std::set<uint32_t>(unit.cell_ids.begin(),
+                                               unit.cell_ids.end())) {
+          shared = shared || ++listed[cid] > 1;
+        }
+      }
+    }
+    ASSERT_TRUE(shared) << "no two-column plan shares a cell-id";
+    // Devices seen at the queried locations in the window, then one never
+    // seen anywhere.
+    std::vector<std::string> observations;
+    for (const PlainTuple& t : tuples_) {
+      const bool hit = t.time >= q.time_lo && t.time <= q.time_hi &&
+                       (t.keys == q.key_values[0] || t.keys == q.key_values[1]);
+      if (hit && observations.size() < 3 &&
+          std::find(observations.begin(), observations.end(),
+                    t.observation) == observations.end()) {
+        observations.push_back(t.observation);
+      }
+    }
+    observations.push_back("no-such-device");
+    std::set<uint64_t> totals, matched;
+    for (const std::string& obs : observations) {
+      q.observation = obs;
+      OpCounter().Reset();
+      auto r = sp_->Execute(q);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      totals.insert(OpCounter().Total());
+      matched.insert(r->rows_matched);
+    }
+    EXPECT_GT(matched.size(), 1u) << "selectivity never varied";
+    EXPECT_EQ(totals.size(), 1u)
+        << "oblivious op trace varies within one plan shape, method "
+        << static_cast<int>(method);
+  }
 }
 
 TEST_F(SecurityTest, ForwardPrivacy_TrapdoorsDoNotMatchOtherEpochs) {

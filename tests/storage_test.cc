@@ -528,6 +528,10 @@ TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   EXPECT_EQ(refs[1].get()->columns[0], Column(Bytes{7}));
   EXPECT_EQ(refs[2].get()->columns[0], Column(Bytes{11}));
   EXPECT_EQ(refs[1].row_id, 7u);
+  // Each ref names the probe that matched it; the missed probe 2 is skipped.
+  EXPECT_EQ(refs[0].probe, 0u);
+  EXPECT_EQ(refs[1].probe, 1u);
+  EXPECT_EQ(refs[2].probe, 3u);
   for (const RowRef& ref : refs) EXPECT_FALSE(ref.stale());
 
   if (GetParam() == EngineKind::kMmap) {
