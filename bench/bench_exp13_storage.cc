@@ -83,9 +83,8 @@ int main(int argc, char** argv) {
   const int reps = bench::Reps();
 
   // --- In-memory engine ---------------------------------------------------
-  StorageOptions mem_options;  // kMemory regardless of env.
-  auto memory_sp = std::make_unique<ServiceProvider>(
-      dataset.config, dp.shared_secret(), mem_options);
+  auto memory_sp =
+      std::make_unique<ServiceProvider>(dataset.config, dp.shared_secret());
   Timer t;
   for (const auto& e : *epochs) {
     if (!memory_sp->IngestEpoch(e).ok()) return 1;

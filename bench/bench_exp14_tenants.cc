@@ -141,12 +141,19 @@ std::vector<Query> TenantQueries() {
 StatusOr<std::vector<Bytes>> DedicatedAnswers(const TenantData& t,
                                               StorageOptions::Engine engine,
                                               const std::vector<Query>& queries) {
-  StorageOptions storage;
-  storage.engine = engine;  // Empty dir: ephemeral for mmap.
-  QueryService service(
-      std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret(),
-                                        storage),
-      QueryServiceOptions{});
+  std::unique_ptr<ServiceProvider> provider;
+  if (engine == StorageOptions::Engine::kMmap) {
+    StorageOptions storage;
+    storage.engine = engine;  // Empty dir: ephemeral.
+    StatusOr<std::unique_ptr<ServiceProvider>> opened =
+        ServiceProvider::Open(t.config, t.dp->shared_secret(), storage);
+    if (!opened.ok()) return opened.status();
+    provider = std::move(*opened);
+  } else {
+    provider =
+        std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret());
+  }
+  QueryService service(std::move(provider), QueryServiceOptions{});
   CONCEALER_RETURN_IF_ERROR(service.LoadRegistry(t.dp->EncryptedRegistry()));
   for (const auto& e : t.epochs) {
     CONCEALER_RETURN_IF_ERROR(service.IngestEpoch(e));

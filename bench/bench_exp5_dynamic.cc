@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,9 @@ int main(int argc, char** argv) {
   config.time_quantum = 60;
 
   DataProvider dp(config, Bytes(32, 0x5d));
-  ServiceProvider sp(config, dp.shared_secret());
-  sp.set_dynamic_mode(true);
+  std::unique_ptr<ServiceProvider> sp =
+      bench::MakeProvider(config, dp.shared_secret());
+  sp->set_dynamic_mode(true);
 
   // Ingest 6 hourly rounds.
   const int kRounds = 6;
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
     if (!epochs.ok()) return 1;
     for (const auto& e : *epochs) {
       total_rows += e.rows.size();
-      if (!sp.IngestEpoch(e).ok()) return 1;
+      if (!sp->IngestEpoch(e).ok()) return 1;
     }
   }
   std::printf("ingested %d rounds, %llu encrypted rows in %.2fs\n\n", kRounds,
@@ -117,14 +119,14 @@ int main(int argc, char** argv) {
     q.time_hi = 3 * 3600 + 1800;
     q.verify = true;
     Timer t;
-    auto r = sp.Execute(q);
+    auto r = sp->Execute(q);
     if (!r.ok()) {
       std::printf("query failed: %s\n", r.status().ToString().c_str());
       return 1;
     }
     uint64_t reencs = 0;
-    for (const auto& range : sp.EpochRowRanges()) {
-      auto state = sp.epoch_state(range.epoch_id);
+    for (const auto& range : sp->EpochRowRanges()) {
+      auto state = sp->epoch_state(range.epoch_id);
       if (state.ok()) reencs += (*state)->reenc_counter();
     }
     latency_sum += t.ElapsedSeconds();
@@ -168,8 +170,7 @@ int main(int argc, char** argv) {
   if (!churn_epochs.ok()) return 1;
 
   // Never-restarted in-memory reference: the byte-identity witness.
-  ServiceProvider ref_sp(churn_config, churn_dp.shared_secret(),
-                         StorageOptions{});
+  ServiceProvider ref_sp(churn_config, churn_dp.shared_secret());
   for (const auto& e : *churn_epochs) {
     if (!ref_sp.IngestEpoch(e).ok()) return 1;
   }

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
 
 #include "common/random.h"
 #include "common/timer.h"
@@ -26,6 +28,30 @@ int Reps() {
   if (env == nullptr) return 5;
   const int v = std::atoi(env);
   return v <= 0 ? 5 : v;
+}
+
+std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,
+                                              Bytes sk) {
+  const char* env = std::getenv("CONCEALER_STORAGE_ENGINE");
+  if (env == nullptr || std::strcmp(env, "memory") == 0) {
+    return std::make_unique<ServiceProvider>(config, std::move(sk));
+  }
+  if (std::strcmp(env, "mmap") != 0) {
+    std::fprintf(stderr,
+                 "CONCEALER_STORAGE_ENGINE='%s': expected 'memory' or 'mmap'\n",
+                 env);
+    std::abort();
+  }
+  StorageOptions storage;
+  storage.engine = StorageOptions::Engine::kMmap;
+  StatusOr<std::unique_ptr<ServiceProvider>> sp =
+      ServiceProvider::Open(config, std::move(sk), storage);
+  if (!sp.ok()) {
+    std::fprintf(stderr, "cannot open the mmap engine: %s\n",
+                 sp.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(*sp);
 }
 
 WifiDataset MakeWifiDataset(bool large) {
@@ -76,8 +102,7 @@ Pipeline BuildPipeline(const WifiDataset& dataset, bool build_oracle) {
   }
   p.encrypt_seconds = t_enc.ElapsedSeconds();
 
-  p.sp = std::make_unique<ServiceProvider>(dataset.config,
-                                           p.dp->shared_secret());
+  p.sp = MakeProvider(dataset.config, p.dp->shared_secret());
   Timer t_ing;
   for (const auto& e : *epochs) {
     p.encrypted_rows += e.rows.size();
@@ -134,7 +159,7 @@ TpchPipeline BuildTpch(bool four_d) {
                  epochs.status().ToString().c_str());
     std::abort();
   }
-  p.sp = std::make_unique<ServiceProvider>(p.config, p.dp->shared_secret());
+  p.sp = MakeProvider(p.config, p.dp->shared_secret());
   for (const auto& e : *epochs) {
     const Status st = p.sp->IngestEpoch(e);
     if (!st.ok()) {

@@ -25,6 +25,12 @@ uint64_t Scale();
 /// Reps per timed query (default 5; CONCEALER_REPS env overrides).
 int Reps();
 
+/// A provider on the engine CONCEALER_STORAGE_ENGINE names: "memory" (the
+/// default) or "mmap" (an ephemeral temp directory). Any other value, or
+/// an mmap engine that cannot be opened, aborts the bench.
+std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,
+                                              Bytes sk);
+
 struct WifiDataset {
   ConcealerConfig config;
   WifiConfig wifi;

@@ -11,6 +11,9 @@
 // Build: cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "concealer/client.h"
 #include "concealer/data_provider.h"
@@ -52,14 +55,36 @@ int main() {
   }
 
   // --- SP side: ingest ciphertext + registry ---------------------------
-  ServiceProvider sp(config, dp.shared_secret());
-  if (!sp.LoadRegistry(dp.EncryptedRegistry()).ok()) return 1;
-  for (const auto& epoch : *epochs) {
-    if (!sp.IngestEpoch(epoch).ok()) return 1;
+  // The SP's row store: the in-memory heap, or mmap'd segment files with
+  // CONCEALER_STORAGE_ENGINE=mmap (an ephemeral directory here; give
+  // StorageOptions::dir a path to keep the data across restarts).
+  std::unique_ptr<ServiceProvider> sp;
+  const char* engine = std::getenv("CONCEALER_STORAGE_ENGINE");
+  if (engine == nullptr || std::strcmp(engine, "memory") == 0) {
+    sp = std::make_unique<ServiceProvider>(config, dp.shared_secret());
+  } else if (std::strcmp(engine, "mmap") == 0) {
+    StorageOptions storage;
+    storage.engine = StorageOptions::Engine::kMmap;
+    auto opened = ServiceProvider::Open(config, dp.shared_secret(), storage);
+    if (!opened.ok()) {
+      std::printf("open failed: %s\n", opened.status().ToString().c_str());
+      return 1;
+    }
+    sp = std::move(*opened);
+  } else {
+    std::printf("CONCEALER_STORAGE_ENGINE='%s': expected memory or mmap\n",
+                engine);
+    return 1;
   }
-  std::printf("ingested %llu encrypted rows (%llu bytes) into the SP store\n",
-              (unsigned long long)sp.table().num_rows(),
-              (unsigned long long)sp.table().TotalBytes());
+  if (!sp->LoadRegistry(dp.EncryptedRegistry()).ok()) return 1;
+  for (const auto& epoch : *epochs) {
+    if (!sp->IngestEpoch(epoch).ok()) return 1;
+  }
+  std::printf("ingested %llu encrypted rows (%llu bytes) into the SP's %s "
+              "store\n",
+              (unsigned long long)sp->table().num_rows(),
+              (unsigned long long)sp->table().TotalBytes(),
+              sp->table().engine().name());
 
   // --- Phase 2-4: the user queries -------------------------------------
   Client alice("alice", alice_secret);
@@ -71,7 +96,7 @@ int main() {
   q.time_hi = 2 * 3600;
   q.verify = true;            // Check the DP's hash-chain tags.
 
-  auto result = alice.Run(&sp, q);
+  auto result = alice.Run(sp.get(), q);
   if (!result.ok()) {
     std::printf("query failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -86,7 +111,7 @@ int main() {
 
   // A user that never registered is rejected by the enclave.
   Client mallory("mallory", Bytes{'x'});
-  auto denied = mallory.Run(&sp, q);
+  auto denied = mallory.Run(sp.get(), q);
   std::printf("unregistered user: %s\n", denied.status().ToString().c_str());
   return 0;
 }

@@ -224,19 +224,18 @@ Status QueryExecutor::MakeTrapdoors(const EpochState& state,
   // Oblivious Step 3 (§4.3): generate the same number of trapdoor slots for
   // every unit of the plan — #C_max x #max real slots plus #f_max fake
   // slots — flag valid ones branchlessly, obliviously sort by the flag, and
-  // send only the valid prefix.
-  uint32_t slots_cids = unit.slots_cids;
-  uint32_t slots_counters = unit.slots_counters;
-  uint32_t slots_fakes = unit.slots_fakes;
-  if (slots_cids == 0) slots_cids = static_cast<uint32_t>(unit.cell_ids.size());
-  if (slots_counters == 0) {
-    for (uint32_t cid : unit.cell_ids) {
-      slots_counters = std::max(slots_counters, c_tuple[cid]);
-    }
-    slots_counters = std::max<uint32_t>(slots_counters, 1);
+  // send only the valid prefix. A shape that does not cover its unit would
+  // silently drop trapdoors, so fail closed.
+  const uint32_t slots_cids = unit.slots_cids;
+  const uint32_t slots_counters = unit.slots_counters;
+  const uint32_t slots_fakes = unit.slots_fakes;
+  bool covered = unit.cell_ids.size() <= slots_cids &&
+                 unit.fake_count <= slots_fakes;
+  for (uint32_t cid : unit.cell_ids) {
+    covered = covered && c_tuple[cid] <= slots_counters;
   }
-  if (slots_fakes == 0) {
-    slots_fakes = static_cast<uint32_t>(unit.fake_count);
+  if (!covered) {
+    return Status::Internal("oblivious slot shape does not cover its unit");
   }
 
   std::vector<SortRecord> slots;

@@ -36,9 +36,9 @@ struct FetchUnit {
   bool cycle_fakes = false;
   /// Re-encryption key version of this unit's rows (paper §6 footnote 7).
   uint64_t key_version = 0;
-  /// Oblivious trapdoor-slot shape (§4.3): the same slot counts must be
-  /// used for every unit of a plan so trapdoor generation is
-  /// unit-independent. 0 = derive from this unit alone.
+  /// Oblivious trapdoor-slot shape (§4.3): the planner derives it from
+  /// epoch-level values, so every unit of a plan uses the same slot counts
+  /// and trapdoor generation is unit-independent. It must cover the unit.
   uint32_t slots_cids = 0;      // #C_max.
   uint32_t slots_counters = 0;  // #max.
   uint32_t slots_fakes = 0;     // #f_max.
@@ -81,14 +81,17 @@ struct FetchedUnit {
 /// the same bin). Oblivious (§4.3) queries bypass the cache so their
 /// constant per-slot work trace is preserved. See docs/QUERY_LIFECYCLE.md.
 struct EnclaveWorkCache {
-  /// `max_entries` bounds the map (0 = unbounded): long-lived services
-  /// accrue epochs indefinitely, so without a cap the cache would grow
-  /// monotonically; a full shard is flushed and repopulated on demand.
-  /// The map accounts its resident bytes (see bytes()/ReleaseBytes) so a
-  /// registry can budget cache memory globally across tenants
-  /// (service/cache_budget.h).
-  explicit EnclaveWorkCache(size_t shards = 16, size_t max_entries = 0)
-      : cell_trapdoors(shards, max_entries,
+  /// Lock stripes of the map.
+  static constexpr size_t kShards = 64;
+  /// Entry cap: long-lived services accrue epochs indefinitely, so without
+  /// a cap the cache would grow monotonically; a full shard is flushed and
+  /// repopulated on demand. The map also accounts its resident bytes (see
+  /// bytes()/ReleaseBytes) so a registry can budget cache memory globally
+  /// across tenants (service/cache_budget.h).
+  static constexpr size_t kMaxEntries = 1 << 20;
+
+  EnclaveWorkCache()
+      : cell_trapdoors(kShards, kMaxEntries,
                        [](const std::vector<Bytes>& trapdoors) {
                          size_t n = trapdoors.size() * sizeof(Bytes);
                          for (const Bytes& t : trapdoors) n += t.capacity();

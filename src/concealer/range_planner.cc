@@ -8,18 +8,25 @@ namespace concealer {
 
 namespace {
 
+// #max of every oblivious slot shape (§4.3): the epoch's largest per-cell-id
+// tuple count, so any unit's counters fit.
+uint32_t MaxCounter(const std::vector<uint32_t>& c_tuple) {
+  uint32_t slots_counters = 1;
+  for (uint32_t w : c_tuple) slots_counters = std::max(slots_counters, w);
+  return slots_counters;
+}
+
 // Oblivious slot shape for a BPB plan (§4.3): the same #C_max / #max /
 // #f_max for every bin of the plan.
 void FillBpbSlots(const BinPlan& plan,
                   const std::vector<uint32_t>& c_tuple, FetchUnit* unit) {
-  uint32_t slots_cids = 1, slots_counters = 1, slots_fakes = 1;
+  uint32_t slots_cids = 1, slots_fakes = 1;
   for (const Bin& bin : plan.bins) {
     slots_cids = std::max<uint32_t>(slots_cids, bin.cell_ids.size());
     slots_fakes = std::max(slots_fakes, bin.fake_count);
   }
-  for (uint32_t w : c_tuple) slots_counters = std::max(slots_counters, w);
   unit->slots_cids = slots_cids;
-  unit->slots_counters = slots_counters;
+  unit->slots_counters = MaxCounter(c_tuple);
   unit->slots_fakes = slots_fakes;
 }
 
@@ -114,6 +121,7 @@ StatusOr<std::vector<FetchUnit>> RangePlanner::Plan(EpochState* state,
         cids_by_column[cell % key_cells].insert(state->grid().CellIdOf(cell));
       }
       const auto& c_tuple = state->layout().count_per_cell_id;
+      const uint32_t slots_counters = MaxCounter(c_tuple);
       for (const auto& [col, cids] : cids_by_column) {
         FetchUnit unit;
         unit.cell_ids.assign(cids.begin(), cids.end());
@@ -128,7 +136,10 @@ StatusOr<std::vector<FetchUnit>> RangePlanner::Plan(EpochState* state,
                             uint64_t{bucket_lo} * 2654435761ull) %
                                pool;
         unit.cycle_fakes = true;
-        unit.slots_cids = static_cast<uint32_t>(unit.cell_ids.size());
+        // A column covers exactly `window` cells, so at most that many
+        // cell-ids, whichever column the query names.
+        unit.slots_cids = window;
+        unit.slots_counters = slots_counters;
         unit.slots_fakes = *bsize;
         units.push_back(std::move(unit));
       }
@@ -151,6 +162,12 @@ StatusOr<std::vector<FetchUnit>> RangePlanner::Plan(EpochState* state,
       if (!plan.ok()) return plan.status();
 
       const auto& c_tuple = state->layout().count_per_cell_id;
+      // Slot shape of every interval of the epoch: its largest interval.
+      uint32_t slots_cids = 1;
+      for (const std::vector<uint32_t>& cids : (*plan)->interval_cell_ids) {
+        slots_cids = std::max<uint32_t>(slots_cids, cids.size());
+      }
+      const uint32_t slots_counters = MaxCounter(c_tuple);
       const uint32_t first = bucket_lo / lambda;
       const uint32_t last = bucket_hi / lambda;
       for (uint32_t i = first;
@@ -164,7 +181,8 @@ StatusOr<std::vector<FetchUnit>> RangePlanner::Plan(EpochState* state,
         const uint64_t pool = std::max<uint64_t>(1, state->num_fake_tuples());
         unit.fake_lo = 1 + (uint64_t{i} * 2654435761ull) % pool;
         unit.cycle_fakes = true;
-        unit.slots_cids = static_cast<uint32_t>(unit.cell_ids.size());
+        unit.slots_cids = slots_cids;
+        unit.slots_counters = slots_counters;
         unit.slots_fakes = (*plan)->bin_size;
         units.push_back(std::move(unit));
       }

@@ -31,30 +31,11 @@ std::string EpochMetaPath(const std::string& dir, uint64_t epoch_id) {
   return dir + "/" + name;
 }
 
-/// The non-failing constructor path: a broken persistent engine degrades
-/// to the in-memory heap instead of aborting setup (Open is the strict
-/// variant).
-std::unique_ptr<StorageEngine> MakeEngineOrFallback(
-    const StorageOptions& options) {
-  StatusOr<std::unique_ptr<StorageEngine>> engine = MakeStorageEngine(options);
-  if (engine.ok()) return std::move(*engine);
-  std::fprintf(stderr,
-               "[concealer] storage engine unavailable (%s); falling back to "
-               "the in-memory heap\n",
-               engine.status().ToString().c_str());
-  return std::make_unique<RowStore>();
-}
-
 }  // namespace
 
 ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk)
-    : ServiceProvider(std::move(config), std::move(sk),
-                      StorageOptions::FromEnv()) {}
-
-ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
-                                 const StorageOptions& storage)
-    : ServiceProvider(std::move(config), std::move(sk), storage,
-                      MakeEngineOrFallback(storage)) {}
+    : ServiceProvider(std::move(config), std::move(sk), StorageOptions{},
+                      std::make_unique<RowStore>()) {}
 
 ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
                                  StorageOptions storage,
@@ -74,22 +55,20 @@ ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
         DynamicWal::Open(DynamicWalPath(storage_options_.dir));
     if (wal.ok()) wal_ = std::move(*wal);
   }
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
 }
 
 StatusOr<std::unique_ptr<ServiceProvider>> ServiceProvider::Open(
     ConcealerConfig config, Bytes sk, const StorageOptions& storage) {
-  if (storage.engine != StorageOptions::Engine::kMmap || storage.dir.empty()) {
+  if (storage.engine != StorageOptions::Engine::kMmap) {
     return Status::InvalidArgument(
-        "ServiceProvider::Open needs a persistent mmap storage dir");
+        "ServiceProvider::Open needs the mmap storage engine");
   }
   StatusOr<std::unique_ptr<StorageEngine>> engine = MakeStorageEngine(storage);
   if (!engine.ok()) return engine.status();
   std::unique_ptr<ServiceProvider> provider(new ServiceProvider(
       std::move(config), std::move(sk), storage, std::move(*engine)));
-  CONCEALER_RETURN_IF_ERROR(provider->Recover());
+  // An ephemeral directory (empty dir) starts empty: nothing to recover.
+  if (provider->persistent_) CONCEALER_RETURN_IF_ERROR(provider->Recover());
   return provider;
 }
 
@@ -260,20 +239,6 @@ Status ServiceProvider::MaintainStorage() {
   return reclaimed.status();
 }
 
-void ServiceProvider::set_num_threads(uint32_t n) {
-  config_.num_threads = n;
-  // An explicit thread-count request means "give me my own pool of n":
-  // detach any injected shared pool so benches sweeping thread counts
-  // measure exactly the parallelism they asked for.
-  shared_pool_ = nullptr;
-  pool_ = n > 1 ? std::make_unique<ThreadPool>(n) : nullptr;
-}
-
-void ServiceProvider::set_shared_pool(ThreadPool* pool) {
-  shared_pool_ = pool;
-  if (pool != nullptr) pool_.reset();
-}
-
 Status ServiceProvider::LoadRegistry(Slice encrypted_registry) {
   return enclave_.LoadRegistry(encrypted_registry);
 }
@@ -431,11 +396,10 @@ Status ServiceProvider::ExecuteOnEpoch(EpochState* state, const Query& query,
 
   // Units of one query may fetch overlapping cell-ids (winSecRange
   // intervals, eBPB columns); the executor counts each row once. With a
-  // pool configured, each unit runs as one task on it; the per-unit states
+  // pool borrowed, each unit runs as one task on it; the per-unit states
   // fold in unit order, so answers are identical to the single-threaded
   // path.
-  ThreadPool* pool = shared_pool_ != nullptr ? shared_pool_ : pool_.get();
-  return executor_.ExecuteUnitsParallel(*state, query, *units, pool, agg);
+  return executor_.ExecuteUnitsParallel(*state, query, *units, pool_, agg);
 }
 
 Status ServiceProvider::ExecuteOnEpochDynamic(EpochState* state,

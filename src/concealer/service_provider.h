@@ -39,23 +39,19 @@ namespace concealer {
 /// enforces exactly that split with an epoch-level reader/writer lock.
 class ServiceProvider {
  public:
-  /// `sk` models the DP-provisioned enclave secret (remote attestation and
-  /// key exchange are out of the paper's scope, §1.2). The storage engine
-  /// comes from CONCEALER_STORAGE_ENGINE (in-memory heap by default; CI
-  /// runs the suite under both engines through that toggle).
+  /// A provider over the in-memory heap. `sk` models the DP-provisioned
+  /// enclave secret (remote attestation and key exchange are out of the
+  /// paper's scope, §1.2).
   ServiceProvider(ConcealerConfig config, Bytes sk);
 
-  /// Explicit engine selection (a failed persistent-engine open falls back
-  /// to the in-memory heap with a warning — use Open for the strict path).
-  ServiceProvider(ConcealerConfig config, Bytes sk,
-                  const StorageOptions& storage);
-
-  /// Opens a provider over a persistent segment directory, RECOVERING any
-  /// state a previous process left there: re-maps the segments, attaches
-  /// the B+-tree's node file (or rebuilds the index from the rows), and
-  /// re-adopts every ingested epoch from its epoch-meta file — queries
-  /// then answer byte-identically to the pre-restart provider. Requires
-  /// `storage.engine == kMmap` and a non-empty dir.
+  /// The one way to a provider over the mmap segment engine
+  /// (`storage.engine == kMmap`; any other engine is InvalidArgument).
+  /// An empty `storage.dir` opens an ephemeral temp directory, removed
+  /// with the provider. A non-empty dir is opened and RECOVERED: Open
+  /// re-maps the segments, attaches the B+-tree's node file (or rebuilds
+  /// the index from the rows), and re-adopts every ingested epoch from its
+  /// epoch-meta file — queries then answer byte-identically to the
+  /// pre-restart provider. Engine and recovery errors are returned.
   ///
   /// Restart fidelity covers the dynamic path too: §6 key-version bumps
   /// and refreshed tags are write-ahead logged (dynamic_wal.h) before each
@@ -101,21 +97,15 @@ class ServiceProvider {
   /// (§8); 0 disables. Requires f to divide each epoch's bin count.
   void set_super_bin_factor(uint32_t f) { super_bin_factor_ = f; }
 
-  /// Resizes the fetch worker pool at runtime (benches sweep thread counts
-  /// on one ingested pipeline). <= 1 reverts to the serial path; answers
-  /// are identical either way. No effect in dynamic mode (§6), whose
-  /// per-bin re-encryption loop is inherently serial. Reverts to an OWNED
-  /// pool: any shared pool injected via set_shared_pool is detached.
-  void set_num_threads(uint32_t n);
-  uint32_t num_threads() const { return config_.num_threads; }
-
-  /// Injects a process-wide fetch pool shared across tenants (null
-  /// detaches; the pool must outlive this provider). While attached, the
-  /// provider's own pool is released — every fetch fan-out runs on the
-  /// shared pool, so the per-pool nesting guard (common/thread_pool.h)
-  /// applies uniformly when the service scheduler and the fetch path share
-  /// one pool. Call during setup only, like set_work_cache.
-  void set_shared_pool(ThreadPool* pool);
+  /// Borrows the pool that runs each query's fetch units, one task per
+  /// unit (null, the default, runs them inline; answers are identical
+  /// either way). Not owned: the pool must outlive this provider. The
+  /// tenant registry passes its one process-wide pool, so the per-pool
+  /// nesting guard (common/thread_pool.h) covers the service scheduler
+  /// and the fetch path together. No effect in dynamic mode (§6), whose
+  /// per-bin re-encryption loop is serial. Call during setup only, like
+  /// set_work_cache.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches the cross-query enclave-work cache shared by the service
   /// layer (null detaches). Call during setup only — not concurrently with
@@ -199,7 +189,6 @@ class ServiceProvider {
   }
 
  private:
-  /// Internal: engine already built (Open/recovery path).
   ServiceProvider(ConcealerConfig config, Bytes sk, StorageOptions storage,
                   std::unique_ptr<StorageEngine> engine);
 
@@ -259,14 +248,10 @@ class ServiceProvider {
   std::set<uint64_t> wal_dirty_epochs_;
   uint64_t wal_checkpoint_bytes_ = 4ull << 20;
   double compaction_dead_ratio_ = 0.5;
-  /// Workers for the parallel fetch path; null when num_threads <= 1 or a
-  /// shared pool is attached. Lives on the untrusted side of the simulated
-  /// boundary — see docs/ARCHITECTURE.md — but workers only run
-  /// enclave-side per-unit work on disjoint state.
-  std::unique_ptr<ThreadPool> pool_;
-  /// Non-owned process-wide pool (tenant registry injection); overrides
-  /// pool_ while set.
-  ThreadPool* shared_pool_ = nullptr;
+  /// Borrowed fetch-unit pool (null = inline). Lives on the untrusted side
+  /// of the simulated boundary — see docs/ARCHITECTURE.md — but workers
+  /// only run enclave-side per-unit work on disjoint state.
+  ThreadPool* pool_ = nullptr;
   bool dynamic_mode_ = false;
   uint32_t super_bin_factor_ = 0;
   /// The service layer's cache, remembered so mode switches can

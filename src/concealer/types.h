@@ -72,19 +72,6 @@ struct ConcealerConfig {
   /// bin packing (§4.1 uses FFD for its half-full guarantee; BFD is the
   /// ablation in bench_ablation).
   bool use_bfd = false;
-  /// Worker threads for the parallel fetch path (implementation extension
-  /// beyond the paper, which measures a single-threaded enclave): a plan's
-  /// FetchUnits are independent volume-constant retrievals, so Step 3
-  /// trapdoor formulation + DBMS fetch + Step 4 chain verification run
-  /// concurrently across units; filtering/aggregation merges serially in
-  /// unit order, keeping answers byte-identical to the serial path.
-  /// <= 1 disables the thread pool; dynamic mode (§6) is unaffected (its
-  /// per-bin re-encryption loop is inherently serial).
-  /// ServiceProvider owns the authoritative
-  /// value (set_num_threads updates it at runtime); copies of this config
-  /// held elsewhere (e.g. inside QueryExecutor, which receives the pool
-  /// explicitly) may go stale and must not consult this field.
-  uint32_t num_threads = 1;
 };
 
 /// The two vectors DP shares per epoch (paper Table 2b):

@@ -1,12 +1,9 @@
-// Backend registry and runtime dispatch: probe the CPU once, honor the
-// CONCEALER_AES_BACKEND environment override, and let tests swap the active
-// backend with a scoped override.
+// Backend registry and runtime dispatch: probe the CPU once, and let tests
+// swap the active backend with a scoped override.
 
 #include "crypto/aes_backend.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "crypto/aes_backend_internal.h"
 
@@ -16,20 +13,6 @@ namespace {
 
 // Test override; null means "use the detected default".
 std::atomic<const AesBackendOps*> g_override{nullptr};
-
-const AesBackendOps* DetectDefault() {
-  const AesBackendOps* accel = AcceleratedAesBackend();
-  const char* env = std::getenv("CONCEALER_AES_BACKEND");
-  if (env != nullptr) {
-    if (std::strcmp(env, "soft") == 0) return SoftAesBackend();
-    // "accel" / "aesni" / "armv8ce": use hardware if present, else the env
-    // request degrades to soft (bench JSON reports which one actually ran;
-    // CI fails the job when that disagrees with the runner's CPU flags).
-    if (accel != nullptr) return accel;
-    return SoftAesBackend();
-  }
-  return accel != nullptr ? accel : SoftAesBackend();
-}
 
 }  // namespace
 
@@ -45,8 +28,8 @@ const AesBackendOps* AcceleratedAesBackend() {
 const AesBackendOps* ActiveAesBackend() {
   const AesBackendOps* forced = g_override.load(std::memory_order_acquire);
   if (forced != nullptr) return forced;
-  static const AesBackendOps* detected = DetectDefault();
-  return detected;
+  const AesBackendOps* accel = AcceleratedAesBackend();
+  return accel != nullptr ? accel : SoftAesBackend();
 }
 
 ScopedAesBackendOverride::ScopedAesBackendOverride(const AesBackendOps* ops)

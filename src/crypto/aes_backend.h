@@ -52,9 +52,8 @@ const AesBackendOps* SoftAesBackend();
 const AesBackendOps* AcceleratedAesBackend();
 
 /// The backend new Aes instances bind to: the accelerated backend when the
-/// CPU has one, else soft. The CONCEALER_AES_BACKEND environment variable
-/// ("soft" or "accel", read once) and ScopedAesBackendOverride (tests)
-/// override the choice.
+/// CPU has one, else soft. ScopedAesBackendOverride (tests) overrides the
+/// choice.
 const AesBackendOps* ActiveAesBackend();
 
 /// Scoped test/bench override of ActiveAesBackend(). Affects only Aes

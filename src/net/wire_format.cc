@@ -233,7 +233,6 @@ Bytes SerializeConfig(const ConcealerConfig& config) {
   out.push_back(config.make_hash_chains ? 1 : 0);
   PutFixed32(&out, config.winsec_lambda_buckets);
   out.push_back(config.use_bfd ? 1 : 0);
-  PutFixed32(&out, config.num_threads);
   return out;
 }
 
@@ -260,8 +259,7 @@ StatusOr<ConcealerConfig> DeserializeConfig(Slice data) {
       !GetBool(data, &off, &c.equal_fake_tuples) ||
       !GetBool(data, &off, &c.make_hash_chains) ||
       !GetU32(data, &off, &c.winsec_lambda_buckets) ||
-      !GetBool(data, &off, &c.use_bfd) ||
-      !GetU32(data, &off, &c.num_threads)) {
+      !GetBool(data, &off, &c.use_bfd)) {
     return Malformed("config fields");
   }
   if (off != data.size()) return Malformed("config trailing bytes");

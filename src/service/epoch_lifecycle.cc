@@ -121,7 +121,7 @@ void EpochLifecycleManager::BumpLocked(uint64_t epoch_id) {
     lru_.push_front(epoch_id);
     pos_[epoch_id] = lru_.begin();
   }
-  if (options_.budget != nullptr) options_.budget->Touch(tenant_, epoch_id);
+  if (budget_ != nullptr) budget_->Touch(tenant_, epoch_id);
 }
 
 Status EpochLifecycleManager::EvictOneLocked(
@@ -131,34 +131,18 @@ Status EpochLifecycleManager::EvictOneLocked(
   pos_.erase(epoch_id);
   lru_.erase(victim);
   ++evictions_;
-  if (options_.budget != nullptr) options_.budget->OnEvicted(tenant_, epoch_id);
-  return Status::OK();
-}
-
-Status EpochLifecycleManager::EvictBeyondCapLocked(
-    const std::vector<uint64_t>& keep) {
-  if (options_.max_hot_epochs == 0) return Status::OK();
-  // Walk from the cold end; epochs the current query needs are immune even
-  // when the cap is smaller than the query's span.
-  auto it = lru_.end();
-  while (lru_.size() > options_.max_hot_epochs && it != lru_.begin()) {
-    --it;
-    const uint64_t victim = *it;
-    if (std::find(keep.begin(), keep.end(), victim) != keep.end()) continue;
-    auto doomed = it++;  // Keep a valid cursor across the erase.
-    CONCEALER_RETURN_IF_ERROR(EvictOneLocked(doomed));
-  }
+  if (budget_ != nullptr) budget_->OnEvicted(tenant_, epoch_id);
   return Status::OK();
 }
 
 Status EpochLifecycleManager::EvictForBudgetLocked(
     const std::vector<uint64_t>& keep) {
-  if (options_.budget == nullptr) return Status::OK();
+  if (budget_ == nullptr) return Status::OK();
   // The budget marked this tenant's globally-coldest epochs as victims; pay
   // the debt by evicting from the local cold end (the orders agree: both
   // are bumped by the same touches). Skipping `keep` can leave debt unpaid
   // — transient overshoot the next reclaim settles.
-  while (options_.budget->PendingReclaim(tenant_) > 0 && !lru_.empty()) {
+  while (budget_->PendingReclaim(tenant_) > 0 && !lru_.empty()) {
     auto it = lru_.end();
     bool evicted = false;
     while (it != lru_.begin()) {
@@ -176,7 +160,6 @@ Status EpochLifecycleManager::EvictForBudgetLocked(
 Status EpochLifecycleManager::OnEpochAdmitted(uint64_t epoch_id) {
   std::lock_guard<std::mutex> lock(mu_);
   BumpLocked(epoch_id);
-  CONCEALER_RETURN_IF_ERROR(EvictBeyondCapLocked({epoch_id}));
   return EvictForBudgetLocked({epoch_id});
 }
 
@@ -197,7 +180,6 @@ Status EpochLifecycleManager::EnsureResidentForQuery(const Query& query) {
     }
     BumpLocked(eid);
   }
-  CONCEALER_RETURN_IF_ERROR(EvictBeyondCapLocked(needed));
   return EvictForBudgetLocked(needed);
 }
 

@@ -117,9 +117,11 @@ class HotEpochBudget {
 /// table; the enclave-side EpochState meta-index stays resident either
 /// way, mirroring §6's "meta-index kept at the trusted entity").
 ///
-/// Two caps can bound the hot set: the local `max_hot_epochs` (this
-/// tenant alone) and a shared `budget` (all tenants of a registry
-/// together; see HotEpochBudget). Either or both may be unset.
+/// A HotEpochBudget bounds the hot set: the registry's one budget covers
+/// all its tenants together, and a standalone service that wants a cap
+/// passes a budget of its own (for one tenant its recency order is this
+/// manager's LRU, since every bump touches both). Without a budget the hot
+/// set is unbounded.
 ///
 /// Locking contract (enforced by QueryService, the only caller):
 ///  - ResidentForQuery / TouchForQuery run under the SHARED epoch lock —
@@ -133,42 +135,36 @@ class HotEpochBudget {
 /// manager degenerates to bookkeeping — the fetch path is engine-agnostic.
 class EpochLifecycleManager {
  public:
-  struct Options {
-    /// Maximum epochs kept row-resident by THIS tenant; 0 = no local cap.
-    size_t max_hot_epochs = 0;
-    /// Shared cross-tenant budget; null = none. Must outlive the manager.
-    HotEpochBudget* budget = nullptr;
-  };
-
-  EpochLifecycleManager(ServiceProvider* provider, Options options)
-      : provider_(provider), options_(options) {
-    if (options_.budget != nullptr) tenant_ = options_.budget->Register();
+  /// `budget` may be null (unbounded); it must outlive the manager.
+  EpochLifecycleManager(ServiceProvider* provider, HotEpochBudget* budget)
+      : provider_(provider), budget_(budget) {
+    if (budget_ != nullptr) tenant_ = budget_->Register();
   }
 
   ~EpochLifecycleManager() {
-    if (options_.budget != nullptr) options_.budget->Unregister(tenant_);
+    if (budget_ != nullptr) budget_->Unregister(tenant_);
   }
 
   EpochLifecycleManager(const EpochLifecycleManager&) = delete;
   EpochLifecycleManager& operator=(const EpochLifecycleManager&) = delete;
 
   /// Marks a freshly ingested (or restart-recovered) epoch hottest and
-  /// evicts beyond the local cap and this tenant's share of the shared
-  /// budget. Exclusive epoch lock required.
+  /// evicts this tenant's share of the budget's debt. Exclusive epoch lock
+  /// required.
   Status OnEpochAdmitted(uint64_t epoch_id);
 
   /// True iff every epoch the query touches has resident rows.
   bool ResidentForQuery(const Query& query) const;
 
   /// Reloads any cold epochs the query touches, bumps them hottest, then
-  /// evicts the coldest beyond the caps (never one this query needs).
+  /// evicts the coldest beyond the budget (never one this query needs).
   /// Exclusive epoch lock required.
   Status EnsureResidentForQuery(const Query& query);
 
   /// LRU bump for a query's epochs (shared epoch lock; internal mutex).
   void TouchForQuery(const Query& query);
 
-  /// Pays off this tenant's share of the shared budget's reclaim debt by
+  /// Pays off this tenant's share of the budget's reclaim debt by
   /// evicting its coldest epochs (no-op without a budget or debt). The
   /// registry drains debtors through this after traffic; exclusive epoch
   /// lock required.
@@ -181,11 +177,10 @@ class EpochLifecycleManager {
   /// instead of fighting it. Exclusive epoch lock required.
   Status MaintainStorage();
 
-  /// Evictions this tenant currently owes the shared budget (0 without a
-  /// budget). Safe under the shared lock.
+  /// Evictions this tenant currently owes the budget (0 without one).
+  /// Safe under the shared lock.
   size_t pending_reclaim() const {
-    return options_.budget == nullptr ? 0
-                                      : options_.budget->PendingReclaim(tenant_);
+    return budget_ == nullptr ? 0 : budget_->PendingReclaim(tenant_);
   }
 
   struct Stats {
@@ -197,12 +192,9 @@ class EpochLifecycleManager {
 
  private:
   /// Moves `epoch_id` to the LRU front (inserting if new) and refreshes
-  /// its global recency in the shared budget. Caller holds mu_.
+  /// its global recency in the budget. Caller holds mu_.
   void BumpLocked(uint64_t epoch_id);
-  /// Evicts from the LRU back until within the local cap, skipping `keep`.
-  /// Caller holds mu_ and the exclusive epoch lock.
-  Status EvictBeyondCapLocked(const std::vector<uint64_t>& keep);
-  /// Evicts this tenant's coldest epochs while it owes the shared budget,
+  /// Evicts this tenant's coldest epochs while it owes the budget,
   /// skipping `keep` (a query's own epochs are immune — the budget can
   /// overshoot transiently instead). Caller holds mu_ and the exclusive
   /// epoch lock.
@@ -212,8 +204,8 @@ class EpochLifecycleManager {
   Status EvictOneLocked(std::list<uint64_t>::iterator victim);
 
   ServiceProvider* provider_;
-  Options options_;
-  uint64_t tenant_ = 0;  // Handle in the shared budget, if any.
+  HotEpochBudget* budget_;
+  uint64_t tenant_ = 0;  // Handle in the budget, if any.
   mutable std::mutex mu_;
   /// Resident epochs only, hottest first.
   std::list<uint64_t> lru_;

@@ -33,29 +33,19 @@ QueryService::QueryService(std::unique_ptr<ServiceProvider> provider,
     // entries are ciphertexts under THIS tenant's keys, so sharing a map
     // across tenants could only ever serve a wrong-key entry or leak one
     // tenant's (encrypted) access history into another's cache timing.
-    work_cache_ = std::make_unique<EnclaveWorkCache>(
-        options_.cache_shards, options_.cache_max_entries);
+    work_cache_ = std::make_unique<EnclaveWorkCache>();
     provider_->set_work_cache(work_cache_.get());
     if (options_.cache_budget != nullptr) {
       cache_tenant_ = options_.cache_budget->Register();
     }
   }
-  if (options_.shared_pool != nullptr) {
-    provider_->set_shared_pool(options_.shared_pool);
-  }
-  const bool segment_backed =
-      provider_->storage_options().engine == StorageOptions::Engine::kMmap;
-  // Epoch tiering engages for segment-backed providers (mmap engine) or an
-  // explicit hot cap; the plain in-memory provider needs neither. The
-  // shared cross-tenant budget only governs segment-backed providers —
-  // the in-memory engine cannot release row memory, so counting it
-  // against the budget would starve tenants that can.
-  if (segment_backed || options_.max_hot_epochs > 0) {
-    lifecycle_ = std::make_unique<EpochLifecycleManager>(
-        provider_.get(),
-        EpochLifecycleManager::Options{
-            options_.max_hot_epochs,
-            segment_backed ? options_.hot_budget : nullptr});
+  provider_->set_pool(options_.pool);
+  // Epoch tiering engages for segment-backed providers (mmap engine) only:
+  // the in-memory engine cannot release row memory, so counting it against
+  // the budget would starve tenants that can.
+  if (provider_->storage_options().engine == StorageOptions::Engine::kMmap) {
+    lifecycle_ = std::make_unique<EpochLifecycleManager>(provider_.get(),
+                                                         options_.hot_budget);
     // A provider recovered via ServiceProvider::Open already holds epochs:
     // admit them coldest-first (ascending id), so the most recent data
     // stays hot and anything beyond the cap is evicted right away instead
@@ -72,15 +62,6 @@ QueryService::QueryService(std::unique_ptr<ServiceProvider> provider,
       }
     }
   }
-  if (options_.shared_pool == nullptr) {
-    scheduler_ = std::make_unique<ThreadPool>(
-        options_.scheduler_threads == 0 ? 1 : options_.scheduler_threads);
-  }
-}
-
-ThreadPool* QueryService::scheduler_pool() {
-  return options_.shared_pool != nullptr ? options_.shared_pool
-                                         : scheduler_.get();
 }
 
 QueryService::~QueryService() {
@@ -153,7 +134,7 @@ StatusOr<QueryResult> QueryService::ExecuteAuthorized(const Query& query) {
   // Tag this thread with the tenant's scheduling class so every Submit /
   // ParallelFor the query issues on the shared pool lands in the tenant's
   // DRR queue (a no-op for class 0 / dedicated pools).
-  ThreadPool::TagScope tag(options_.shared_pool, options_.sched_class);
+  ThreadPool::TagScope tag(options_.pool, options_.sched_class);
   StatusOr<QueryResult> result = ExecuteUnderLocks(query);
   // Settle cache accounting outside the epoch locks: report usage to the
   // global budget and pay any debt assigned to us under our own shard
@@ -243,10 +224,15 @@ std::vector<StatusOr<QueryResult>> QueryService::ExecuteBatch(
   // Tag the fan-out itself: the per-query helpers inherit this class, so a
   // tenant's whole batch competes under its own DRR weight instead of
   // flooding the shared pool FIFO-style.
-  ThreadPool::TagScope tag(options_.shared_pool, options_.sched_class);
-  scheduler_pool()->ParallelFor(batch.size(), [&](size_t i) {
+  ThreadPool::TagScope tag(options_.pool, options_.sched_class);
+  const auto run = [&](size_t i) {
     results[i] = Execute(batch[i].token, batch[i].query);
-  });
+  };
+  if (options_.pool == nullptr) {
+    for (size_t i = 0; i < batch.size(); ++i) run(i);
+  } else {
+    options_.pool->ParallelFor(batch.size(), run);
+  }
   return results;
 }
 

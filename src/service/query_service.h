@@ -24,10 +24,6 @@
 namespace concealer {
 
 struct QueryServiceOptions {
-  /// Workers in the batch scheduler's pool (ExecuteBatch fan-out). Callers
-  /// may also drive Execute from their own threads; this pool only bounds
-  /// the service-side fan-out.
-  uint32_t scheduler_threads = 4;
   /// Admission cap: at most this many queries execute at once. Over-cap
   /// arrivals either block until a slot frees (default — the in-process
   /// embedding behavior) or, with reject_over_capacity, fail fast with
@@ -43,7 +39,7 @@ struct QueryServiceOptions {
   /// RegisterClass): batch fan-out and fetch fan-out submissions are
   /// tagged with it, so the pool's weighted deficit-round-robin arbitrates
   /// this tenant against the others at its configured weight. 0 (default)
-  /// = the pool's default class; meaningless without shared_pool.
+  /// = the pool's default class; meaningless without a pool.
   uint64_t sched_class = 0;
   /// Cross-tenant work-cache byte budget injected by the tenant registry
   /// (null = only the per-map entry caps apply). The service reports its
@@ -63,28 +59,19 @@ struct QueryServiceOptions {
   uint64_t session_ttl_seconds = 24 * 3600;
   /// Share trapdoor work across queries (EnclaveWorkCache).
   bool enable_work_cache = true;
-  /// Stripe count for the shared cache.
-  size_t cache_shards = 64;
-  /// Entry cap of the cache (0 = unbounded). Bounds memory on services
-  /// that accrue epochs for months; full shards are flushed and simply
-  /// repopulate on demand.
-  size_t cache_max_entries = 1 << 20;
-  /// Hot-epoch cap for segment-backed providers: at most this many epochs
-  /// keep their rows resident (mapped + row table); colder ones are
-  /// evicted to disk and reloaded on demand. 0 = unbounded. No effect on
-  /// the in-memory engine (see EpochLifecycleManager).
-  size_t max_hot_epochs = 0;
-  /// Process-wide worker pool injected by the tenant registry (null = this
-  /// service owns its pools, the pre-registry behavior). When set, BOTH
-  /// the batch scheduler and the provider's fetch fan-out run on it —
-  /// N tenants share one pool instead of spawning N schedulers plus N
-  /// fetch pools, and the per-pool nesting guard keeps the composed
-  /// fan-outs deadlock-free. Non-owned; must outlive the service.
-  ThreadPool* shared_pool = nullptr;
-  /// Cross-tenant hot-epoch budget injected by the tenant registry (null =
-  /// only the local max_hot_epochs cap applies). Engaged for segment-backed
-  /// (mmap) providers, whose residency is what actually costs memory.
+  /// Borrowed worker pool (null = run inline). Both the batch scheduler
+  /// and the provider's fetch fan-out run on it; the tenant registry
+  /// passes its one process-wide pool, so N tenants share one pool and the
+  /// per-pool nesting guard keeps the composed fan-outs deadlock-free.
   /// Non-owned; must outlive the service.
+  ThreadPool* pool = nullptr;
+  /// Hot-epoch budget (null = unbounded): at most its cap of epochs keep
+  /// their rows resident (mapped + row table); colder ones are evicted to
+  /// disk and reloaded on demand. The tenant registry passes one budget
+  /// shared by all its tenants; a standalone service that wants a cap
+  /// passes its own. Engaged for segment-backed (mmap) providers only,
+  /// whose residency is what costs memory. Non-owned; must outlive the
+  /// service.
   HotEpochBudget* hot_budget = nullptr;
   /// Test hook: fake clock for session expiry (seconds, monotonic).
   SessionManager::Clock clock;
@@ -106,7 +93,7 @@ struct QueryServiceOptions {
 ///     (reader) epoch lock, fully parallel; the dynamic-insertion write
 ///     path (§6 re-encrypts rows and bumps key versions) takes the lock
 ///     exclusively. An admission gate caps in-flight queries; a batch
-///     scheduler fans a whole batch out on the existing ThreadPool.
+///     scheduler fans a whole batch out on the borrowed ThreadPool.
 ///
 /// Thread safety: setup (LoadRegistry / IngestEpoch / set_dynamic_mode /
 /// provider() mutation) must be quiesced before or serialized against
@@ -168,8 +155,9 @@ class QueryService {
     Query query;
   };
 
-  /// Fans a batch out across the scheduler pool, each query individually
-  /// authorized and admission-gated. results[i] corresponds to batch[i].
+  /// Fans a batch out across the borrowed pool (inline without one), each
+  /// query individually authorized and admission-gated. results[i]
+  /// corresponds to batch[i].
   std::vector<StatusOr<QueryResult>> ExecuteBatch(
       const std::vector<SessionQuery>& batch);
 
@@ -185,14 +173,14 @@ class QueryService {
   /// is in flight is a data race — quiesce first.
   ServiceProvider* provider() { return provider_.get(); }
   const SessionManager& sessions() const { return sessions_; }
-  /// Null unless the provider runs a segment-backed engine (or a hot cap
-  /// was configured). Stats expose cold-load/eviction counts.
+  /// Null unless the provider runs a segment-backed engine. Stats expose
+  /// cold-load/eviction counts.
   const EpochLifecycleManager* lifecycle() const { return lifecycle_.get(); }
 
   /// OK unless admitting a restart-recovered epoch into the hot set failed
   /// during construction (the first error is kept). A failed admission
-  /// leaves the reopened process holding more resident epochs than
-  /// max_hot_epochs promises, so restart paths should check this before
+  /// leaves the reopened process holding more resident epochs than the
+  /// hot-epoch budget allows, so restart paths should check this before
   /// serving traffic.
   const Status& recovery_status() const { return recovery_status_; }
 
@@ -255,19 +243,13 @@ class QueryService {
   /// recency) and self-pays any debt assigned to this tenant.
   void UpdateCacheBudget();
 
-  /// The batch scheduler: the injected shared pool when one was
-  /// configured, the owned scheduler_ otherwise.
-  ThreadPool* scheduler_pool();
-
   QueryServiceOptions options_;
   std::unique_ptr<ServiceProvider> provider_;
   std::unique_ptr<EnclaveWorkCache> work_cache_;  // Null when disabled.
   /// Hot/cold epoch tiering over the provider's segment-backed engine;
-  /// null for plain in-memory providers with no hot cap or shared budget.
+  /// null for in-memory providers.
   std::unique_ptr<EpochLifecycleManager> lifecycle_;
   SessionManager sessions_;
-  /// Owned scheduler; null when options_.shared_pool serves instead.
-  std::unique_ptr<ThreadPool> scheduler_;
   /// First failure admitting a recovered epoch at construction; see
   /// recovery_status().
   Status recovery_status_;

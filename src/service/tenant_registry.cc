@@ -115,34 +115,21 @@ void TenantRegistry::ReclaimLoop() {
   }
 }
 
-StatusOr<StorageOptions> TenantRegistry::TenantStorage(
-    const std::string& tenant_id) const {
-  StorageOptions storage = options_.storage;
-  if (storage.engine == StorageOptions::Engine::kMmap) {
+Status TenantRegistry::OpenTenant(const std::string& tenant_id,
+                                  const ConcealerConfig& config, Bytes sk,
+                                  bool recovering, const TenantQoS& qos) {
+  std::unique_ptr<ServiceProvider> provider;
+  if (options_.storage.engine == StorageOptions::Engine::kMmap) {
     if (options_.root_dir.empty()) {
       return Status::InvalidArgument(
           "TenantRegistryOptions.root_dir is required for the mmap engine");
     }
+    // Both for fresh tenants (creates the empty directory) and for
+    // recovery (re-maps segments, restores index and epochs).
+    StorageOptions storage = options_.storage;
     storage.dir = options_.root_dir + "/" + tenant_id;
-  } else {
-    storage.dir.clear();
-  }
-  return storage;
-}
-
-Status TenantRegistry::OpenTenant(const std::string& tenant_id,
-                                  const ConcealerConfig& config, Bytes sk,
-                                  bool recovering, const TenantQoS& qos) {
-  StatusOr<StorageOptions> storage = TenantStorage(tenant_id);
-  if (!storage.ok()) return storage.status();
-
-  std::unique_ptr<ServiceProvider> provider;
-  if (storage->engine == StorageOptions::Engine::kMmap) {
-    // The strict path both for fresh tenants (creates the empty directory)
-    // and for recovery (re-maps segments, restores index and epochs) — a
-    // tenant must never silently fall back to a volatile heap.
     StatusOr<std::unique_ptr<ServiceProvider>> opened =
-        ServiceProvider::Open(config, std::move(sk), *storage);
+        ServiceProvider::Open(config, std::move(sk), storage);
     if (!opened.ok()) return opened.status();
     provider = std::move(*opened);
   } else {
@@ -150,12 +137,11 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
       return Status::FailedPrecondition(
           "tenant recovery requires the persistent (mmap) engine");
     }
-    provider =
-        std::make_unique<ServiceProvider>(config, std::move(sk), *storage);
+    provider = std::make_unique<ServiceProvider>(config, std::move(sk));
   }
 
   QueryServiceOptions service_options = options_.service;
-  service_options.shared_pool = pool_.get();
+  service_options.pool = pool_.get();
   service_options.hot_budget = budget_.get();
   service_options.cache_budget = cache_budget_.get();
   // The tenant's own DRR class on the shared pool: every Submit/ParallelFor

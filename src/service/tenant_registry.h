@@ -36,11 +36,10 @@ struct TenantRegistryOptions {
   /// metas and index node file live under `<root_dir>/<t>`. Required when
   /// `storage.engine == kMmap`; unused for the in-memory engine.
   std::string root_dir;
-  /// Engine template for every tenant. `dir` is ignored (the registry
-  /// derives the per-tenant subpath); engine and segment_bytes apply.
-  /// Defaults to the CONCEALER_STORAGE_ENGINE toggle, like standalone
-  /// providers.
-  StorageOptions storage = StorageOptions::FromEnv();
+  /// Engine template for every tenant (the in-memory heap by default).
+  /// `dir` is ignored (the registry derives the per-tenant subpath);
+  /// engine, segment_bytes and node_cache_bytes apply.
+  StorageOptions storage;
   /// Workers in the process-wide pool shared by every tenant (batch
   /// scheduler fan-out AND per-query fetch units). 0 = one worker.
   uint32_t pool_threads = 4;
@@ -55,10 +54,10 @@ struct TenantRegistryOptions {
   /// their own queries or by the background reclaimer — the caches stay
   /// strictly per tenant; only the *byte accounting* is shared.
   size_t global_cache_bytes = 0;
-  /// Template for each tenant's QueryServiceOptions. `shared_pool` and
-  /// `hot_budget` are overwritten with the registry's own; everything else
-  /// (session TTL, cache sizing, admission cap, local max_hot_epochs)
-  /// applies per tenant.
+  /// Template for each tenant's QueryServiceOptions. `pool`,
+  /// `hot_budget`, `cache_budget` and `sched_class` are overwritten with
+  /// the registry's own; everything else (session TTL, work cache on/off,
+  /// admission cap and mode) applies per tenant.
   QueryServiceOptions service;
 };
 
@@ -209,11 +208,9 @@ class TenantRegistry {
   StatusOr<std::shared_ptr<QueryService>> Resolve(
       const std::string& tenant_id) const;
 
-  /// Builds the per-tenant storage options (subpath under root_dir).
-  StatusOr<StorageOptions> TenantStorage(const std::string& tenant_id) const;
-
-  /// Opens one tenant service over `storage` (fresh or recovering) and
-  /// installs it. `recovering` selects the strict Open path.
+  /// Opens one tenant service (fresh or recovering; an mmap tenant lives
+  /// under `<root_dir>/<tenant_id>`) and installs it. Recovery requires
+  /// the mmap engine.
   Status OpenTenant(const std::string& tenant_id, const ConcealerConfig& config,
                     Bytes sk, bool recovering, const TenantQoS& qos);
 

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "common/coding.h"
@@ -641,20 +643,6 @@ bool SegmentEngine::IsMapped(const uint8_t* p) const {
 
 // --- Engine selection -----------------------------------------------------
 
-StorageOptions StorageOptions::FromEnv() {
-  StorageOptions options;
-  const char* env = std::getenv("CONCEALER_STORAGE_ENGINE");
-  if (env != nullptr && std::strcmp(env, "mmap") == 0) {
-    options.engine = Engine::kMmap;
-  }
-  const char* cache = std::getenv("CONCEALER_NODE_CACHE_BYTES");
-  if (cache != nullptr) {
-    const uint64_t bytes = std::strtoull(cache, nullptr, 10);
-    if (bytes > 0) options.node_cache_bytes = bytes;
-  }
-  return options;
-}
-
 StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
     const StorageOptions& options) {
   if (options.engine == StorageOptions::Engine::kMemory) {
@@ -664,9 +652,13 @@ StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
   seg_options.segment_bytes = options.segment_bytes;
   seg_options.node_cache_bytes = options.node_cache_bytes;
   if (options.dir.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(tmp != nullptr ? tmp : "/tmp") + "/concealer-seg-XXXXXX";
+    std::error_code ec;
+    const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+    if (ec) {
+      return Status::Internal("no temp directory for ephemeral segments: " +
+                              ec.message());
+    }
+    const std::string tmpl = (tmp / "concealer-seg-XXXXXX").string();
     std::vector<char> buf(tmpl.begin(), tmpl.end());
     buf.push_back('\0');
     if (::mkdtemp(buf.data()) == nullptr) {

@@ -141,28 +141,24 @@ class StorageEngine {
   }
 };
 
-/// Engine selection for a ServiceProvider's table. The default is the
-/// in-memory heap; `CONCEALER_STORAGE_ENGINE=mmap` flips the default (CI
-/// runs the whole suite under both engines through this toggle).
+/// Engine selection for a ServiceProvider's table (ServiceProvider::Open)
+/// or a tenant registry. The default is the in-memory heap.
 struct StorageOptions {
   enum class Engine { kMemory, kMmap };
   Engine engine = Engine::kMemory;
-  /// Segment directory for kMmap. Empty = an ephemeral temp directory the
-  /// engine creates and removes on destruction (tests/benches that want
-  /// mmap behavior without managing paths). Persistence across process
-  /// restarts requires an explicit dir.
+  /// Segment directory for kMmap. Empty = an ephemeral directory the
+  /// engine creates under std::filesystem::temp_directory_path() and
+  /// removes on destruction (tests/benches that want mmap behavior without
+  /// managing paths). Persistence across process restarts requires an
+  /// explicit dir.
   std::string dir;
   /// Capacity of one segment file. Oversized rows get a dedicated segment.
   uint64_t segment_bytes = 8ull << 20;
-  /// Byte budget of the node-page LRU cache (CONCEALER_NODE_CACHE_BYTES).
-  /// kMmap engines page the B+-tree index to disk: leaf pages live in an
-  /// `index-nodes` file beside the segments and load on demand through
-  /// this cache, so an index larger than RAM stays serveable.
+  /// Byte budget of the node-page LRU cache. kMmap engines page the
+  /// B+-tree index to disk: leaf pages live in an `index-nodes` file
+  /// beside the segments and load on demand through this cache, so an
+  /// index larger than RAM stays serveable.
   uint64_t node_cache_bytes = 64ull << 20;
-
-  /// Reads CONCEALER_STORAGE_ENGINE ("memory" default, "mmap") and
-  /// CONCEALER_NODE_CACHE_BYTES.
-  static StorageOptions FromEnv();
 };
 
 /// Builds an engine from options. For kMmap this opens (and, if present,

@@ -13,6 +13,7 @@
 #include "baseline/cleartext_db.h"
 #include "baseline/opaque_scan.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "concealer/client.h"
 #include "concealer/data_provider.h"
 #include "concealer/epoch_io.h"
@@ -20,6 +21,7 @@
 #include "concealer/wire.h"
 #include "crypto/aes_backend.h"
 #include "crypto/sha256.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -65,7 +67,7 @@ class ConcealerE2ETest : public ::testing::Test {
     oracle_ = new CleartextDb(config_->time_quantum);
     oracle_->Insert(*tuples_);
 
-    sp_ = new ServiceProvider(*config_, dp_->shared_secret());
+    sp_ = MakeTestProvider(*config_, dp_->shared_secret()).release();
     ASSERT_TRUE(sp_->LoadRegistry(dp_->EncryptedRegistry()).ok());
     auto epochs = dp_->EncryptAll(*tuples_);
     ASSERT_TRUE(epochs.ok());
@@ -386,7 +388,7 @@ class TamperTest : public ::testing::Test {
     WifiGenerator gen(wifi);
     tuples_ = gen.Generate();
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x55));
-    sp_ = std::make_unique<ServiceProvider>(config_, dp_->shared_secret());
+    sp_ = MakeTestProvider(config_, dp_->shared_secret());
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     for (const auto& e : *epochs) ASSERT_TRUE(sp_->IngestEpoch(e).ok());
@@ -744,36 +746,46 @@ TEST_F(ConcealerE2ETest, ParallelExecutionMatchesSerialByteForByte) {
     queries.push_back(oblivious);
   }
 
+  std::vector<Bytes> serial;
   for (const Query& q : queries) {
-    sp_->set_num_threads(1);
-    auto serial = sp_->Execute(q);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (uint32_t threads : {2u, 4u}) {
-      sp_->set_num_threads(threads);
+    auto r = sp_->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    serial.push_back(SerializeQueryResult(*r));
+  }
+  // The suite's provider borrows each pool only inside this loop, which
+  // has no early exit, so it never keeps a destroyed pool.
+  for (size_t threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    sp_->set_pool(&pool);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Query& q = queries[i];
       auto parallel = sp_->Execute(q);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(SerializeQueryResult(*serial), SerializeQueryResult(*parallel))
+      EXPECT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(serial[i], parallel.ok() ? SerializeQueryResult(*parallel)
+                                         : Bytes())
           << "method=" << static_cast<int>(q.method)
           << " agg=" << static_cast<int>(q.agg) << " verify=" << q.verify
           << " oblivious=" << q.oblivious << " threads=" << threads;
     }
+    sp_->set_pool(nullptr);
   }
-  sp_->set_num_threads(1);
 }
 
 // Repeated parallel runs of one query must be deterministic (no
 // merge-order or dedup races).
 TEST_F(ConcealerE2ETest, ParallelExecutionIsDeterministic) {
   Query q = RangeQuery(5, 3600, 10 * 3600, RangeMethod::kWinSecRange);
-  sp_->set_num_threads(4);
-  auto first = sp_->Execute(q);
-  ASSERT_TRUE(first.ok());
-  for (int i = 0; i < 5; ++i) {
-    auto again = sp_->Execute(q);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(SerializeQueryResult(*first), SerializeQueryResult(*again));
+  ThreadPool pool(4);
+  sp_->set_pool(&pool);
+  std::vector<Bytes> answers;
+  for (int i = 0; i < 6; ++i) {
+    auto r = sp_->Execute(q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) answers.push_back(SerializeQueryResult(*r));
   }
-  sp_->set_num_threads(1);
+  sp_->set_pool(nullptr);
+  ASSERT_EQ(answers.size(), 6u);
+  for (const Bytes& again : answers) EXPECT_EQ(answers[0], again);
 }
 
 // --- Crypto backend equivalence (the tentpole's correctness contract) ---
@@ -803,12 +815,13 @@ TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
     ScopedShaBackendOverride forced_sha(sha);
     PipelineBytes out;
     DataProvider dp(config, Bytes(32, 0x42));
-    ServiceProvider sp(config, dp.shared_secret());
+    std::unique_ptr<ServiceProvider> sp =
+        MakeTestProvider(config, dp.shared_secret());
     auto epochs = dp.EncryptAll(tuples);
     EXPECT_TRUE(epochs.ok());
     for (const auto& epoch : *epochs) {
       out.epoch_blobs.push_back(SerializeEpoch(epoch));
-      EXPECT_TRUE(sp.IngestEpoch(epoch).ok());
+      EXPECT_TRUE(sp->IngestEpoch(epoch).ok());
     }
     std::vector<Query> queries;
     queries.push_back(PointQuery(7, 7200));
@@ -824,7 +837,7 @@ TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
     obl.verify = true;
     queries.push_back(obl);
     for (const Query& q : queries) {
-      auto r = sp.Execute(q);
+      auto r = sp->Execute(q);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       out.answers.push_back(SerializeQueryResult(*r));
     }

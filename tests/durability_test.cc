@@ -277,7 +277,7 @@ TEST(DurabilityTest, DynamicStateSurvivesRestart) {
 
   // In-memory reference that never restarts (and never rewrites): static
   // probe answers are invariant under §6, so all three worlds must agree.
-  ServiceProvider memory_sp(config, dp.shared_secret(), StorageOptions{});
+  ServiceProvider memory_sp(config, dp.shared_secret());
   for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
   const std::vector<Bytes> want = Probe(&memory_sp);
   ASSERT_FALSE(want.empty());
@@ -350,7 +350,7 @@ TEST(DurabilityTest, CheckpointTruncatesWalAndSurvivesRestart) {
   auto epochs = dp.EncryptAll(TestTuples(2));
   ASSERT_TRUE(epochs.ok());
 
-  ServiceProvider memory_sp(config, dp.shared_secret(), StorageOptions{});
+  ServiceProvider memory_sp(config, dp.shared_secret());
   for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
   const std::vector<Bytes> want = Probe(&memory_sp);
 
@@ -406,7 +406,7 @@ TEST(DurabilityTest, CrashSweepEveryIoPoint) {
   ASSERT_TRUE(epochs.ok());
   ASSERT_EQ(epochs->size(), 2u);
 
-  ServiceProvider memory_sp(config, dp.shared_secret(), StorageOptions{});
+  ServiceProvider memory_sp(config, dp.shared_secret());
   for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
   const std::vector<Bytes> want = Probe(&memory_sp);
   ASSERT_FALSE(want.empty());

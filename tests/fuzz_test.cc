@@ -19,6 +19,7 @@
 
 #include "baseline/cleartext_db.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "concealer/data_provider.h"
 #include "concealer/dynamic_wal.h"
 #include "concealer/epoch_io.h"
@@ -29,6 +30,7 @@
 #include "net/server.h"
 #include "net/wire_format.h"
 #include "service/tenant_registry.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -68,11 +70,13 @@ TEST_P(PipelineFuzz, RandomConfigAndQueriesMatchOracle) {
   const auto tuples = WifiGenerator(wifi).Generate();
 
   DataProvider dp(config, Bytes(32, uint8_t(GetParam())));
-  ServiceProvider sp(config, dp.shared_secret());
+  ThreadPool pool(4);
+  std::unique_ptr<ServiceProvider> sp =
+      MakeTestProvider(config, dp.shared_secret());
   auto epochs = dp.EncryptAll(tuples);
   ASSERT_TRUE(epochs.ok()) << epochs.status().ToString();
   for (const auto& e : *epochs) {
-    ASSERT_TRUE(sp.IngestEpoch(e).ok());
+    ASSERT_TRUE(sp->IngestEpoch(e).ok());
   }
   CleartextDb oracle(config.time_quantum);
   oracle.Insert(tuples);
@@ -115,8 +119,8 @@ TEST_P(PipelineFuzz, RandomConfigAndQueriesMatchOracle) {
     Bytes serial;
     StatusOr<QueryResult> got = Status::Internal("unset");
     for (uint32_t threads : {1u, 4u}) {
-      sp.set_num_threads(threads);
-      got = sp.Execute(q);
+      sp->set_pool(threads == 1 ? nullptr : &pool);
+      got = sp->Execute(q);
       ASSERT_TRUE(got.ok()) << "seed " << GetParam() << " query " << i
                             << " threads " << threads << ": "
                             << got.status().ToString();
@@ -317,10 +321,6 @@ TEST_P(WireFrameFuzz, MutatedFramesOnlyCostTheOffendingConnection) {
 
   TenantRegistryOptions registry_options;
   registry_options.pool_threads = 2;
-  // Frame parsing never reaches storage; pin the in-memory engine so the
-  // fuzz runs identically under the CONCEALER_STORAGE_ENGINE=mmap sweep
-  // (which would otherwise demand a root_dir).
-  registry_options.storage.engine = StorageOptions::Engine::kMemory;
   TenantRegistry registry(registry_options);
   ASSERT_TRUE(registry.CreateTenant("acme", config, dp.shared_secret()).ok());
   ASSERT_TRUE(registry.LoadRegistry("acme", Slice(dp.EncryptedRegistry())).ok());

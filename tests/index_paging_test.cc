@@ -594,7 +594,7 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
   // Memory-engine reference answers.
   std::vector<Bytes> want;
   {
-    ServiceProvider sp(config, dp.shared_secret(), StorageOptions{});
+    ServiceProvider sp(config, dp.shared_secret());
     for (const auto& e : *epochs) ASSERT_TRUE(sp.IngestEpoch(e).ok());
     for (const Query& q : queries) {
       auto result = sp.Execute(q);

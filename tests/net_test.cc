@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "concealer/data_provider.h"
 #include "concealer/epoch_io.h"
 #include "concealer/wire.h"
@@ -47,6 +48,7 @@
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "storage/fault_fs.h"
+#include "test_engine.h"
 
 namespace concealer {
 namespace {
@@ -262,6 +264,12 @@ TEST(NetWireTest, PayloadRoundTrips) {
 
   net::CreateTenantReq create;
   create.config = NetTestConfig();
+  // Every config field off its default, so none round-trips by accident.
+  create.config.time_quantum = 120;
+  create.config.equal_fake_tuples = true;
+  create.config.make_hash_chains = false;
+  create.config.winsec_lambda_buckets = 3;
+  create.config.use_bfd = true;
   create.sk = Bytes(32, 0xab);
   create.qos_weight = 3;
   create.qos_max_inflight = 2;
@@ -270,9 +278,19 @@ TEST(NetWireTest, PayloadRoundTrips) {
   ASSERT_TRUE(create2.ok());
   EXPECT_EQ(create2->sk, create.sk);
   EXPECT_EQ(create2->qos_weight, 3u);
-  EXPECT_EQ(create2->config.num_cell_ids, create.config.num_cell_ids);
-  EXPECT_EQ(create2->config.key_buckets, create.config.key_buckets);
-  EXPECT_EQ(create2->config.key_domains, create.config.key_domains);
+  EXPECT_EQ(create2->qos_max_inflight, 2u);
+  const ConcealerConfig& sent = create.config;
+  const ConcealerConfig& got = create2->config;
+  EXPECT_EQ(got.key_buckets, sent.key_buckets);
+  EXPECT_EQ(got.key_domains, sent.key_domains);
+  EXPECT_EQ(got.time_buckets, sent.time_buckets);
+  EXPECT_EQ(got.num_cell_ids, sent.num_cell_ids);
+  EXPECT_EQ(got.epoch_seconds, sent.epoch_seconds);
+  EXPECT_EQ(got.time_quantum, sent.time_quantum);
+  EXPECT_EQ(got.equal_fake_tuples, sent.equal_fake_tuples);
+  EXPECT_EQ(got.make_hash_chains, sent.make_hash_chains);
+  EXPECT_EQ(got.winsec_lambda_buckets, sent.winsec_lambda_buckets);
+  EXPECT_EQ(got.use_bfd, sent.use_bfd);
 
   HealthInfo health;
   health.draining = true;
@@ -327,6 +345,17 @@ TEST(NetWireTest, MalformedPayloadsFailClosed) {
   Bytes mode_bytes = net::EncodeSetDynamicModeReq(mode);
   mode_bytes.back() = 7;
   EXPECT_FALSE(net::ParseSetDynamicModeReq(Slice(mode_bytes)).ok());
+  // A CreateTenant whose config still carries the deleted trailing thread
+  // count (a u32 after use_bfd) is malformed, not a config with a pool.
+  Bytes old_config = net::SerializeConfig(NetTestConfig());
+  PutFixed32(&old_config, 64);
+  Bytes create;
+  PutLengthPrefixed(&create, Slice(old_config));
+  PutLengthPrefixed(&create, Slice(Bytes(32, 0xab)));
+  PutFixed32(&create, 1);  // QoS weight.
+  PutFixed32(&create, 0);  // QoS max in flight.
+  EXPECT_TRUE(
+      net::ParseCreateTenantReq(Slice(create)).status().IsInvalidArgument());
 }
 
 // --- Server fixture --------------------------------------------------------
@@ -374,7 +403,8 @@ struct ServerHarness {
     root = TempDir();
     TenantRegistryOptions options;
     options.root_dir = root;
-    if (mmap_engine) options.storage.engine = StorageOptions::Engine::kMmap;
+    options.storage.engine =
+        mmap_engine ? StorageOptions::Engine::kMmap : TestEngine();
     options.pool_threads = 4;
     std::shared_ptr<ExecuteGate> gate_ref = gate;
     options.service.execute_fault_hook = [gate_ref] { gate_ref->Hook(); };

@@ -202,8 +202,7 @@ TEST(PersistenceEndToEndTest, RestartAnswersByteIdentical) {
   ASSERT_EQ(epochs->size(), 3u);
 
   // Reference: an in-memory provider that never restarts.
-  StorageOptions mem_options;  // kMemory, env-independent.
-  ServiceProvider memory_sp(config, dp.shared_secret(), mem_options);
+  ServiceProvider memory_sp(config, dp.shared_secret());
   for (const auto& e : *epochs) {
     ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
   }
@@ -425,8 +424,7 @@ TEST(EpochLifecycleTest, ColdEpochsEvictAndReloadOnDemand) {
 
   // Reference answers from a plain in-memory service.
   auto memory_sp = std::make_unique<ServiceProvider>(config,
-                                                     dp.shared_secret(),
-                                                     StorageOptions{});
+                                                     dp.shared_secret());
   for (const auto& e : *epochs) ASSERT_TRUE(memory_sp->IngestEpoch(e).ok());
 
   StorageOptions options;
@@ -435,8 +433,9 @@ TEST(EpochLifecycleTest, ColdEpochsEvictAndReloadOnDemand) {
   auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
   ASSERT_TRUE(sp.ok());
 
+  HotEpochBudget budget(1);  // Aggressive tiering: one hot epoch.
   QueryServiceOptions service_options;
-  service_options.max_hot_epochs = 1;  // Aggressive tiering.
+  service_options.hot_budget = &budget;
   // Heap-held so the restart below can destroy it first — two live engines
   // over one segment directory is not a supported configuration.
   auto service = std::make_unique<QueryService>(std::move(*sp),

@@ -14,6 +14,7 @@
 #include "concealer/query_executor.h"
 #include "concealer/range_planner.h"
 #include "concealer/service_provider.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -39,7 +40,7 @@ class PlannerTest : public ::testing::Test {
     tuples_ = WifiGenerator(wifi).Generate();
 
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x77));
-    sp_ = std::make_unique<ServiceProvider>(config_, dp_->shared_secret());
+    sp_ = MakeTestProvider(config_, dp_->shared_secret());
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     ASSERT_TRUE(sp_->IngestEpoch((*epochs)[0]).ok());

@@ -26,6 +26,7 @@
 #include "service/cache_budget.h"
 #include "service/retry.h"
 #include "service/tenant_registry.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -416,7 +417,7 @@ std::vector<Query> Day1Queries() {
 std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
                                     const std::vector<Query>& queries) {
   QueryService service(
-      std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret()),
+      MakeTestProvider(t.config, t.dp->shared_secret()),
       QueryServiceOptions{});
   EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
   for (const auto& e : t.epochs) {
@@ -438,7 +439,7 @@ std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
 size_t ProbeCacheBytes(const TenantFixture& t,
                        const std::vector<Query>& queries) {
   QueryService service(
-      std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret()),
+      MakeTestProvider(t.config, t.dp->shared_secret()),
       QueryServiceOptions{});
   EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
   for (const auto& e : t.epochs) {
@@ -481,6 +482,7 @@ class QosBackpressureTest : public ::testing::Test {
   TenantRegistryOptions Options() {
     TenantRegistryOptions options;
     options.root_dir = root_;
+    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     options.service.reject_over_capacity = true;
     options.service.execute_fault_hook = pin_.Hook();
@@ -813,6 +815,7 @@ TEST(QosCacheBudgetTest, GlobalBudgetBoundsTenantsAndRecomputesCorrectly) {
   {
     TenantRegistryOptions options;
     options.root_dir = root;
+    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     options.global_cache_bytes = one_tenant_bytes + one_tenant_bytes / 2;
     TenantRegistry registry(options);
@@ -880,6 +883,7 @@ TEST(QosEquivalenceTest, WeightedFailFastRegistryMatchesDedicatedService) {
   {
     TenantRegistryOptions options;
     options.root_dir = root;
+    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     options.service.reject_over_capacity = true;
     options.service.max_inflight = 2;

@@ -20,6 +20,7 @@
 #include "concealer/super_bins.h"
 #include "concealer/wire.h"
 #include "enclave/oblivious.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -53,7 +54,7 @@ class SecurityTest : public ::testing::Test {
     config_ = SmallConfig();
     tuples_ = SmallWorkload(3000, 13);
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x44));
-    sp_ = std::make_unique<ServiceProvider>(config_, dp_->shared_secret());
+    sp_ = MakeTestProvider(config_, dp_->shared_secret());
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     epoch_ = (*epochs)[0];
@@ -141,8 +142,8 @@ TEST_F(SecurityTest, ObliviousQueryTraceIsDataIndependent) {
   // not move the trace either. Within each plan shape the window and key
   // columns are fixed and only the observation filter varies, so the plans
   // are identical while the matched row counts are not. OpCounter is
-  // thread-local, so the units run serially on this thread.
-  sp_->set_num_threads(1);
+  // thread-local; the provider borrows no pool, so the units run serially
+  // on this thread.
   auto state = sp_->epoch_state(0);
   ASSERT_TRUE(state.ok());
   RangePlanner planner(config_);
@@ -194,6 +195,45 @@ TEST_F(SecurityTest, ObliviousQueryTraceIsDataIndependent) {
         << "oblivious op trace varies within one plan shape, method "
         << static_cast<int>(method);
   }
+
+  // Single-unit plans whose units hold different cells: the planner shapes
+  // every unit's trapdoor slots from epoch-level values, so the trace must
+  // not depend on which key column (eBPB) or which interval (winSecRange)
+  // the query names.
+  const auto trace_totals = [&](RangeMethod method,
+                                const std::vector<Query>& queries) {
+    std::set<uint64_t> totals;
+    for (Query q : queries) {
+      q.agg = Aggregate::kCount;
+      q.method = method;
+      q.oblivious = true;
+      OpCounter().Reset();
+      auto r = sp_->Execute(q);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      totals.insert(OpCounter().Total());
+    }
+    return totals;
+  };
+  std::vector<Query> columns;  // One window, every key column.
+  for (uint64_t k = 0; k < 20; ++k) {
+    Query q;
+    q.key_values = {{k}};
+    q.time_lo = 4 * 3600;
+    q.time_hi = 6 * 3600;
+    columns.push_back(q);
+  }
+  EXPECT_EQ(trace_totals(RangeMethod::kEBPB, columns).size(), 1u)
+      << "oblivious eBPB trace varies across key columns";
+  std::vector<Query> intervals;  // One key, each one-interval window.
+  for (uint64_t hour = 0; hour < 24; ++hour) {
+    Query q;
+    q.key_values = {{3}};
+    q.time_lo = hour * 3600;
+    q.time_hi = hour * 3600 + 3599;
+    intervals.push_back(q);
+  }
+  EXPECT_EQ(trace_totals(RangeMethod::kWinSecRange, intervals).size(), 1u)
+      << "oblivious winSecRange trace varies across intervals";
 }
 
 TEST_F(SecurityTest, ForwardPrivacy_TrapdoorsDoNotMatchOtherEpochs) {
@@ -282,15 +322,16 @@ TEST_F(SecurityTest, EpochTransportRoundTrips) {
   EXPECT_EQ(back->enc_grid_layout, epoch_.enc_grid_layout);
 
   // A fresh SP can ingest the deserialized epoch and answer correctly.
-  ServiceProvider sp2(config_, dp_->shared_secret());
-  ASSERT_TRUE(sp2.IngestEpoch(*back).ok());
+  std::unique_ptr<ServiceProvider> sp2 =
+      MakeTestProvider(config_, dp_->shared_secret());
+  ASSERT_TRUE(sp2->IngestEpoch(*back).ok());
   Query q;
   q.agg = Aggregate::kCount;
   q.key_values = {{3}};
   q.time_lo = 0;
   q.time_hi = 86399;
   auto a = sp_->Execute(q);
-  auto b = sp2.Execute(q);
+  auto b = sp2->Execute(q);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->count, b->count);

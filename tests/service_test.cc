@@ -13,10 +13,12 @@
 
 #include "baseline/cleartext_db.h"
 #include "common/striped_map.h"
+#include "common/thread_pool.h"
 #include "concealer/data_provider.h"
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/query_service.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -72,9 +74,8 @@ class QueryServiceTest : public ::testing::Test {
 
   // Builds a service over a freshly ingested provider.
   std::unique_ptr<QueryService> MakeService(QueryServiceOptions options) {
-    auto sp =
-        std::make_unique<ServiceProvider>(config_, dp_->shared_secret());
-    auto service = std::make_unique<QueryService>(std::move(sp), options);
+    auto service = std::make_unique<QueryService>(
+        MakeTestProvider(config_, dp_->shared_secret()), options);
     EXPECT_TRUE(service->LoadRegistry(dp_->EncryptedRegistry()).ok());
     auto epochs = dp_->EncryptAll(tuples_);
     EXPECT_TRUE(epochs.ok());
@@ -390,8 +391,9 @@ TEST_F(QueryServiceTest, ConcurrentClientsMatchSerialReplayByteForByte) {
 }
 
 TEST_F(QueryServiceTest, BatchSchedulerMatchesSerialExecution) {
+  ThreadPool pool(4);  // Outlives the service that borrows it.
   QueryServiceOptions options;
-  options.scheduler_threads = 4;
+  options.pool = &pool;
   options.max_inflight = 2;  // Exercise the admission gate under the pool.
   auto service = MakeService(options);
   auto token =

@@ -21,6 +21,7 @@
 #include "storage/node_store.h"
 #include "storage/row_store.h"
 #include "storage/segment_engine.h"
+#include "test_engine.h"
 
 namespace concealer {
 namespace {
@@ -1161,6 +1162,18 @@ TEST(SegmentCompactionTest, CompactedStateSurvivesReopen) {
     }
   }
   RemoveDirRecursive(dir);
+}
+
+// The suite's engine toggle must build the engine it names: otherwise the
+// CI mmap leg could pass on the memory engine.
+TEST(TestEngineTest, HelperProviderRunsTheNamedEngine) {
+  const char* env = std::getenv("CONCEALER_STORAGE_ENGINE");
+  ConcealerConfig config;
+  config.key_buckets = {4};
+  config.time_buckets = 4;
+  config.num_cell_ids = 4;
+  std::unique_ptr<ServiceProvider> sp = MakeTestProvider(config, Bytes(32, 1));
+  EXPECT_STREQ(sp->table().engine().name(), env == nullptr ? "memory" : env);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/tenant_registry.h"
+#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -140,7 +141,7 @@ std::vector<Query> TenantQueries() {
 std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
                                     const std::vector<Query>& queries) {
   QueryService service(
-      std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret()),
+      MakeTestProvider(t.config, t.dp->shared_secret()),
       QueryServiceOptions{});
   EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
   for (const auto& e : t.epochs) {
@@ -165,6 +166,7 @@ class TenantTest : public ::testing::Test {
   TenantRegistryOptions Options() {
     TenantRegistryOptions options;
     options.root_dir = root_;
+    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     return options;
   }

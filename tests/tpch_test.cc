@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "concealer/data_provider.h"
 #include "concealer/service_provider.h"
+#include "test_engine.h"
 #include "workload/tpch_generator.h"
 
 namespace concealer {
@@ -32,7 +33,7 @@ class TpchE2ETest : public ::testing::Test {
     config2d.time_quantum = 1;
     auto tuples2d = TpchGenerator::ToTuples2D(*items_);
     dp2d_ = new DataProvider(config2d, Bytes(32, 0x61));
-    sp2d_ = new ServiceProvider(config2d, dp2d_->shared_secret());
+    sp2d_ = MakeTestProvider(config2d, dp2d_->shared_secret()).release();
     auto epochs = dp2d_->EncryptAll(tuples2d);
     ASSERT_TRUE(epochs.ok()) << epochs.status().ToString();
     ASSERT_EQ(epochs->size(), 1u);  // Non-time-series: single epoch.
@@ -50,7 +51,7 @@ class TpchE2ETest : public ::testing::Test {
     config4d.time_quantum = 1;
     auto tuples4d = TpchGenerator::ToTuples4D(*items_);
     dp4d_ = new DataProvider(config4d, Bytes(32, 0x62));
-    sp4d_ = new ServiceProvider(config4d, dp4d_->shared_secret());
+    sp4d_ = MakeTestProvider(config4d, dp4d_->shared_secret()).release();
     auto epochs4 = dp4d_->EncryptAll(tuples4d);
     ASSERT_TRUE(epochs4.ok());
     ASSERT_TRUE(sp4d_->IngestEpoch((*epochs4)[0]).ok());
