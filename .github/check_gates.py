@@ -212,15 +212,6 @@ def dynamic_checks(d):
     return None
 
 
-def net_checks(d):
-    print("net gate:", d["gate"], "| drain_ms: %.2f" % d["drain_ms"])
-    if not d["gate"]["identical"]:
-        return "an answer read over the wire diverged from the in-process registry"
-    if not d["gate"]["gates_ok"]:
-        return "p99 or drain-time cap exceeded: %s" % d["gate"]
-    return None
-
-
 GATES = {
     "BENCH_crypto.json": crypto_checks,
     "BENCH_crypto_ci.json": crypto_checks,
@@ -231,7 +222,6 @@ GATES = {
     "BENCH_tenants.json": tenants_checks,
     "BENCH_tenants_skew.json": tenants_skew_checks,
     "BENCH_dynamic.json": dynamic_checks,
-    "BENCH_net.json": net_checks,
 }
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the network front door: a real concealer_server
 # process on a temp dir, a multi-tenant client workload over the wire,
-# SIGTERM graceful drain (exit 0, "drained cleanly", nothing orphaned),
-# then kill -9 mid-workload + restart + retry to byte-identical answers.
+# SIGTERM graceful drain (exit 0 within 5 s, "drained cleanly", nothing
+# orphaned), then kill -9 mid-workload + restart + retry to byte-identical
+# answers.
 #
 # Usage: .github/e2e_net.sh BUILD_DIR
 # Needs concealer_server and network_quickstart built in BUILD_DIR.
@@ -33,6 +34,28 @@ start_server() {
 
 quickstart() { "$BUILD/network_quickstart" "$@" >/dev/null; }
 
+# SIGTERM, then the drain contract: exit 0 within 5 s with "drained
+# cleanly" in the log. Polls kill -0, because a bare `wait` never times out.
+stop_server() {
+  kill -TERM "$SERVER_PID"
+  for _ in $(seq 1 50); do
+    kill -0 "$SERVER_PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "FAIL: server still running 5 s after SIGTERM"; cat "$ROOT/$1.log"
+    exit 1
+  fi
+  rc=0; wait "$SERVER_PID" || rc=$?
+  SERVER_PID=""
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: SIGTERM exit code $rc, want 0"; cat "$ROOT/$1.log"; exit 1
+  fi
+  if ! grep -q "drained cleanly" "$ROOT/$1.log"; then
+    echo "FAIL: no 'drained cleanly' in server log"; cat "$ROOT/$1.log"; exit 1
+  fi
+}
+
 echo "=== phase 1: provision two tenants, run the workload over the wire ==="
 start_server server1
 quickstart --connect="127.0.0.1:$PORT" --tenant=acme --provision \
@@ -41,14 +64,7 @@ quickstart --connect="127.0.0.1:$PORT" --tenant=globex --provision \
     --answers="$ROOT/globex.ref"
 
 echo "=== phase 2: SIGTERM graceful drain ==="
-kill -TERM "$SERVER_PID"
-rc=0; wait "$SERVER_PID" || rc=$?
-if [ "$rc" -ne 0 ]; then
-  echo "FAIL: SIGTERM exit code $rc, want 0"; cat "$ROOT/server1.log"; exit 1
-fi
-if ! grep -q "drained cleanly" "$ROOT/server1.log"; then
-  echo "FAIL: no 'drained cleanly' in server log"; cat "$ROOT/server1.log"; exit 1
-fi
+stop_server server1
 
 echo "=== phase 3: restart after drain answers byte-identically ==="
 start_server server2
@@ -74,12 +90,6 @@ diff "$ROOT/acme.ref" "$ROOT/acme.postcrash"
 diff "$ROOT/globex.ref" "$ROOT/globex.postcrash"
 
 echo "=== phase 6: final SIGTERM drain ==="
-kill -TERM "$SERVER_PID"
-rc=0; wait "$SERVER_PID" || rc=$?
-if [ "$rc" -ne 0 ]; then
-  echo "FAIL: final SIGTERM exit $rc"; cat "$ROOT/server3.log"; exit 1
-fi
-grep -q "drained cleanly" "$ROOT/server3.log"
-SERVER_PID=""
+stop_server server3
 
 echo "e2e net smoke: PASS"

@@ -30,31 +30,14 @@ namespace concealer {
 /// share of the cap is flushed before the next insert — a crude
 /// whole-shard eviction, chosen over LRU because entries are cheap to
 /// recompute and correctness never depends on a hit.
-///
-/// Byte accounting (for the cross-tenant WorkCacheBudget): pass a `sizer`
-/// and every resident value is accounted at sizer(value) + kEntryOverhead
-/// bytes, queryable via bytes() and reclaimable via ReleaseBytes, which
-/// flushes least-recently-touched shards first. Shard-granular recency is
-/// deliberate: per-entry LRU would put a list node and lock traffic on
-/// every hit, while a whole-shard stamp is one relaxed atomic store — and
-/// entries are cheap to recompute, so evicting a shard's few warm
-/// neighbors alongside its cold majority costs only a re-derivation.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class StripedMap {
  public:
-  using Sizer = std::function<size_t(const Value&)>;
-
-  /// Approximate per-entry bookkeeping overhead (hash node, key string,
-  /// shared_ptr control block) added on top of sizer(value).
-  static constexpr size_t kEntryOverhead = 96;
-
-  explicit StripedMap(size_t num_shards = 16, size_t max_entries = 0,
-                      Sizer sizer = nullptr)
+  explicit StripedMap(size_t num_shards = 16, size_t max_entries = 0)
       : shards_(num_shards == 0 ? 1 : num_shards),
         max_per_shard_(max_entries == 0
                            ? 0
-                           : std::max<size_t>(1, max_entries / shards_.size())),
-        sizer_(std::move(sizer)) {}
+                           : std::max<size_t>(1, max_entries / shards_.size())) {}
 
   StripedMap(const StripedMap&) = delete;
   StripedMap& operator=(const StripedMap&) = delete;
@@ -64,8 +47,6 @@ class StripedMap {
   template <typename Fn>
   std::shared_ptr<const Value> GetOrCompute(const Key& key, Fn&& compute) {
     Shard& shard = ShardFor(key);
-    shard.last_touch.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                           std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       auto it = shard.map.find(key);
@@ -76,52 +57,20 @@ class StripedMap {
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto value = std::make_shared<const Value>(compute());
-    const size_t value_bytes =
-        sizer_ ? sizer_(*value) + kEntryOverhead : 0;
     std::lock_guard<std::mutex> lock(shard.mu);
     if (max_per_shard_ != 0 && shard.map.size() >= max_per_shard_ &&
         shard.map.find(key) == shard.map.end()) {
-      FlushShardLocked(shard);
+      shard.map.clear();
     }
-    auto [it, inserted] = shard.map.emplace(key, std::move(value));
-    if (inserted && value_bytes != 0) {
-      shard.bytes += value_bytes;
-      bytes_.fetch_add(value_bytes, std::memory_order_relaxed);
-    }
-    return it->second;
+    return shard.map.emplace(key, std::move(value)).first->second;
   }
 
   /// Drops every entry. Values already handed out stay valid.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      FlushShardLocked(shard);
+      shard.map.clear();
     }
-  }
-
-  /// Flushes least-recently-touched shards until at least `target` bytes
-  /// are released (or the map is empty); returns the bytes actually
-  /// released. Values already handed out stay valid — release is an
-  /// accounting event for in-flight readers, a recompute for future ones.
-  /// Requires a sizer (returns 0 otherwise — nothing is accounted).
-  size_t ReleaseBytes(size_t target) {
-    if (!sizer_ || target == 0) return 0;
-    std::vector<std::pair<uint64_t, size_t>> order;  // (touch, shard idx)
-    order.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      order.emplace_back(shards_[i].last_touch.load(std::memory_order_relaxed),
-                         i);
-    }
-    std::sort(order.begin(), order.end());
-    size_t released = 0;
-    for (const auto& [touch, i] : order) {
-      if (released >= target) break;
-      Shard& shard = shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      released += shard.bytes;
-      FlushShardLocked(shard);
-    }
-    return released;
   }
 
   size_t size() const {
@@ -133,9 +82,6 @@ class StripedMap {
     return n;
   }
 
-  /// Accounted bytes currently resident (0 without a sizer).
-  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
@@ -143,19 +89,7 @@ class StripedMap {
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<Key, std::shared_ptr<const Value>, Hash> map;
-    size_t bytes = 0;  // Accounted bytes of this shard (guarded by mu).
-    /// Global-clock stamp of the last GetOrCompute that hashed here;
-    /// ReleaseBytes flushes stale shards first.
-    std::atomic<uint64_t> last_touch{0};
   };
-
-  void FlushShardLocked(Shard& shard) {
-    if (shard.bytes != 0) {
-      bytes_.fetch_sub(shard.bytes, std::memory_order_relaxed);
-      shard.bytes = 0;
-    }
-    shard.map.clear();
-  }
 
   Shard& ShardFor(const Key& key) {
     return shards_[Hash{}(key) % shards_.size()];
@@ -164,9 +98,6 @@ class StripedMap {
   // Constructed once and never resized: Shard itself is not movable.
   std::vector<Shard> shards_;
   const size_t max_per_shard_;
-  const Sizer sizer_;
-  std::atomic<uint64_t> clock_{1};
-  std::atomic<size_t> bytes_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -13,10 +13,10 @@ namespace {
 // can ever take (the nesting thread is the one blocked waiting), so
 // same-pool nesting runs inline — under the enclosing slot, so per-slot
 // scratch stays single-threaded. Nesting across DISTINCT pools proceeds
-// normally — e.g. the service layer's scheduler fanning out queries whose
-// fetch units then fan out on the provider's own pool — and cannot
-// deadlock: every ParallelFor's calling thread drains indices itself, so
-// progress never depends on another pool's workers being free.
+// normally — e.g. a batch fanned out on one pool whose queries' fetch
+// units then fan out on a provider's own pool — and cannot deadlock: every
+// ParallelFor's calling thread drains indices itself, so progress never
+// depends on another pool's workers being free.
 struct ParallelForTls {
   const ThreadPool* pool = nullptr;
   size_t worker = 0;
@@ -99,12 +99,6 @@ void ThreadPool::UnregisterClass(uint64_t class_id) {
     // still drain; DequeueLocked erases the class once its queue empties.
     it->second.retired = true;
   }
-}
-
-void ThreadPool::SetClassWeight(uint64_t class_id, uint32_t weight) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = classes_.find(class_id);
-  if (it != classes_.end()) it->second.weight = weight == 0 ? 1 : weight;
 }
 
 ThreadPool::ClassStats ThreadPool::class_stats(uint64_t class_id) const {

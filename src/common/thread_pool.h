@@ -60,10 +60,6 @@ class ThreadPool {
   /// and class 0 are no-ops. Safe from any thread.
   void UnregisterClass(uint64_t class_id);
 
-  /// Adjusts a class's DRR weight (0 treated as 1); applies from its next
-  /// ring visit. Unknown ids are a no-op.
-  void SetClassWeight(uint64_t class_id, uint32_t weight);
-
   /// RAII scheduling-class tag: while in scope, Submit (and ParallelFor
   /// helper submissions) from THIS thread to `pool` enqueue under
   /// `class_id`. Scopes nest; the previous tag is restored on destruction.
@@ -103,8 +99,8 @@ class ThreadPool {
   /// calls on the SAME pool (fn invoking this pool's ParallelFor again)
   /// are detected and run inline — they get no extra parallelism, but they
   /// cannot deadlock the pool. Nesting across distinct pools parallelizes
-  /// normally (the service scheduler's fan-out composes with the
-  /// provider's per-query fetch pool).
+  /// normally (a batch fan-out composes with a provider's per-query fetch
+  /// pool).
   ///
   /// Helper tasks are submitted under the calling thread's scheduling
   /// class and re-tag their worker thread with it, so nested fan-out from

@@ -1,8 +1,6 @@
 #include "concealer/client.h"
 
-#include "concealer/wire.h"
-#include "crypto/kdf.h"
-#include "crypto/rand_cipher.h"
+#include "concealer/result_seal.h"
 #include "enclave/registry.h"
 
 namespace concealer {
@@ -16,12 +14,7 @@ StatusOr<QueryResult> Client::Run(ServiceProvider* sp,
                                   const Query& query) const {
   StatusOr<Bytes> blob = sp->ExecuteForUser(user_id_, proof_, query);
   if (!blob.ok()) return blob.status();
-
-  RandCipher cipher;
-  CONCEALER_RETURN_IF_ERROR(cipher.SetKey(DeriveResultKey(proof_, user_id_)));
-  StatusOr<Bytes> plain = cipher.Decrypt(*blob);
-  if (!plain.ok()) return plain.status();
-  return DeserializeQueryResult(*plain);
+  return OpenResult(*blob, proof_, user_id_);
 }
 
 }  // namespace concealer

@@ -1,12 +1,7 @@
 #include "concealer/data_provider.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <map>
 
-#include "concealer/epoch_io.h"
 #include "crypto/kdf.h"
 #include "crypto/rand_cipher.h"
 
@@ -55,22 +50,6 @@ StatusOr<std::vector<EncryptedEpoch>> DataProvider::EncryptAll(
     epochs.push_back(std::move(*epoch));
   }
   return epochs;
-}
-
-StatusOr<size_t> DataProvider::EncryptAllToDir(
-    const std::string& dir, const std::vector<PlainTuple>& tuples) const {
-  StatusOr<std::vector<EncryptedEpoch>> epochs = EncryptAll(tuples);
-  if (!epochs.ok()) return epochs.status();
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("cannot create epoch dir: " + dir);
-  }
-  for (const EncryptedEpoch& epoch : *epochs) {
-    char name[40];
-    std::snprintf(name, sizeof(name), "epoch-%020llu.bin",
-                  static_cast<unsigned long long>(epoch.epoch_id));
-    CONCEALER_RETURN_IF_ERROR(WriteEpochFile(dir + "/" + name, epoch));
-  }
-  return epochs->size();
 }
 
 }  // namespace concealer

@@ -45,14 +45,6 @@ class DataProvider {
   StatusOr<std::vector<EncryptedEpoch>> EncryptAll(
       const std::vector<PlainTuple>& tuples) const;
 
-  /// File-based shipment: EncryptAll, then one `epoch-<id>.bin` per epoch
-  /// under `dir` (created if absent) in the epoch_io transfer format — the
-  /// DP side of a disk/object-store handoff a persistent SP ingests from.
-  /// Returns the number of epochs written.
-  StatusOr<size_t> EncryptAllToDir(const std::string& dir,
-                                   const std::vector<PlainTuple>& tuples)
-      const;
-
   /// Models the out-of-band DP–SGX key agreement.
   const Bytes& shared_secret() const { return sk_; }
   const ConcealerConfig& config() const { return config_; }

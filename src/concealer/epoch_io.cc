@@ -370,14 +370,4 @@ StatusOr<Bytes> ReadFileBytes(const std::string& path) {
   return blob;
 }
 
-Status WriteEpochFile(const std::string& path, const EncryptedEpoch& epoch) {
-  return WriteFileBytes(path, SerializeEpoch(epoch));
-}
-
-StatusOr<EncryptedEpoch> ReadEpochFile(const std::string& path) {
-  StatusOr<Bytes> blob = ReadFileBytes(path);
-  if (!blob.ok()) return blob.status();
-  return DeserializeEpoch(*blob);
-}
-
 }  // namespace concealer

@@ -19,14 +19,9 @@ namespace concealer {
 /// authenticated ciphers — this checksum only catches transport mangling).
 ///
 /// This is what would travel over the wire or land in an object store in a
-/// deployment; the file helpers let examples and operators move epochs
-/// between machines.
+/// deployment.
 Bytes SerializeEpoch(const EncryptedEpoch& epoch);
 StatusOr<EncryptedEpoch> DeserializeEpoch(Slice data);
-
-/// Convenience file transport.
-Status WriteEpochFile(const std::string& path, const EncryptedEpoch& epoch);
-StatusOr<EncryptedEpoch> ReadEpochFile(const std::string& path);
 
 // --- The shared record frame ---------------------------------------------
 // magic "CONC" (4) | version (4) | FNV-1a(body) (8) | body length (8) | body

@@ -85,18 +85,8 @@ struct EnclaveWorkCache {
   static constexpr size_t kShards = 64;
   /// Entry cap: long-lived services accrue epochs indefinitely, so without
   /// a cap the cache would grow monotonically; a full shard is flushed and
-  /// repopulated on demand. The map also accounts its resident bytes (see
-  /// bytes()/ReleaseBytes) so a registry can budget cache memory globally
-  /// across tenants (service/cache_budget.h).
+  /// repopulated on demand.
   static constexpr size_t kMaxEntries = 1 << 20;
-
-  EnclaveWorkCache()
-      : cell_trapdoors(kShards, kMaxEntries,
-                       [](const std::vector<Bytes>& trapdoors) {
-                         size_t n = trapdoors.size() * sizeof(Bytes);
-                         for (const Bytes& t : trapdoors) n += t.capacity();
-                         return n;
-                       }) {}
 
   /// (epoch, key version, cell-id) -> the cell's real trapdoors
   /// E_k(cid‖1..c_tuple[cid]), in counter order. Keyed by key version, so
@@ -104,21 +94,10 @@ struct EnclaveWorkCache {
   /// entries; the provider detaches the cache entirely while dynamic mode
   /// is on (ServiceProvider::set_dynamic_mode), since version bumps would
   /// otherwise pile up dead entries without bound.
-  StripedMap<std::string, std::vector<Bytes>> cell_trapdoors;
+  StripedMap<std::string, std::vector<Bytes>> cell_trapdoors{kShards,
+                                                              kMaxEntries};
 
   void Clear() { cell_trapdoors.Clear(); }
-
-  /// Accounted bytes.
-  size_t bytes() const { return cell_trapdoors.bytes(); }
-
-  /// Releases at least `target` accounted bytes (or everything), coldest
-  /// shards first. Safe concurrently with traffic — values handed out stay
-  /// alive; future queries recompute, which is always correct (entries are
-  /// keyed by epoch/key-version, so recomputation can never resurrect a
-  /// stale ciphertext across key rotations). Returns the bytes released.
-  size_t ReleaseBytes(size_t target) {
-    return cell_trapdoors.ReleaseBytes(target);
-  }
 };
 
 /// Enclave-side query machinery shared by the point- and range-query paths:

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "concealer/epoch_io.h"
+#include "concealer/result_seal.h"
 #include "concealer/super_bins.h"
 #include "concealer/wire.h"
 #include "crypto/det_cipher.h"
@@ -583,25 +584,14 @@ StatusOr<Bytes> ServiceProvider::ExecuteForUser(const std::string& user_id,
   StatusOr<Session> session = enclave_.Authenticate(user_id, proof);
   if (!session.ok()) return session.status();
 
-  // Individualized queries (ones naming an observation) may only target the
-  // user's own device (paper §2.1: users are trusted with data that
-  // corresponds to themselves, not with other users' data).
-  if (!query.observation.empty() &&
-      query.observation != session->owned_observation) {
-    return Status::PermissionDenied(
-        "user may not query observation '" + query.observation + "'");
-  }
+  CONCEALER_RETURN_IF_ERROR(
+      CheckObservationAccess(query, session->owned_observation));
 
   StatusOr<QueryResult> result = Execute(query);
   if (!result.ok()) return result.status();
 
-  // Encrypt the answer under a key only the proving user can derive (the
-  // proof doubles as the user-held shared secret; public-key wrapping is
-  // out of scope per §1.2).
   // Clock-mixed: rng_ keeps its fixed seed for the (reproducible) dynamic
-  // path, but nonce seeds must differ across provider instances — the
-  // result key is deterministic per (proof, user), and CTR nonce reuse
-  // under one key leaks plaintext XORs (rand_cipher.h).
+  // path, but nonce seeds must differ across provider instances.
   uint64_t nonce_seed;
   {
     std::lock_guard<std::mutex> lock(rng_mu_);
@@ -610,10 +600,7 @@ StatusOr<Bytes> ServiceProvider::ExecuteForUser(const std::string& user_id,
                                            .time_since_epoch()
                                            .count());
   }
-  RandCipher cipher;
-  CONCEALER_RETURN_IF_ERROR(cipher.SetKey(DeriveResultKey(proof, user_id),
-                                          /*nonce_seed=*/nonce_seed));
-  return cipher.Encrypt(SerializeQueryResult(*result));
+  return SealResult(*result, DeriveResultKey(proof, user_id), nonce_seed);
 }
 
 }  // namespace concealer

@@ -101,10 +101,10 @@ class ServiceProvider {
   /// unit (null, the default, runs them inline; answers are identical
   /// either way). Not owned: the pool must outlive this provider. The
   /// tenant registry passes its one process-wide pool, so the per-pool
-  /// nesting guard (common/thread_pool.h) covers the service scheduler
-  /// and the fetch path together. No effect in dynamic mode (§6), whose
-  /// per-bin re-encryption loop is serial. Call during setup only, like
-  /// set_work_cache.
+  /// nesting guard (common/thread_pool.h) covers the registry's batch
+  /// fan-out and the fetch path together. No effect in dynamic mode (§6),
+  /// whose per-bin re-encryption loop is serial. Call during setup only,
+  /// like set_work_cache.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches the cross-query enclave-work cache shared by the service

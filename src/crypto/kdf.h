@@ -32,7 +32,7 @@ Bytes EpochKey(Slice sk, uint64_t epoch_id, uint64_t reenc_counter = 0);
 /// proof. The single definition shared by every surface that must agree on
 /// it: the enclave side that seals answers (ServiceProvider::ExecuteForUser,
 /// the service layer's sessions) and the user side that opens them
-/// (Client, QueryService::DecryptResult).
+/// (OpenResult in concealer/result_seal.h).
 Bytes DeriveResultKey(Slice proof, const std::string& user_id);
 
 }  // namespace concealer

@@ -74,7 +74,6 @@ class Enclave {
   StatusOr<Bytes> DecryptEpochBlob(uint64_t epoch_id, Slice ciphertext) const;
 
   uint64_t ecalls() const { return ecalls_.load(std::memory_order_relaxed); }
-  bool registry_loaded() const { return registry_loaded_; }
 
  private:
   Bytes sk_;  // Sealed secret: never exposed through the public surface.

@@ -76,13 +76,6 @@ void ConcealerClient::Disconnect() {
   recv_buf_.clear();
 }
 
-void ConcealerClient::AdoptFd(int fd) {
-  Disconnect();
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  fd_ = fd;
-}
-
 Status ConcealerClient::Connect(const std::string& host, uint16_t port) {
   Disconnect();
   host_ = host;

@@ -63,10 +63,8 @@ class ConcealerClient {
   /// Dials host:port (numeric IPv4) within connect_timeout_ms.
   Status Connect(const std::string& host, uint16_t port);
   /// Redials the last Connect target. FailedPrecondition before any
-  /// Connect; AdoptFd-only clients cannot reconnect.
+  /// Connect.
   Status Reconnect();
-  /// Takes ownership of an already-connected socket (socketpair tests).
-  void AdoptFd(int fd);
   bool connected() const { return fd_ >= 0; }
   void Disconnect();
 
@@ -84,7 +82,8 @@ class ConcealerClient {
                               const concealer::Query& query,
                               const CallOptions& call = {});
   /// ExecuteEncrypted over the wire: the result ciphertext, decryptable
-  /// only with the session user's proof (QueryService::DecryptResult).
+  /// only with the session user's proof (OpenResult,
+  /// concealer/result_seal.h).
   StatusOr<Bytes> QueryEncrypted(const std::string& tenant_id,
                                  const std::string& token,
                                  const concealer::Query& query,

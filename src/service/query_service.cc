@@ -3,9 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "concealer/wire.h"
-#include "crypto/kdf.h"
-#include "crypto/rand_cipher.h"
+#include "concealer/result_seal.h"
 
 namespace concealer {
 
@@ -26,19 +24,8 @@ QueryService::QueryService(std::unique_ptr<ServiceProvider> provider,
                               .count())) {
   if (options_.max_inflight == 0) options_.max_inflight = 1;
   gate_ = std::make_unique<AdmissionGate>(options_.max_inflight,
-                                          options_.reject_over_capacity,
-                                          options_.admission_clock);
-  if (options_.enable_work_cache) {
-    // Deliberately per-service even behind a tenant registry: cache
-    // entries are ciphertexts under THIS tenant's keys, so sharing a map
-    // across tenants could only ever serve a wrong-key entry or leak one
-    // tenant's (encrypted) access history into another's cache timing.
-    work_cache_ = std::make_unique<EnclaveWorkCache>();
-    provider_->set_work_cache(work_cache_.get());
-    if (options_.cache_budget != nullptr) {
-      cache_tenant_ = options_.cache_budget->Register();
-    }
-  }
+                                          options_.reject_over_capacity);
+  provider_->set_work_cache(&work_cache_);
   provider_->set_pool(options_.pool);
   // Epoch tiering engages for segment-backed providers (mmap engine) only:
   // the in-memory engine cannot release row memory, so counting it against
@@ -61,13 +48,6 @@ QueryService::QueryService(std::unique_ptr<ServiceProvider> provider,
         if (recovery_status_.ok()) recovery_status_ = st;
       }
     }
-  }
-}
-
-QueryService::~QueryService() {
-  provider_->set_work_cache(nullptr);
-  if (cache_tenant_ != 0 && options_.cache_budget != nullptr) {
-    options_.cache_budget->Unregister(cache_tenant_);
   }
 }
 
@@ -114,20 +94,15 @@ StatusOr<std::shared_ptr<const SessionState>> QueryService::Authorize(
   StatusOr<std::shared_ptr<const SessionState>> session =
       sessions_.Lookup(token);
   if (!session.ok()) return session.status();
-  // Individualized queries may only target the session user's own
-  // observation (paper §2.1) — same rule ExecuteForUser enforces.
-  if (!query.observation.empty() &&
-      query.observation != (*session)->owned_observation) {
-    return Status::PermissionDenied("user may not query observation '" +
-                                    query.observation + "'");
-  }
+  CONCEALER_RETURN_IF_ERROR(
+      CheckObservationAccess(query, (*session)->owned_observation));
   return session;
 }
 
 StatusOr<QueryResult> QueryService::ExecuteAuthorized(const Query& query) {
   // Admission first: over-cap work is refused (or queued) before it can
-  // touch locks, the scheduler, or the cache. The slot also feeds the
-  // gate's service-time EWMA, which prices the retry-after hint.
+  // touch locks or the cache. The slot also feeds the gate's service-time
+  // EWMA, which prices the retry-after hint.
   StatusOr<AdmissionGate::Slot> slot = gate_->Admit();
   if (!slot.ok()) return slot.status();
   if (options_.execute_fault_hook) options_.execute_fault_hook();
@@ -135,12 +110,7 @@ StatusOr<QueryResult> QueryService::ExecuteAuthorized(const Query& query) {
   // ParallelFor the query issues on the shared pool lands in the tenant's
   // DRR queue (a no-op for class 0 / dedicated pools).
   ThreadPool::TagScope tag(options_.pool, options_.sched_class);
-  StatusOr<QueryResult> result = ExecuteUnderLocks(query);
-  // Settle cache accounting outside the epoch locks: report usage to the
-  // global budget and pay any debt assigned to us under our own shard
-  // locks only (see service/cache_budget.h for the no-deadlock argument).
-  UpdateCacheBudget();
-  return result;
+  return ExecuteUnderLocks(query);
 }
 
 StatusOr<QueryResult> QueryService::ExecuteUnderLocks(const Query& query) {
@@ -211,43 +181,7 @@ StatusOr<Bytes> QueryService::ExecuteEncrypted(const std::string& token,
     std::lock_guard<std::mutex> lock(rng_mu_);
     nonce_seed = rng_.Next();
   }
-  RandCipher cipher;
-  CONCEALER_RETURN_IF_ERROR(
-      cipher.SetKey((*session)->result_key, nonce_seed));
-  return cipher.Encrypt(SerializeQueryResult(*result));
-}
-
-std::vector<StatusOr<QueryResult>> QueryService::ExecuteBatch(
-    const std::vector<SessionQuery>& batch) {
-  std::vector<StatusOr<QueryResult>> results(
-      batch.size(), StatusOr<QueryResult>(Status::Internal("not executed")));
-  // Tag the fan-out itself: the per-query helpers inherit this class, so a
-  // tenant's whole batch competes under its own DRR weight instead of
-  // flooding the shared pool FIFO-style.
-  ThreadPool::TagScope tag(options_.pool, options_.sched_class);
-  const auto run = [&](size_t i) {
-    results[i] = Execute(batch[i].token, batch[i].query);
-  };
-  if (options_.pool == nullptr) {
-    for (size_t i = 0; i < batch.size(); ++i) run(i);
-  } else {
-    options_.pool->ParallelFor(batch.size(), run);
-  }
-  return results;
-}
-
-StatusOr<QueryResult> QueryService::DecryptResult(Slice proof,
-                                                  const std::string& user_id,
-                                                  Slice encrypted_result) {
-  RandCipher cipher;
-  CONCEALER_RETURN_IF_ERROR(cipher.SetKey(DeriveResultKey(proof, user_id)));
-  StatusOr<Bytes> plain = cipher.Decrypt(encrypted_result);
-  if (!plain.ok()) return plain.status();
-  return DeserializeQueryResult(*plain);
-}
-
-void QueryService::ClearWorkCache() {
-  if (work_cache_ != nullptr) work_cache_->Clear();
+  return SealResult(*result, (*session)->result_key, nonce_seed);
 }
 
 Status QueryService::ReclaimColdEpochs() {
@@ -262,32 +196,10 @@ Status QueryService::ReclaimColdEpochs() {
 
 QueryService::CacheStats QueryService::cache_stats() const {
   CacheStats stats;
-  if (work_cache_ == nullptr) return stats;
-  stats.trapdoor_hits = work_cache_->cell_trapdoors.hits();
-  stats.trapdoor_misses = work_cache_->cell_trapdoors.misses();
-  stats.trapdoor_entries = work_cache_->cell_trapdoors.size();
-  stats.bytes = work_cache_->bytes();
+  stats.trapdoor_hits = work_cache_.cell_trapdoors.hits();
+  stats.trapdoor_misses = work_cache_.cell_trapdoors.misses();
+  stats.trapdoor_entries = work_cache_.cell_trapdoors.size();
   return stats;
-}
-
-void QueryService::UpdateCacheBudget() {
-  if (cache_tenant_ == 0 || work_cache_ == nullptr) return;
-  options_.cache_budget->Update(cache_tenant_, work_cache_->bytes());
-  // Self-pay: if the rebalance (this one or an earlier one) left debt on
-  // this tenant, settle it now on the query thread — the common case, which
-  // keeps the registry's background reclaimer for idle debtors only.
-  ReclaimCacheBudget();
-}
-
-void QueryService::ReclaimCacheBudget() {
-  if (cache_tenant_ == 0 || work_cache_ == nullptr) return;
-  WorkCacheBudget* budget = options_.cache_budget;
-  const size_t owed = budget->PendingReclaimBytes(cache_tenant_);
-  if (owed == 0) return;
-  work_cache_->ReleaseBytes(owed);
-  // Report (not Update): shrinking to pay debt must not refresh our
-  // recency stamp, or a debtor could rescue itself from future steals.
-  budget->ReportBytes(cache_tenant_, work_cache_->bytes());
 }
 
 }  // namespace concealer

@@ -8,8 +8,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -17,7 +15,6 @@
 #include "concealer/service_provider.h"
 #include "concealer/types.h"
 #include "service/admission_gate.h"
-#include "service/cache_budget.h"
 #include "service/epoch_lifecycle.h"
 #include "service/session_manager.h"
 
@@ -36,20 +33,11 @@ struct QueryServiceOptions {
   /// up in its queue; retrying clients (service/retry.h) ride it out.
   bool reject_over_capacity = false;
   /// Scheduling class on the injected shared pool (ThreadPool::
-  /// RegisterClass): batch fan-out and fetch fan-out submissions are
-  /// tagged with it, so the pool's weighted deficit-round-robin arbitrates
-  /// this tenant against the others at its configured weight. 0 (default)
-  /// = the pool's default class; meaningless without a pool.
+  /// RegisterClass): each query's fetch fan-out submissions are tagged
+  /// with it, so the pool's weighted deficit-round-robin arbitrates this
+  /// tenant against the others at its configured weight. 0 (default) =
+  /// the pool's default class; meaningless without a pool.
   uint64_t sched_class = 0;
-  /// Cross-tenant work-cache byte budget injected by the tenant registry
-  /// (null = only the per-map entry caps apply). The service reports its
-  /// cache bytes after each query and pays any reclaim debt assigned to it
-  /// under its own cache locks (see WorkCacheBudget). Non-owned; must
-  /// outlive the service.
-  WorkCacheBudget* cache_budget = nullptr;
-  /// Test hook: injectable clock for the admission gate's service-time
-  /// EWMA (milliseconds, monotonic).
-  AdmissionGate::ClockMs admission_clock;
   /// Fault-injection hook for the backpressure tests: runs on the query
   /// thread while it HOLDS an admission slot, before execution. A hook
   /// that blocks keeps the slot pinned, letting tests drive a tenant past
@@ -57,12 +45,11 @@ struct QueryServiceOptions {
   std::function<void()> execute_fault_hook;
   /// Session token lifetime (Phase 2 amortization window).
   uint64_t session_ttl_seconds = 24 * 3600;
-  /// Share trapdoor work across queries (EnclaveWorkCache).
-  bool enable_work_cache = true;
-  /// Borrowed worker pool (null = run inline). Both the batch scheduler
-  /// and the provider's fetch fan-out run on it; the tenant registry
-  /// passes its one process-wide pool, so N tenants share one pool and the
-  /// per-pool nesting guard keeps the composed fan-outs deadlock-free.
+  /// Borrowed worker pool (null = run inline). The provider's fetch
+  /// fan-out runs on it; the tenant registry passes its one process-wide
+  /// pool, so N tenants share one pool and the per-pool nesting guard keeps
+  /// the registry's batch fan-out and each query's fetch fan-out
+  /// deadlock-free.
   /// Non-owned; must outlive the service.
   ThreadPool* pool = nullptr;
   /// Hot-epoch budget (null = unbounded): at most its cap of epochs keep
@@ -92,22 +79,20 @@ struct QueryServiceOptions {
 ///  3. Concurrency control — static-mode queries run under a shared
 ///     (reader) epoch lock, fully parallel; the dynamic-insertion write
 ///     path (§6 re-encrypts rows and bumps key versions) takes the lock
-///     exclusively. An admission gate caps in-flight queries; a batch
-///     scheduler fans a whole batch out on the borrowed ThreadPool.
+///     exclusively. An admission gate caps in-flight queries; each query's
+///     fetch units fan out on the borrowed ThreadPool.
 ///
 /// Thread safety: setup (LoadRegistry / IngestEpoch / set_dynamic_mode /
 /// provider() mutation) must be quiesced before or serialized against
 /// traffic; everything else — OpenSession, CloseSession, Execute,
-/// ExecuteEncrypted, ExecuteBatch, the stats accessors — is safe from any
-/// number of threads.
+/// ExecuteEncrypted, the stats accessors — is safe from any number of
+/// threads.
 class QueryService {
  public:
-  /// Takes ownership of a (possibly already ingested) provider. The
-  /// service attaches its work cache to the provider; detached on
-  /// destruction.
+  /// Takes ownership of a (possibly already ingested) provider and
+  /// attaches the service's work cache to it.
   explicit QueryService(std::unique_ptr<ServiceProvider> provider,
                         QueryServiceOptions options = {});
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -143,29 +128,11 @@ class QueryService {
   /// surface, mirroring ServiceProvider::Execute.
   StatusOr<QueryResult> Execute(const std::string& token, const Query& query);
 
-  /// Like Execute, but returns the result encrypted under the session's
-  /// result key (Phase 4) — the production surface. Decrypt with
-  /// DecryptResult (or Client's equivalent derivation).
+  /// Like Execute, but returns the result sealed under the session's
+  /// result key (Phase 4) — the production surface. The user opens it with
+  /// OpenResult (concealer/result_seal.h).
   StatusOr<Bytes> ExecuteEncrypted(const std::string& token,
                                    const Query& query);
-
-  /// One user-query of a batch.
-  struct SessionQuery {
-    std::string token;
-    Query query;
-  };
-
-  /// Fans a batch out across the borrowed pool (inline without one), each
-  /// query individually authorized and admission-gated. results[i]
-  /// corresponds to batch[i].
-  std::vector<StatusOr<QueryResult>> ExecuteBatch(
-      const std::vector<SessionQuery>& batch);
-
-  /// Client-side inverse of ExecuteEncrypted: derives the result key from
-  /// the user's proof (as Client does) and decrypts.
-  static StatusOr<QueryResult> DecryptResult(Slice proof,
-                                             const std::string& user_id,
-                                             Slice encrypted_result);
 
   // --- Introspection ----------------------------------------------------
 
@@ -194,16 +161,8 @@ class QueryService {
     uint64_t filter_hits = 0;
     uint64_t filter_misses = 0;
     size_t filter_entries = 0;
-    size_t bytes = 0;  // Accounted bytes (what the global budget governs).
   };
   CacheStats cache_stats() const;
-
-  /// Drops every cached entry (hit/miss counters are kept). Benches use
-  /// this to measure sweeps from a cold cache; correctness never depends
-  /// on it. Safe concurrently with traffic — in-flight queries holding
-  /// entries keep them alive — but any measurement around it should be
-  /// quiesced.
-  void ClearWorkCache();
 
   /// Pays off this tenant's share of the shared hot-epoch budget's reclaim
   /// debt (see HotEpochBudget): takes the exclusive epoch lock and evicts
@@ -211,14 +170,6 @@ class QueryService {
   /// budget, or debt. Safe from any thread; the registry drains debtor
   /// tenants through this after traffic.
   Status ReclaimColdEpochs();
-
-  /// Pays off this tenant's share of the shared work-cache byte budget's
-  /// reclaim debt (see WorkCacheBudget): releases this cache's coldest
-  /// shards under its own shard locks and reports the shrunk usage. No-op
-  /// without a budget, a cache, or debt. Safe from any thread; the
-  /// registry's background reclaimer drains idle debtors through this,
-  /// and the query path self-pays after each query.
-  void ReclaimCacheBudget();
 
   /// Admission-gate state: in-flight count, fail-fast rejections issued,
   /// current service-time EWMA (what retry-after hints derive from).
@@ -233,19 +184,20 @@ class QueryService {
       const std::string& token, const Query& query) const;
 
   /// Admission gate + scheduling-class tag + epoch lock + provider
-  /// execution + cache-budget settlement.
+  /// execution.
   StatusOr<QueryResult> ExecuteAuthorized(const Query& query);
 
   /// Epoch lock + provider execution (the admission slot is already held).
   StatusOr<QueryResult> ExecuteUnderLocks(const Query& query);
 
-  /// Reports cache bytes to the shared budget (bumping this tenant's
-  /// recency) and self-pays any debt assigned to this tenant.
-  void UpdateCacheBudget();
-
   QueryServiceOptions options_;
+  /// Per service even behind a tenant registry: entries are ciphertexts
+  /// under THIS tenant's keys, so a map shared across tenants could only
+  /// ever serve a wrong-key entry or leak one tenant's (encrypted) access
+  /// history into another's cache timing. Declared before provider_, which
+  /// points at it, so the provider is destroyed first.
+  EnclaveWorkCache work_cache_;
   std::unique_ptr<ServiceProvider> provider_;
-  std::unique_ptr<EnclaveWorkCache> work_cache_;  // Null when disabled.
   /// Hot/cold epoch tiering over the provider's segment-backed engine;
   /// null for in-memory providers.
   std::unique_ptr<EpochLifecycleManager> lifecycle_;
@@ -265,8 +217,6 @@ class QueryService {
   /// Admission control (blocking or fail-fast per options_; see
   /// AdmissionGate). Constructed in the ctor after option normalization.
   std::unique_ptr<AdmissionGate> gate_;
-  /// Handle in the shared work-cache budget, if any.
-  uint64_t cache_tenant_ = 0;
 
   /// Nonce seeds for result encryption (guarded by rng_mu_).
   std::mutex rng_mu_;

@@ -80,8 +80,6 @@ TenantRegistry::TenantRegistry(TenantRegistryOptions options)
       pool_(std::make_unique<ThreadPool>(
           options_.pool_threads == 0 ? 1 : options_.pool_threads)),
       budget_(std::make_unique<HotEpochBudget>(options_.global_hot_epochs)),
-      cache_budget_(
-          std::make_unique<WorkCacheBudget>(options_.global_cache_bytes)),
       reclaimer_([this] { ReclaimLoop(); }) {}
 
 TenantRegistry::~TenantRegistry() {
@@ -143,7 +141,6 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
   QueryServiceOptions service_options = options_.service;
   service_options.pool = pool_.get();
   service_options.hot_budget = budget_.get();
-  service_options.cache_budget = cache_budget_.get();
   // The tenant's own DRR class on the shared pool: every Submit/ParallelFor
   // its queries issue is served weight-proportionally against the other
   // tenants' classes instead of first-come-first-served.
@@ -417,10 +414,7 @@ Status TenantRegistry::AggregateRecoveryStatus() const {
 }
 
 Status TenantRegistry::ReclaimOverBudget() {
-  const bool epoch_debt = budget_ != nullptr && budget_->TotalDebt() != 0;
-  const bool cache_debt =
-      cache_budget_ != nullptr && cache_budget_->TotalDebtBytes() != 0;
-  if (!epoch_debt && !cache_debt) return Status::OK();
+  if (budget_->TotalDebt() == 0) return Status::OK();
   std::vector<std::shared_ptr<QueryService>> snapshot;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -428,15 +422,11 @@ Status TenantRegistry::ReclaimOverBudget() {
     for (const auto& [id, service] : tenants_) snapshot.push_back(service);
   }
   // One tenant at a time: ReclaimColdEpochs takes only that tenant's
-  // epoch lock, and ReclaimCacheBudget only that tenant's cache shard
-  // locks, so debtors never deadlock against each other.
+  // epoch lock, so debtors never deadlock against each other.
   Status first_failure = Status::OK();
   for (const auto& service : snapshot) {
-    if (epoch_debt) {
-      const Status st = service->ReclaimColdEpochs();
-      if (!st.ok() && first_failure.ok()) first_failure = st;
-    }
-    if (cache_debt) service->ReclaimCacheBudget();
+    const Status st = service->ReclaimColdEpochs();
+    if (!st.ok() && first_failure.ok()) first_failure = st;
   }
   return first_failure;
 }
@@ -446,10 +436,7 @@ void TenantRegistry::DrainReclaims() {
   // for another tenant's debt on this caller's thread — a debtor's
   // exclusive epoch lock and eviction I/O must not inflate an innocent
   // tenant's query latency.
-  const bool epoch_debt = budget_ != nullptr && budget_->TotalDebt() != 0;
-  const bool cache_debt =
-      cache_budget_ != nullptr && cache_budget_->TotalDebtBytes() != 0;
-  if (!epoch_debt && !cache_debt) return;
+  if (budget_->TotalDebt() == 0) return;
   {
     std::lock_guard<std::mutex> lock(reclaim_mu_);
     reclaim_pending_ = true;

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "concealer/types.h"
-#include "service/cache_budget.h"
 #include "service/epoch_lifecycle.h"
 #include "service/query_service.h"
 
@@ -40,24 +39,17 @@ struct TenantRegistryOptions {
   /// `dir` is ignored (the registry derives the per-tenant subpath);
   /// engine, segment_bytes and node_cache_bytes apply.
   StorageOptions storage;
-  /// Workers in the process-wide pool shared by every tenant (batch
-  /// scheduler fan-out AND per-query fetch units). 0 = one worker.
+  /// Workers in the process-wide pool shared by every tenant (QueryBatch
+  /// fan-out AND per-query fetch units). 0 = one worker.
   uint32_t pool_threads = 4;
   /// Hot-epoch budget across ALL tenants' segment-backed providers
   /// (HotEpochBudget; 0 = unbounded). Under load, a tenant ingesting or
   /// reloading takes its residency slot from whichever tenant has gone
   /// globally coldest.
   size_t global_hot_epochs = 0;
-  /// Enclave-work-cache byte budget across ALL tenants (WorkCacheBudget;
-  /// 0 = unbounded). When the sum of per-tenant cache bytes exceeds it,
-  /// the globally-coldest tenants are assigned reclaim debt, paid after
-  /// their own queries or by the background reclaimer — the caches stay
-  /// strictly per tenant; only the *byte accounting* is shared.
-  size_t global_cache_bytes = 0;
-  /// Template for each tenant's QueryServiceOptions. `pool`,
-  /// `hot_budget`, `cache_budget` and `sched_class` are overwritten with
-  /// the registry's own; everything else (session TTL, work cache on/off,
-  /// admission cap and mode) applies per tenant.
+  /// Template for each tenant's QueryServiceOptions. `pool`, `hot_budget`
+  /// and `sched_class` are overwritten with the registry's own; everything
+  /// else (session TTL, admission cap and mode) applies per tenant.
   QueryServiceOptions service;
 };
 
@@ -65,27 +57,22 @@ struct TenantRegistryOptions {
 /// tables/providers"): owns one QueryService per tenant — each with its own
 /// ServiceProvider, enclave key material, user registry, work cache and
 /// segment directory — and routes sessions, queries and epoch ingest by
-/// tenant id. The registry arbitrates exactly four shared resources:
+/// tenant id. The registry arbitrates exactly two shared resources:
 ///
-///  1. One process-wide ThreadPool: every tenant's batch scheduler and
-///     fetch fan-out runs on it, so N tenants contend for the machine's
-///     cores in one queue instead of oversubscribing with 2N pools. Each
-///     tenant gets its own DRR scheduling class (weight from TenantQoS),
-///     so a flooding tenant is bounded to its weight share of service and
-///     cannot starve the others' queues.
+///  1. One process-wide ThreadPool: QueryBatch's fan-out and every
+///     tenant's fetch fan-out run on it, so N tenants contend for the
+///     machine's cores in one queue instead of oversubscribing with N
+///     pools. Each tenant gets its own DRR scheduling class (weight from
+///     TenantQoS), so a flooding tenant is bounded to its weight share of
+///     service and cannot starve the others' queues.
 ///  2. One HotEpochBudget: mapped-epoch residency is capped globally;
 ///     tenants steal slots from globally-cold tenants (LRU), and the
 ///     registry drains the resulting reclaim debt after traffic.
-///  3. One WorkCacheBudget: the enclave-work caches' BYTE ACCOUNTING is
-///     capped globally with the same debt design — over the cap, the
-///     globally-coldest tenants owe bytes, paid by shrinking their OWN
-///     cache under their own locks. The cache contents never cross
-///     tenants; only the byte ledger is shared.
-///  4. Nothing else. Key material, sessions, epoch state and the
-///     enclave-work caches are strictly per tenant: a trapdoor or filter
-///     ciphertext minted under tenant A's keys can never be served to — or
-///     even collide with — tenant B's queries, because the caches
-///     themselves never cross the QueryService boundary.
+///
+/// Nothing else is shared. Key material, sessions, epoch state and the
+/// enclave-work caches are strictly per tenant: a trapdoor minted under
+/// tenant A's keys can never be served to — or even collide with — tenant
+/// B's queries, because the caches never cross the QueryService boundary.
 ///
 /// Thread safety: CreateTenant / DropTenant / OpenAll serialize against
 /// each other end to end (one admin mutex spans existence check,
@@ -200,7 +187,6 @@ class TenantRegistry {
   Status ReclaimOverBudget();
 
   const HotEpochBudget* hot_budget() const { return budget_.get(); }
-  const WorkCacheBudget* cache_budget() const { return cache_budget_.get(); }
   ThreadPool* shared_pool() { return pool_.get(); }
 
  private:
@@ -231,7 +217,6 @@ class TenantRegistry {
   TenantRegistryOptions options_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<HotEpochBudget> budget_;
-  std::unique_ptr<WorkCacheBudget> cache_budget_;
 
   /// Serializes tenant lifecycle (CreateTenant/DropTenant/OpenAll) END TO
   /// END — existence check, directory open/unlink and map update are one

@@ -23,7 +23,7 @@ constexpr size_t kFooterBody = 6 * 8;
 // --- NodeStore -------------------------------------------------------------
 
 NodeStore::NodeStore(Options options)
-    : options_(std::move(options)), cache_budget_(options_.cache_bytes) {}
+    : options_(std::move(options)) {}
 
 NodeStore::~NodeStore() { Close(); }
 
@@ -215,7 +215,7 @@ StatusOr<NodeStore::PagePin> NodeStore::GetPage(uint32_t id) {
     lru_.push_front(id);
     cache_[id] = CacheEntry{*page, bytes, lru_.begin()};
     cache_bytes_ += bytes;
-    TrimLocked(cache_budget_);
+    TrimLocked(options_.cache_bytes);
   }
   return *page;
 }
@@ -261,12 +261,6 @@ void NodeStore::TrimCache(uint64_t target_bytes) {
 uint64_t NodeStore::cache_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_bytes_;
-}
-
-void NodeStore::set_cache_budget(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_budget_ = bytes;
-  TrimLocked(cache_budget_);
 }
 
 uint64_t NodeStore::loads() const {

@@ -128,11 +128,9 @@ class NodeStore {
   void DropCache() { TrimCache(0); }
 
   uint64_t cache_bytes() const;
-  void set_cache_budget(uint64_t bytes);
 
   /// Not synchronized with Prefetch: set it before probes run.
   void set_prefetch_mode(PrefetchMode mode) { prefetch_mode_ = mode; }
-  PrefetchMode prefetch_mode() const { return prefetch_mode_; }
 
   // --- Observability (tests and the exp16 paged leg) ---------------------
   uint64_t loads() const;          // Pages read from disk.
@@ -165,7 +163,6 @@ class NodeStore {
   std::unordered_map<uint32_t, CacheEntry> cache_;
   std::list<uint32_t> lru_;  // Front = most recent.
   uint64_t cache_bytes_ = 0;
-  uint64_t cache_budget_;
 
   PrefetchMode prefetch_mode_ = PrefetchMode::kFadvise;
 

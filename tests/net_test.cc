@@ -27,6 +27,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
@@ -38,13 +39,13 @@
 #include "common/coding.h"
 #include "concealer/data_provider.h"
 #include "concealer/epoch_io.h"
+#include "concealer/result_seal.h"
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "net/client.h"
 #include "net/net_fault.h"
 #include "net/server.h"
 #include "net/wire_format.h"
-#include "service/query_service.h"
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "storage/fault_fs.h"
@@ -477,6 +478,75 @@ TEST(NetServerTest, QueriesMatchInProcessAnswersByteForByte) {
   }
 }
 
+// Many connections at once, against a tenant set up as concealer_server
+// sets its tenants up: fail-fast admission with a cap well below the
+// connection count, so clients ride out Unavailable through RetryQuery.
+// Every answer must equal the in-process registry's, byte for byte.
+TEST(NetServerTest, ConcurrentConnectionsMatchInProcessAnswers) {
+  const std::string root = TempDir();
+  TenantFixture acme = MakeTenant("acme", 0x3c);
+  TenantRegistryOptions registry_options;
+  registry_options.root_dir = root;
+  registry_options.storage.engine = TestEngine();
+  registry_options.pool_threads = 4;
+  registry_options.service.reject_over_capacity = true;
+  registry_options.service.max_inflight = 2;
+  {
+    TenantRegistry registry(registry_options);
+    Provision(&registry, acme);
+    ConcealerServer server(&registry);
+    ASSERT_TRUE(server.Start().ok());
+
+    auto direct_token =
+        registry.OpenSession(acme.id, "alice", Slice(AliceProof(acme)));
+    ASSERT_TRUE(direct_token.ok());
+    std::vector<Query> queries;
+    std::vector<Bytes> want;
+    for (uint64_t i = 0; i < 8; ++i) {
+      queries.push_back(CountQuery(i % 16, i % 6, i % 6 + 3));
+      auto direct = registry.Query(acme.id, *direct_token, queries.back());
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      want.push_back(SerializeQueryResult(*direct));
+    }
+
+    constexpr int kConnections = 16;
+    constexpr int kQueriesPerConnection = 4;
+    std::atomic<int> failures{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kConnections; ++c) {
+      clients.emplace_back([&, c] {
+        ConcealerClient client;
+        if (!client.Connect("127.0.0.1", server.port()).ok()) {
+          ++failures;
+          return;
+        }
+        auto token =
+            client.OpenSession(acme.id, "alice", Slice(AliceProof(acme)));
+        if (!token.ok()) {
+          ++failures;
+          return;
+        }
+        RetryOptions retry;
+        retry.max_attempts = 200;
+        for (int i = 0; i < kQueriesPerConnection; ++i) {
+          const size_t qi = (c + i) % queries.size();
+          auto got = client.RetryQuery(acme.id, *token, queries[qi], retry);
+          if (!got.ok()) {
+            ++failures;
+          } else if (SerializeQueryResult(*got) != want[qi]) {
+            ++mismatches;
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+  }
+  RemoveDirRecursive(root);
+}
+
 TEST(NetServerTest, EncryptedQueryDecryptsWithUserProof) {
   ServerHarness harness;
   TenantFixture acme = MakeTenant("acme", 0x32);
@@ -488,8 +558,7 @@ TEST(NetServerTest, EncryptedQueryDecryptsWithUserProof) {
   Query q = CountQuery(4, 0, 12);
   auto ciphertext = client.QueryEncrypted(acme.id, *token, q);
   ASSERT_TRUE(ciphertext.ok()) << ciphertext.status().ToString();
-  auto decrypted = QueryService::DecryptResult(Slice(AliceProof(acme)),
-                                               "alice", Slice(*ciphertext));
+  auto decrypted = OpenResult(*ciphertext, AliceProof(acme), "alice");
   ASSERT_TRUE(decrypted.ok()) << decrypted.status().ToString();
 
   auto plain = client.Query(acme.id, *token, q);

@@ -136,7 +136,8 @@ TEST_F(EpochIoNegativeTest, TrailingBytes) {
 }
 
 TEST_F(EpochIoNegativeTest, ReadEpochFileMissing) {
-  auto st = ReadEpochFile("/nonexistent/epoch.bin").status();
+  // The epoch meta files are read through ReadFileBytes.
+  auto st = ReadFileBytes("/nonexistent/epoch-meta").status();
   EXPECT_TRUE(st.IsNotFound());
 }
 

@@ -2,10 +2,8 @@
 // shared pool (deterministic starvation/proportionality checks — a single
 // pinned worker makes the dispatch order exact, no wall-time sleeps),
 // admission backpressure (Unavailable + retry-after through the tenant
-// registry, fault-injection hook pinning a slot, retrying client), the
-// global work-cache byte budget (coldest-tenant steal, bytes <= cap after
-// settle, recompute correctness), and byte-identity of the whole QoS path
-// against a dedicated pre-QoS service.
+// registry, fault-injection hook pinning a slot, retrying client), and
+// byte-identity of the whole QoS path against a dedicated pre-QoS service.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +21,6 @@
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/admission_gate.h"
-#include "service/cache_budget.h"
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "test_engine.h"
@@ -214,7 +211,6 @@ TEST(QosSchedulerTest, UnregisterDrainsQueueAndFallsBackToDefault) {
   // Unknown ids and class 0 are no-ops, not crashes.
   pool.UnregisterClass(cls);
   pool.UnregisterClass(0);
-  pool.SetClassWeight(cls, 7);
 }
 
 // --- Admission gate -------------------------------------------------------
@@ -432,25 +428,6 @@ std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
     out.push_back(got.ok() ? SerializeQueryResult(*got) : Bytes{});
   }
   return out;
-}
-
-/// Accounted cache bytes a dedicated service holds after `queries` — the
-/// yardstick the budget test sizes its cap against.
-size_t ProbeCacheBytes(const TenantFixture& t,
-                       const std::vector<Query>& queries) {
-  QueryService service(
-      MakeTestProvider(t.config, t.dp->shared_secret()),
-      QueryServiceOptions{});
-  EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
-  for (const auto& e : t.epochs) {
-    EXPECT_TRUE(service.IngestEpoch(e).ok());
-  }
-  auto token = service.OpenSession("alice", AliceProof(t));
-  EXPECT_TRUE(token.ok());
-  for (const Query& q : queries) {
-    EXPECT_TRUE(service.Execute(*token, q).ok());
-  }
-  return service.cache_stats().bytes;
 }
 
 // --- Backpressure through the registry (fault injection) ------------------
@@ -744,138 +721,6 @@ TEST_F(QosBackpressureTest, DropTenantMidBackpressureLeavesOthersIntact) {
       1u);
 }
 
-// --- Global work-cache byte budget ----------------------------------------
-
-TEST(QosCacheBudgetTest, DebtAssignedColdestFirst) {
-  WorkCacheBudget budget(1000);
-  const uint64_t a = budget.Register();
-  const uint64_t b = budget.Register();
-  const uint64_t c = budget.Register();
-
-  budget.Update(a, 400);
-  budget.Update(b, 400);
-  EXPECT_EQ(budget.TotalDebtBytes(), 0u);  // 800 <= 1000.
-
-  budget.Update(c, 500);  // 1300: 300 over — the coldest (a) owes it all.
-  EXPECT_EQ(budget.PendingReclaimBytes(a), 300u);
-  EXPECT_EQ(budget.PendingReclaimBytes(b), 0u);
-  EXPECT_EQ(budget.PendingReclaimBytes(c), 0u);
-  EXPECT_EQ(budget.TotalDebtBytes(), 300u);
-  EXPECT_EQ(budget.stats().steals, 1u);
-
-  // a pays (ReportBytes: no recency bump) — debt clears, totals settle.
-  budget.ReportBytes(a, 100);
-  EXPECT_EQ(budget.TotalDebtBytes(), 0u);
-  EXPECT_EQ(budget.stats().total_bytes, 1000u);
-
-  // a becomes hottest; the next overage falls on c (now coldest).
-  budget.Update(a, 100);
-  budget.Update(b, 700);  // 1300 again.
-  EXPECT_EQ(budget.PendingReclaimBytes(c), 300u);
-  EXPECT_EQ(budget.PendingReclaimBytes(a), 0u);
-  EXPECT_EQ(budget.stats().steals, 2u);
-
-  // Unregistering the debtor clears its bytes and its debt.
-  budget.Unregister(c);
-  EXPECT_EQ(budget.TotalDebtBytes(), 0u);
-  EXPECT_EQ(budget.stats().total_bytes, 800u);
-}
-
-TEST(QosCacheBudgetTest, ZeroCapIsInertNoOp) {
-  WorkCacheBudget budget(0);
-  const uint64_t t = budget.Register();
-  budget.Update(t, 1 << 30);
-  EXPECT_EQ(budget.TotalDebtBytes(), 0u);
-  EXPECT_EQ(budget.PendingReclaimBytes(t), 0u);
-  EXPECT_EQ(budget.stats().total_bytes, 0u);
-  budget.Unregister(t);
-}
-
-TEST(QosCacheBudgetTest, OverageLargerThanColdestSpillsToNext) {
-  WorkCacheBudget budget(100);
-  const uint64_t a = budget.Register();
-  const uint64_t b = budget.Register();
-  budget.Update(a, 50);
-  budget.Update(b, 400);  // 350 over; a holds only 50 — b covers the rest.
-  EXPECT_EQ(budget.PendingReclaimBytes(a), 50u);
-  EXPECT_EQ(budget.PendingReclaimBytes(b), 300u);
-  EXPECT_EQ(budget.TotalDebtBytes(), 350u);
-}
-
-TEST(QosCacheBudgetTest, GlobalBudgetBoundsTenantsAndRecomputesCorrectly) {
-  // Yardstick: how many cache bytes this workload costs one tenant.
-  TenantFixture cold = MakeTenant("cold", 0x76);
-  TenantFixture hot = MakeTenant("hot", 0x77);
-  const std::vector<Query> queries = Day1Queries();
-  const size_t one_tenant_bytes = ProbeCacheBytes(cold, queries);
-  ASSERT_GT(one_tenant_bytes, 0u);
-
-  // Cap at 1.5x one tenant: two full tenants cannot both stay resident.
-  const std::string root = TempDir();
-  {
-    TenantRegistryOptions options;
-    options.root_dir = root;
-    options.storage.engine = TestEngine();
-    options.pool_threads = 4;
-    options.global_cache_bytes = one_tenant_bytes + one_tenant_bytes / 2;
-    TenantRegistry registry(options);
-    Provision(&registry, cold);
-    Provision(&registry, hot);
-
-    auto cold_token = registry.OpenSession("cold", "alice", AliceProof(cold));
-    auto hot_token = registry.OpenSession("hot", "alice", AliceProof(hot));
-    ASSERT_TRUE(cold_token.ok());
-    ASSERT_TRUE(hot_token.ok());
-    auto cold_service = registry.tenant("cold");
-    auto hot_service = registry.tenant("hot");
-    ASSERT_TRUE(cold_service.ok());
-    ASSERT_TRUE(hot_service.ok());
-
-    // cold fills its cache first (within budget on its own)...
-    for (const Query& q : queries) {
-      ASSERT_TRUE(registry.Query("cold", *cold_token, q).ok());
-    }
-    const size_t cold_before = (*cold_service)->cache_stats().bytes;
-    EXPECT_GT(cold_before, 0u);
-
-    // ...then hot fills its own, pushing the total over the cap. The
-    // overage lands on the globally-coldest tenant — cold — as debt.
-    for (const Query& q : queries) {
-      ASSERT_TRUE(registry.Query("hot", *hot_token, q).ok());
-    }
-
-    // Settle synchronously (the background reclaimer may already have) and
-    // check the invariant the budget exists for: total accounted bytes are
-    // back under the cap, nobody owes anything, and the reclaim stole from
-    // the cold tenant, not the hot one.
-    ASSERT_TRUE(registry.ReclaimOverBudget().ok());
-    ASSERT_NE(registry.cache_budget(), nullptr);
-    WorkCacheBudget::Stats stats = registry.cache_budget()->stats();
-    EXPECT_EQ(stats.debt_bytes, 0u);
-    EXPECT_LE(stats.total_bytes, stats.cap);
-    EXPECT_GE(stats.steals, 1u);
-    EXPECT_LT((*cold_service)->cache_stats().bytes, cold_before);
-    EXPECT_GT((*hot_service)->cache_stats().bytes, 0u);
-
-    // The reclaimed tenant recomputes instead of breaking: every answer
-    // after the flush is byte-identical to a dedicated never-reclaimed
-    // service.
-    const std::vector<Bytes> want = DedicatedAnswers(cold, queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto got = registry.Query("cold", *cold_token, queries[i]);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(SerializeQueryResult(*got), want[i]) << "query " << i;
-    }
-    // The refill may overshoot again transiently; one more settle restores
-    // the bound.
-    ASSERT_TRUE(registry.ReclaimOverBudget().ok());
-    stats = registry.cache_budget()->stats();
-    EXPECT_EQ(stats.debt_bytes, 0u);
-    EXPECT_LE(stats.total_bytes, stats.cap);
-  }
-  RemoveDirRecursive(root);
-}
-
 // --- End-to-end equivalence against the pre-QoS path ----------------------
 
 TEST(QosEquivalenceTest, WeightedFailFastRegistryMatchesDedicatedService) {
@@ -887,7 +732,6 @@ TEST(QosEquivalenceTest, WeightedFailFastRegistryMatchesDedicatedService) {
     options.pool_threads = 4;
     options.service.reject_over_capacity = true;
     options.service.max_inflight = 2;
-    options.global_cache_bytes = 1 << 20;
     TenantRegistry registry(options);
 
     TenantFixture heavy = MakeTenant("heavy", 0x78);
@@ -921,9 +765,9 @@ TEST(QosEquivalenceTest, WeightedFailFastRegistryMatchesDedicatedService) {
     ASSERT_TRUE(light_token.ok());
 
     // Hammer both tenants from several threads through the retrying client:
-    // DRR scheduling, fail-fast admission, retries and the global cache
-    // budget all engaged at once — and every single answer byte-identical
-    // to the dedicated pre-QoS service.
+    // DRR scheduling, fail-fast admission and retries all engaged at once —
+    // and every single answer byte-identical to the dedicated pre-QoS
+    // service.
     constexpr int kThreads = 4;
     constexpr int kRounds = 2;
     std::atomic<int> mismatches{0};

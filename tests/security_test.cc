@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -354,16 +353,6 @@ TEST_F(SecurityTest, EpochTransportRejectsMangling) {
   Bytes bad_version = blob;
   bad_version[4] = 0x7f;
   EXPECT_TRUE(DeserializeEpoch(bad_version).status().IsInvalidArgument());
-}
-
-TEST_F(SecurityTest, EpochFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/concealer_epoch.bin";
-  ASSERT_TRUE(WriteEpochFile(path, epoch_).ok());
-  auto back = ReadEpochFile(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->rows.size(), epoch_.rows.size());
-  EXPECT_TRUE(ReadEpochFile(path + ".missing").status().IsNotFound());
-  std::remove(path.c_str());
 }
 
 TEST_F(SecurityTest, CiphertextIndistinguishability_ErUniquePerRow) {

@@ -13,8 +13,8 @@
 
 #include "baseline/cleartext_db.h"
 #include "common/striped_map.h"
-#include "common/thread_pool.h"
 #include "concealer/data_provider.h"
+#include "concealer/result_seal.h"
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/query_service.h"
@@ -72,17 +72,22 @@ class QueryServiceTest : public ::testing::Test {
     oracle_->Insert(tuples_);
   }
 
-  // Builds a service over a freshly ingested provider.
-  std::unique_ptr<QueryService> MakeService(QueryServiceOptions options) {
-    auto service = std::make_unique<QueryService>(
-        MakeTestProvider(config_, dp_->shared_secret()), options);
-    EXPECT_TRUE(service->LoadRegistry(dp_->EncryptedRegistry()).ok());
+  // A bare provider (no service layer, so no work cache) over the same
+  // freshly ingested epochs every service gets.
+  std::unique_ptr<ServiceProvider> MakeProvider() {
+    auto provider = MakeTestProvider(config_, dp_->shared_secret());
+    EXPECT_TRUE(provider->LoadRegistry(dp_->EncryptedRegistry()).ok());
     auto epochs = dp_->EncryptAll(tuples_);
     EXPECT_TRUE(epochs.ok());
     for (const auto& e : *epochs) {
-      EXPECT_TRUE(service->IngestEpoch(e).ok());
+      EXPECT_TRUE(provider->IngestEpoch(e).ok());
     }
-    return service;
+    return provider;
+  }
+
+  // Builds a service over a freshly ingested provider.
+  std::unique_ptr<QueryService> MakeService(QueryServiceOptions options) {
+    return std::make_unique<QueryService>(MakeProvider(), options);
   }
 
   static Bytes Proof(const std::string& user, Slice secret) {
@@ -248,42 +253,83 @@ TEST_F(QueryServiceTest, EncryptedResultsRoundTripUnderSessionKey) {
 
   auto blob = service->ExecuteEncrypted(*token, q);
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  auto plain = QueryService::DecryptResult(proof, "alice", *blob);
+  auto plain = OpenResult(*blob, proof, "alice");
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   auto direct = service->Execute(*token, q);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(SerializeQueryResult(*plain), SerializeQueryResult(*direct));
 
   // A different user's proof cannot decrypt the blob.
-  EXPECT_FALSE(QueryService::DecryptResult(
-                   Proof("bob", Slice("bob-secret", 10)), "bob", *blob)
-                   .ok());
+  EXPECT_FALSE(
+      OpenResult(*blob, Proof("bob", Slice("bob-secret", 10)), "bob").ok());
+}
+
+// Phase 4 has one sealed format: the provider's per-query path and the
+// service's session path seal the same answer under the same user key, so
+// one opener reads both.
+TEST_F(QueryServiceTest, BothSealingPathsOpenWithOneOpener) {
+  auto provider = MakeProvider();
+  auto service = MakeService({});
+  const Bytes proof = Proof("alice", Slice("alice-secret", 12));
+  auto token = service->OpenSession("alice", proof);
+  ASSERT_TRUE(token.ok());
+
+  Query own;
+  own.agg = Aggregate::kKeysWithObservation;
+  own.observation = tuples_[0].observation;  // Alice's device.
+  own.time_lo = 0;
+  own.time_hi = 86399;
+  Query range;
+  range.agg = Aggregate::kCount;
+  range.key_values = {{6}};
+  range.time_lo = 7 * 3600;
+  range.time_hi = 9 * 3600;
+  for (const Query& q : {own, range}) {
+    auto from_provider = provider->ExecuteForUser("alice", proof, q);
+    auto from_service = service->ExecuteEncrypted(*token, q);
+    ASSERT_TRUE(from_provider.ok()) << from_provider.status().ToString();
+    ASSERT_TRUE(from_service.ok()) << from_service.status().ToString();
+    EXPECT_NE(*from_provider, *from_service);  // Fresh nonces per seal.
+    auto a = OpenResult(*from_provider, proof, "alice");
+    auto b = OpenResult(*from_service, proof, "alice");
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(SerializeQueryResult(*a), SerializeQueryResult(*b));
+  }
+
+  // Both paths apply the one observation rule.
+  Query other = own;
+  other.observation = "someone-elses-device";
+  EXPECT_TRUE(provider->ExecuteForUser("alice", proof, other)
+                  .status()
+                  .IsPermissionDenied());
+  EXPECT_TRUE(
+      service->ExecuteEncrypted(*token, other).status().IsPermissionDenied());
 }
 
 // --- Cross-query work cache -------------------------------------------
 
 TEST_F(QueryServiceTest, CacheHitsLeaveAnswersByteIdentical) {
   auto cached = MakeService({});
-  QueryServiceOptions no_cache;
-  no_cache.enable_work_cache = false;
-  auto uncached = MakeService(no_cache);
+  auto uncached = MakeProvider();  // No service layer, so no cache.
 
-  auto t1 = cached->OpenSession("bob", Proof("bob", Slice("bob-secret", 10)));
-  auto t2 =
-      uncached->OpenSession("bob", Proof("bob", Slice("bob-secret", 10)));
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(t2.ok());
+  auto token =
+      cached->OpenSession("bob", Proof("bob", Slice("bob-secret", 10)));
+  ASSERT_TRUE(token.ok());
 
-  for (const Query& q : MixedQueries()) {
-    auto with = cached->Execute(*t1, q);
-    auto without = uncached->Execute(*t2, q);
-    ASSERT_TRUE(with.ok()) << with.status().ToString();
-    ASSERT_TRUE(without.ok()) << without.status().ToString();
-    EXPECT_EQ(SerializeQueryResult(*with), SerializeQueryResult(*without));
+  // Twice over the workload: the first pass fills the cache, the second
+  // is served from it; both must match the cache-free provider.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Query& q : MixedQueries()) {
+      auto with = cached->Execute(*token, q);
+      auto without = uncached->Execute(q);
+      ASSERT_TRUE(with.ok()) << with.status().ToString();
+      ASSERT_TRUE(without.ok()) << without.status().ToString();
+      EXPECT_EQ(SerializeQueryResult(*with), SerializeQueryResult(*without));
+    }
   }
   EXPECT_GT(cached->cache_stats().trapdoor_entries, 0u);
-  auto stats = uncached->cache_stats();
-  EXPECT_EQ(stats.trapdoor_hits + stats.trapdoor_misses, 0u);
+  EXPECT_GT(cached->cache_stats().trapdoor_hits, 0u);
 }
 
 TEST_F(QueryServiceTest, RepeatedQueriesHitTheCache) {
@@ -388,33 +434,6 @@ TEST_F(QueryServiceTest, ConcurrentClientsMatchSerialReplayByteForByte) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST_F(QueryServiceTest, BatchSchedulerMatchesSerialExecution) {
-  ThreadPool pool(4);  // Outlives the service that borrows it.
-  QueryServiceOptions options;
-  options.pool = &pool;
-  options.max_inflight = 2;  // Exercise the admission gate under the pool.
-  auto service = MakeService(options);
-  auto token =
-      service->OpenSession("bob", Proof("bob", Slice("bob-secret", 10)));
-  ASSERT_TRUE(token.ok());
-
-  std::vector<QueryService::SessionQuery> batch;
-  for (const Query& q : MixedQueries()) batch.push_back({*token, q});
-  // One poisoned entry: its failure must stay in its own slot.
-  batch.push_back({"bogus-token", batch[0].query});
-
-  auto results = service->ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i + 1 < batch.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
-    auto serial = service->Execute(*token, batch[i].query);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(SerializeQueryResult(*results[i]),
-              SerializeQueryResult(*serial));
-  }
-  EXPECT_TRUE(results.back().status().IsPermissionDenied());
 }
 
 // Dynamic mode (§6) rewrites rows on every query; the service serializes

@@ -229,6 +229,44 @@ TEST_F(TenantTest, RoutesQueriesToTheRightTenant) {
                   .IsPermissionDenied());
 }
 
+// Blocking admission on the shared pool's own threads: a batch wider than
+// the tenant's admission cap parks pool workers on the gate while the
+// slot holders' fetch fan-outs run on the same pool, and every answer
+// still equals a serial Query's.
+TEST_F(TenantTest, BlockingAdmissionBatchMatchesSerialQueries) {
+  TenantRegistryOptions options = Options();
+  options.service.max_inflight = 2;  // Blocking mode is the default.
+  TenantRegistry registry(options);
+  TenantFixture acme = MakeTenant("acme", 0x65);
+  Provision(&registry, acme);
+  auto token = registry.OpenSession("acme", "alice", AliceProof(acme));
+  ASSERT_TRUE(token.ok()) << token.status().ToString();
+
+  std::vector<TenantRegistry::TenantQuery> batch;
+  for (const Query& q : TenantQueries()) batch.push_back({"acme", *token, q});
+  for (const Query& q : TenantQueries()) batch.push_back({"acme", *token, q});
+  // One poisoned entry: its failure must stay in its own slot.
+  batch.push_back({"acme", "bogus-token", batch[0].query});
+
+  auto results = registry.QueryBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i + 1 < batch.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].status().ToString();
+    auto serial = registry.Query("acme", *token, batch[i].query);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ(SerializeQueryResult(*results[i]), SerializeQueryResult(*serial))
+        << "query " << i;
+  }
+  EXPECT_TRUE(results.back().status().IsPermissionDenied());
+  // Blocking mode queues over-cap arrivals instead of rejecting them.
+  auto service = registry.tenant("acme");
+  ASSERT_TRUE(service.ok());
+  const AdmissionGate::Stats admission = (*service)->admission_stats();
+  EXPECT_EQ(admission.capacity, 2u);
+  EXPECT_FALSE(admission.reject_over_capacity);
+  EXPECT_EQ(admission.rejected, 0u);
+}
+
 TEST_F(TenantTest, CrossTenantCiphertextsFailUnderOtherKeys) {
   TenantRegistry registry(Options());
   TenantFixture acme = MakeTenant("acme", 0x63, /*days=*/1);
