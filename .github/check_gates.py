@@ -139,6 +139,75 @@ def executor_checks(d):
     return None
 
 
+def recovery_checks(d):
+    # A committed before/after record of restart recovery (not regenerated
+    # by CI): the claim on recovery_s, its confirmation on a second seed,
+    # the end-to-end bounds on both workloads, the byte identity of the
+    # store and the traced runs' correctness must hold in the numbers it
+    # carries.
+    c = d["claim"]
+    print(
+        "recovery: %s %s %d/%d pair wins, median %.3f vs %.3f "
+        "(parent IQR %.3f)"
+        % (c["workload"], c["metric"], c["wins"], c["pairs"],
+           c["change_median"], c["parent_median"], c["parent_iqr"]),
+    )
+    if not d["all_runs_correct"]:
+        return "a recorded run was not correct"
+    for block in (c, d["confirmation"]):
+        if block["wins"] < block["min_wins"]:
+            return "seed %d: claim won %d of %d pairs (need %d)" % (
+                block["seed"], block["wins"], block["pairs"],
+                block["min_wins"])
+    gap = c["parent_median"] - c["change_median"]
+    if gap <= c["parent_iqr"]:
+        return "claim's median gain %.3f within the parent's IQR %.3f" % (
+            gap, c["parent_iqr"])
+    # The pooled checksum pass earns its plumbing only if lending the pool
+    # beats running the pass inline, in the same tree.
+    p = d["pooled_checksum"]
+    print(
+        "recovery: pooled checksum pass %d/%d pair wins, median %.3f vs "
+        "%.3f inline (inline IQR %.3f)"
+        % (p["wins"], p["pairs"], p["pooled_median"], p["inline_median"],
+           p["inline_iqr"]),
+    )
+    if not p["all_runs_correct"]:
+        return "a pooled-vs-inline run was not correct"
+    if p["wins"] < p["min_wins"]:
+        return "pooled checksum pass won %d of %d pairs (need %d)" % (
+            p["wins"], p["pairs"], p["min_wins"])
+    if p["inline_median"] - p["pooled_median"] <= p["inline_iqr"]:
+        return "pooled checksum pass gain within the inline IQR %.3f" % (
+            p["inline_iqr"])
+    for workload, m in d["end_to_end"].items():
+        for name, v in m.items():
+            if v["worse_by"] > v["bound"]:
+                return "%s %s worse by %.3f (bound %.2f)" % (
+                    workload, name, v["worse_by"], v["bound"])
+        s = m["stored_bytes_per_tuple"]
+        if s["change_median"] != s["parent_median"]:
+            return "%s stored_bytes_per_tuple changed: %s -> %s" % (
+                workload, s["parent_median"], s["change_median"])
+    if not d["stored_bytes_identical"]:
+        return "stored_bytes_per_tuple changed: recovery writes no byte"
+    for workload, t in d["traced"].items():
+        for side in ("parent", "change"):
+            checks = t[side + "_checks"]
+            if (checks["replica_mismatches"] != 0
+                    or checks["volume_violations"] != 0
+                    or checks["wrong_answers"] != 0
+                    or checks["failed"] != 0):
+                return "%s traced %s: %s" % (workload, side, checks)
+    t = d["traced"]["ingest_restart"]
+    if t["change"]["storage.recover_ms"] >= t["parent"]["storage.recover_ms"]:
+        return "traced storage.recover_ms did not fall: %s -> %s" % (
+            t["parent"]["storage.recover_ms"], t["change"]["storage.recover_ms"])
+    if t["change"]["storage.index_attached"] != t["parent"]["storage.index_attached"]:
+        return "storage.index_attached moved: the node file schedule is unchanged"
+    return None
+
+
 def index_checks(d):
     print("index gate:", d["gate"])
     if not d["gate"]["identical"]:
@@ -162,6 +231,22 @@ def index_checks(d):
             "paged cold BulkFind with prefetch below %sx of no-prefetch: %.2fx"
             % (p["min_prefetch_speedup"], p["prefetch_speedup"])
         )
+    r = d["rebuild"]
+    print(
+        "index rebuild gate: %d rows | RecoverIndex %.3fs vs per-row Insert "
+        "%.3fs (%.2fx, min %sx)"
+        % (r["rows"], r["rebuild_s"], r["reference_s"], r["speedup"],
+           r["min_speedup"]),
+    )
+    if not r["identical"]:
+        return "the rebuilt index diverged from the per-row Insert reference"
+    if r["attached"]:
+        return "the rebuild leg attached its stale node file"
+    if r["speedup"] < r["min_speedup"]:
+        return "RecoverIndex below %sx of the per-row Insert loop: %.2fx" % (
+            r["min_speedup"], r["speedup"])
+    if not d["gate"]["rebuild_pass"]:
+        return "rebuild gate failed: %s" % r
     return None
 
 
@@ -217,6 +302,7 @@ GATES = {
     "BENCH_crypto_ci.json": crypto_checks,
     "BENCH_hash_chains.json": hash_chains_checks,
     "BENCH_executor.json": executor_checks,
+    "BENCH_recovery.json": recovery_checks,
     "BENCH_index.json": index_checks,
     "BENCH_storage.json": storage_checks,
     "BENCH_tenants.json": tenants_checks,

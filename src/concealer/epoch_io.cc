@@ -52,7 +52,11 @@ void WriteFramedRecordTo(uint8_t* dst, Slice body) {
   if (!body.empty()) std::memcpy(dst + kFrameHeader, body.data(), body.size());
 }
 
-StatusOr<Slice> ReadFramedRecord(Slice data, size_t* off) {
+namespace {
+
+// ReadFramedRecord's checks; `hash_body` false skips only the body
+// checksum.
+StatusOr<Slice> ReadFrame(Slice data, size_t* off, bool hash_body) {
   if (*off >= data.size()) return Status::NotFound("end of records");
   const size_t remaining = data.size() - *off;
   // A zeroed magic word marks the clean tail of a preallocated segment.
@@ -77,11 +81,21 @@ StatusOr<Slice> ReadFramedRecord(Slice data, size_t* off) {
     return Status::Corruption("truncated record body");
   }
   const Slice body(p + kFrameHeader, body_len);
-  if (Fnv1a(body) != checksum) {
+  if (hash_body && Fnv1a(body) != checksum) {
     return Status::Corruption("record checksum mismatch");
   }
   *off += kFrameHeader + body_len;
   return body;
+}
+
+}  // namespace
+
+StatusOr<Slice> ReadFramedRecord(Slice data, size_t* off) {
+  return ReadFrame(data, off, /*hash_body=*/true);
+}
+
+StatusOr<Slice> ReadVerifiedFramedRecord(Slice data, size_t* off) {
+  return ReadFrame(data, off, /*hash_body=*/false);
 }
 
 FramePeek PeekFrameHeader(Slice data, uint64_t* body_len) {

@@ -49,6 +49,12 @@ void WriteFramedRecordTo(uint8_t* dst, Slice body);
 /// truncated frame or body, checksum mismatch).
 StatusOr<Slice> ReadFramedRecord(Slice data, size_t* off);
 
+/// ReadFramedRecord without re-hashing the body, for a frame whose bytes
+/// ReadFramedRecord has already accepted (the segment engine's parse pass
+/// after its checksum pass) or that this process has just written. Magic,
+/// version and lengths are still checked.
+StatusOr<Slice> ReadVerifiedFramedRecord(Slice data, size_t* off);
+
 /// Incremental-reassembly peek for streaming transports (net/server.cc):
 /// classifies the frame header at data[0..] without needing — or trusting —
 /// the body. A reader that has only a prefix of a frame can tell apart

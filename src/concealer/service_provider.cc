@@ -59,12 +59,14 @@ ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
 }
 
 StatusOr<std::unique_ptr<ServiceProvider>> ServiceProvider::Open(
-    ConcealerConfig config, Bytes sk, const StorageOptions& storage) {
+    ConcealerConfig config, Bytes sk, const StorageOptions& storage,
+    ThreadPool* pool) {
   if (storage.engine != StorageOptions::Engine::kMmap) {
     return Status::InvalidArgument(
         "ServiceProvider::Open needs the mmap storage engine");
   }
-  StatusOr<std::unique_ptr<StorageEngine>> engine = MakeStorageEngine(storage);
+  StatusOr<std::unique_ptr<StorageEngine>> engine =
+      MakeStorageEngine(storage, pool);
   if (!engine.ok()) return engine.status();
   std::unique_ptr<ServiceProvider> provider(new ServiceProvider(
       std::move(config), std::move(sk), storage, std::move(*engine)));
@@ -96,9 +98,20 @@ Status ServiceProvider::Recover() {
   for (const std::string& path : meta_files) {
     StatusOr<EpochMeta> meta = ReadEpochMetaFile(path);
     if (!meta.ok()) return meta.status();
-    if (meta->first_row_id + meta->num_rows > table_.num_rows()) {
+    // The frame checksum does not vouch for these fields: the host can
+    // re-frame a tampered meta. Check the span without wraparound and the
+    // segment range against the recovered segments, so a bad meta fails
+    // here instead of later as "rows are evicted".
+    if (meta->num_rows > table_.num_rows() ||
+        meta->first_row_id > table_.num_rows() - meta->num_rows) {
       return Status::Corruption("epoch meta row span exceeds recovered rows: " +
                                 path);
+    }
+    if (meta->num_rows > 0 &&
+        (meta->seg_lo > meta->seg_hi ||
+         meta->seg_hi >= table_.engine()->NumSegments())) {
+      return Status::Corruption(
+          "epoch meta segment range exceeds recovered segments: " + path);
     }
     StatusOr<EpochState> state =
         EpochState::CreateFromMeta(enclave_, config_, *meta);

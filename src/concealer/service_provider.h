@@ -52,6 +52,9 @@ class ServiceProvider {
   /// the index from the rows), and re-adopts every ingested epoch from its
   /// epoch-meta file — queries then answer byte-identically to the
   /// pre-restart provider. Engine and recovery errors are returned.
+  /// `pool` (borrowed, may be null) runs the segment checksum pass of that
+  /// recovery (SegmentEngine::Open); the provider does not keep it —
+  /// set_pool lends the pool its queries run on.
   ///
   /// Restart fidelity covers the dynamic path too: §6 key-version bumps
   /// and refreshed tags are write-ahead logged (dynamic_wal.h) before each
@@ -60,7 +63,8 @@ class ServiceProvider {
   /// provider whose answers and tags are byte-identical to one that never
   /// crashed.
   static StatusOr<std::unique_ptr<ServiceProvider>> Open(
-      ConcealerConfig config, Bytes sk, const StorageOptions& storage);
+      ConcealerConfig config, Bytes sk, const StorageOptions& storage,
+      ThreadPool* pool = nullptr);
 
   /// Installs the DP's encrypted user registry (Phase 0).
   Status LoadRegistry(Slice encrypted_registry);

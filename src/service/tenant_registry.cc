@@ -123,11 +123,14 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
           "TenantRegistryOptions.root_dir is required for the mmap engine");
     }
     // Both for fresh tenants (creates the empty directory) and for
-    // recovery (re-maps segments, restores index and epochs).
+    // recovery (re-maps segments, restores index and epochs). The shared
+    // pool runs recovery's segment checksum pass. The server calls this
+    // from a pool task (Submit), not from inside a ParallelFor, so the
+    // fan-out is not a nested call that would run inline.
     StorageOptions storage = options_.storage;
     storage.dir = options_.root_dir + "/" + tenant_id;
     StatusOr<std::unique_ptr<ServiceProvider>> opened =
-        ServiceProvider::Open(config, std::move(sk), storage);
+        ServiceProvider::Open(config, std::move(sk), storage, pool_.get());
     if (!opened.ok()) return opened.status();
     provider = std::move(*opened);
   } else {

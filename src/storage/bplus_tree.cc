@@ -188,6 +188,83 @@ Status BPlusTree::Insert(Slice key, uint64_t row_id) {
   return Status::OK();
 }
 
+Status BPlusTree::BulkLoad(const Slice* sorted_keys, const uint64_t* row_ids,
+                           size_t n) {
+  if (size_ != 0 || height_ != 1 || store_ != nullptr) {
+    return Status::FailedPrecondition("bulk load needs an empty tree");
+  }
+  if (n == 0) return Status::OK();
+
+  // Leaf level. Leaf i takes keys [i*n/L, (i+1)*n/L): with L =
+  // ceil(n / kFanout) every leaf holds at most kFanout keys and, once there
+  // are two or more, at least kFanout / 2. The order check compares each
+  // key with the copy just made of its predecessor, which is cache-hot.
+  std::vector<std::unique_ptr<Node>> level;
+  std::vector<Slice> firsts;  // First key of each node's subtree.
+  const size_t num_leaves = (n + kFanout - 1) / kFanout;
+  level.reserve(num_leaves);
+  firsts.reserve(num_leaves);
+  Node* prev_leaf = nullptr;
+  Slice prev_key;
+  for (size_t i = 0; i < num_leaves; ++i) {
+    const size_t lo = i * n / num_leaves;
+    const size_t hi = (i + 1) * n / num_leaves;
+    auto leaf = std::make_unique<Node>(/*leaf=*/true);
+    leaf->keys.reserve(hi - lo);
+    leaf->values.assign(row_ids + lo, row_ids + hi);
+    for (size_t k = lo; k < hi; ++k) {
+      if (k > 0) {
+        const int cmp = prev_key.Compare(sorted_keys[k]);
+        if (cmp == 0) return Status::InvalidArgument("duplicate index key");
+        if (cmp > 0) {
+          return Status::InvalidArgument("bulk load keys out of order");
+        }
+      }
+      leaf->keys.push_back(sorted_keys[k].ToBytes());
+      prev_key = Slice(leaf->keys.back());
+    }
+    if (prev_leaf != nullptr) prev_leaf->next_leaf = leaf.get();
+    prev_leaf = leaf.get();
+    firsts.push_back(Slice(leaf->keys.front()));
+    level.push_back(std::move(leaf));
+  }
+
+  // Internal levels, the same even spread over groups of kFanout + 1
+  // children. The separator left of child k is the first key of k's
+  // subtree, so exact-match routing (first separator > key goes left)
+  // lands every key in its leaf. `firsts` views key bytes owned by the
+  // leaves, which no longer move.
+  int height = 1;
+  while (level.size() > 1) {
+    const size_t c = level.size();
+    const size_t num_nodes = (c + kFanout) / (kFanout + 1);
+    std::vector<std::unique_ptr<Node>> parents;
+    std::vector<Slice> parent_firsts;
+    parents.reserve(num_nodes);
+    parent_firsts.reserve(num_nodes);
+    for (size_t j = 0; j < num_nodes; ++j) {
+      const size_t lo = j * c / num_nodes;
+      const size_t hi = (j + 1) * c / num_nodes;
+      auto node = std::make_unique<Node>(/*leaf=*/false);
+      node->keys.reserve(hi - lo - 1);
+      node->children.reserve(hi - lo);
+      for (size_t k = lo; k < hi; ++k) {
+        if (k > lo) node->keys.push_back(firsts[k].ToBytes());
+        node->children.push_back(std::move(level[k]));
+      }
+      parent_firsts.push_back(firsts[lo]);
+      parents.push_back(std::move(node));
+    }
+    level = std::move(parents);
+    firsts = std::move(parent_firsts);
+    ++height;
+  }
+  root_ = std::move(level.front());
+  height_ = height;
+  size_ = n;
+  return Status::OK();
+}
+
 Status BPlusTree::Find(Slice key, uint64_t* row_id, bool* found) const {
   *found = false;
   const Node* node = root_.get();

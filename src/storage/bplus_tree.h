@@ -55,6 +55,19 @@ class BPlusTree {
   /// indicates data corruption or a misused epoch key).
   Status Insert(Slice key, uint64_t row_id);
 
+  /// Builds the tree bottom-up from `n` keys in ascending order, as a
+  /// DBMS's sorted index build does: the keys are spread evenly over
+  /// ceil(n / kFanout) linked leaves, and each internal level groups up to
+  /// kFanout + 1 children evenly, with each separator the first key of its
+  /// child's subtree. Every non-root node ends at least half full, so the
+  /// result passes CheckInvariants and saves/attaches like an inserted
+  /// tree. Works on a freshly constructed tree only (FailedPrecondition
+  /// otherwise). Equal adjacent keys fail with kInvalidArgument
+  /// ("duplicate index key", as Insert) and keys out of order with
+  /// kInvalidArgument too; either way the tree is left empty.
+  Status BulkLoad(const Slice* sorted_keys, const uint64_t* row_ids,
+                  size_t n);
+
   /// Removes a key (lazy deletion: the entry leaves its leaf but no
   /// rebalancing occurs; nodes may drop below the usual occupancy floor).
   /// Deletes happen only on the rare dynamic-insertion re-encryption path,

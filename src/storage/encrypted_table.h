@@ -129,8 +129,10 @@ class EncryptedTable {
   /// from the directory, leaves stay on disk, so an index larger than RAM
   /// reopens in two small reads. In every other case — no node store, an
   /// absent, stale, torn or corrupt node file — the index is rebuilt from
-  /// the engine's rows (which must all be resident); never a wrong index.
-  /// Call once, before serving queries.
+  /// the engine's rows (which must all be resident) by one sort of their
+  /// Index values and a bottom-up BPlusTree::BulkLoad; never a wrong
+  /// index. Two rows with the same Index value fail the rebuild with
+  /// kInvalidArgument. Call once, before serving queries.
   Status RecoverIndex();
 
   /// Paged engines only (engine()->node_store() != null): serializes the
@@ -143,6 +145,10 @@ class EncryptedTable {
 
   /// True when the index is currently serving leaves from the node file.
   bool paged_index() const { return index_.paged(); }
+
+  /// Read-only view of the B+-tree (benches and tests compare it with a
+  /// reference tree).
+  const BPlusTree& index() const { return index_; }
 
   const std::string& name() const { return name_; }
   size_t num_columns() const { return num_columns_; }

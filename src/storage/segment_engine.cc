@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/coding.h"
+#include "common/thread_pool.h"
 #include "concealer/epoch_io.h"
 #include "storage/fault_fs.h"
 #include "storage/row_store.h"
@@ -73,7 +74,8 @@ void SerializeRowBody(uint64_t row_id, const Row& row, Bytes* body) {
 
 }  // namespace
 
-StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(Options options) {
+StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(
+    Options options, ThreadPool* pool) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("segment engine needs a directory");
   }
@@ -115,7 +117,7 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(Options options) {
   // is only meaningful once segments_ holds the full recovered set.
   // (Mapping and replaying one segment per loop iteration would make every
   // segment look final in turn, so corruption anywhere would be mistaken
-  // for a torn tail.)
+  // for a torn tail.) It also lets the checksum pass below see them all.
   for (uint32_t index = 0; index < indexes.size(); ++index) {
     Segment seg;
     seg.path = SegmentPath(engine->options_.dir, index);
@@ -144,8 +146,27 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(Options options) {
     seg.resident = true;
     engine->segments_.push_back(std::move(seg));
   }
+  // Checksum pass on the pool, then the parse pass in segment order. Only
+  // hashing fans out: building rows on several threads at once makes them
+  // contend on heap growth, which costs more than it saves.
+  std::vector<SegmentScan> scans(indexes.size());
+  const auto verify = [&](size_t i) {
+    scans[i] = engine->VerifySegment(static_cast<uint32_t>(i));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(scans.size(), verify);
+  } else {
+    for (size_t i = 0; i < scans.size(); ++i) verify(i);
+  }
+  uint64_t records = 0;
+  for (const SegmentScan& scan : scans) records += scan.records;
+  engine->rows_.reserve(records);
+  engine->locs_.reserve(records);
+  engine->row_bytes_.reserve(records);
+  engine->rec_bytes_.reserve(records);
   for (uint32_t index = 0; index < indexes.size(); ++index) {
-    CONCEALER_RETURN_IF_ERROR(engine->ReplaySegment(index, /*restore=*/false));
+    CONCEALER_RETURN_IF_ERROR(
+        engine->ReplaySegment(index, /*restore=*/false, &scans[index]));
   }
   if (!engine->replay_holes_.empty()) {
     return Status::Corruption(
@@ -242,16 +263,19 @@ Status SegmentEngine::WriteRecord(uint64_t row_id, const Row& row, RowLoc* loc,
   loc->off = active.tail;
   size_t off = active.tail;
   uint64_t parsed_id = 0;
-  CONCEALER_RETURN_IF_ERROR(ParseRecordAt(active, &off, &parsed_id, borrowed));
+  CONCEALER_RETURN_IF_ERROR(
+      ParseRecordAt(active, &off, /*verified=*/true, &parsed_id, borrowed));
   active.tail = off;
   active.row_ids.push_back(row_id);
   return Status::OK();
 }
 
 Status SegmentEngine::ParseRecordAt(const Segment& seg, size_t* off,
-                                    uint64_t* row_id, Row* borrowed) const {
-  StatusOr<Slice> body =
-      ReadFramedRecord(Slice(seg.map, seg.map_len), off);
+                                    bool verified, uint64_t* row_id,
+                                    Row* borrowed) const {
+  const Slice data(seg.map, seg.map_len);
+  StatusOr<Slice> body = verified ? ReadVerifiedFramedRecord(data, off)
+                                  : ReadFramedRecord(data, off);
   if (!body.ok()) return body.status();
   if (body->size() < 12) return Status::Corruption("row record truncated");
   *row_id = DecodeFixed64(body->data());
@@ -273,16 +297,43 @@ Status SegmentEngine::ParseRecordAt(const Segment& seg, size_t* off,
   return Status::OK();
 }
 
-Status SegmentEngine::ReplaySegment(uint32_t index, bool restore) {
+SegmentEngine::SegmentScan SegmentEngine::VerifySegment(
+    uint32_t index) const {
+  const Segment& seg = segments_[index];
+  const Slice data(seg.map, seg.map_len);
+  SegmentScan scan;
+  for (;;) {
+    StatusOr<Slice> body = ReadFramedRecord(data, &scan.end);
+    if (!body.ok()) {
+      scan.stop = body.status();
+      return scan;
+    }
+    ++scan.records;
+  }
+}
+
+Status SegmentEngine::ReplaySegment(uint32_t index, bool restore,
+                                    const SegmentScan* scan) {
   Segment& seg = segments_[index];
+  // What ends the replay: the scan's stop status, or the end of the file
+  // (NotFound = a clean zero-filled tail or the end), unless a frame
+  // fails to read or parse first.
+  Status stop = scan != nullptr ? scan->stop
+                                : Status::NotFound("end of records");
+  const size_t end = scan != nullptr ? scan->end : seg.map_len;
   size_t off = 0;
-  while (off < seg.map_len) {
+  while (off < end) {
     const size_t record_off = off;
     uint64_t row_id = 0;
     Row borrowed;
-    Status st = ParseRecordAt(seg, &off, &row_id, &borrowed);
-    if (st.IsNotFound()) break;  // Clean zero-filled tail.
-    if (st.ok() && row_id == kPurgeMarkerRowId) {
+    Status st = ParseRecordAt(seg, &off, /*verified=*/scan != nullptr,
+                              &row_id, &borrowed);
+    if (!st.ok()) {
+      stop = st;
+      off = record_off;
+      break;
+    }
+    if (row_id == kPurgeMarkerRowId) {
       // Compaction purge marker: re-count the purged records into the
       // durable generation; there are no row bytes to restore.
       if (restore) continue;
@@ -294,21 +345,6 @@ Status SegmentEngine::ReplaySegment(uint32_t index, bool restore) {
       generation_ += purged;
       replay_purged_ += purged;
       continue;
-    }
-    if (!st.ok()) {
-      if (!restore && index + 1 == segments_.size()) {
-        // A torn final write (crash mid-append) truncates the log here;
-        // anything corrupt before the last segment is real damage. Open
-        // maps the full recovered set before replaying any segment, so
-        // this condition singles out the true final segment only.
-        std::fprintf(stderr,
-                     "[segment_engine] %s: truncating at torn record "
-                     "(offset %zu): %s\n",
-                     seg.path.c_str(), record_off, st.ToString().c_str());
-        off = record_off;
-        break;
-      }
-      return st;
     }
     if (restore) {
       // Only re-point rows whose current record still lives here; rows a
@@ -360,6 +396,17 @@ Status SegmentEngine::ReplaySegment(uint32_t index, bool restore) {
     seg.row_ids.push_back(row_id);
     ++generation_;
     ++records_;
+  }
+  if (!stop.IsNotFound()) {
+    if (restore || index + 1 != segments_.size()) return stop;
+    // A torn final write (crash mid-append) truncates the log here;
+    // anything corrupt before the last segment is real damage. Open maps
+    // the full recovered set before replaying any segment, so this
+    // condition singles out the true final segment only.
+    std::fprintf(stderr,
+                 "[segment_engine] %s: truncating at torn record "
+                 "(offset %zu): %s\n",
+                 seg.path.c_str(), off, stop.ToString().c_str());
   }
   seg.tail = off;
   return Status::OK();
@@ -511,7 +558,7 @@ Status SegmentEngine::LoadSegments(uint32_t lo, uint32_t hi) {
     }
     seg.map = static_cast<uint8_t*>(map);
     seg.resident = true;
-    Status replayed = ReplaySegment(i, /*restore=*/true);
+    Status replayed = ReplaySegment(i, /*restore=*/true, /*scan=*/nullptr);
     if (!replayed.ok()) {
       // Roll back to the evicted state: left "resident", the query path
       // would serve rows whose columns are still cleared (or dangle into
@@ -644,7 +691,7 @@ bool SegmentEngine::IsMapped(const uint8_t* p) const {
 // --- Engine selection -----------------------------------------------------
 
 StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
-    const StorageOptions& options) {
+    const StorageOptions& options, ThreadPool* pool) {
   if (options.engine == StorageOptions::Engine::kMemory) {
     return std::unique_ptr<StorageEngine>(new RowStore());
   }
@@ -670,7 +717,7 @@ StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
     seg_options.dir = options.dir;
   }
   StatusOr<std::unique_ptr<SegmentEngine>> engine =
-      SegmentEngine::Open(std::move(seg_options));
+      SegmentEngine::Open(std::move(seg_options), pool);
   if (!engine.ok()) return engine.status();
   return std::unique_ptr<StorageEngine>(std::move(*engine));
 }

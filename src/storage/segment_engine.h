@@ -58,10 +58,17 @@ class SegmentEngine : public StorageEngine {
   };
 
   /// Opens (and, if the directory already holds segments, recovers) an
-  /// engine. Recovery replays every record in segment order: appends build
-  /// the row table, replaces overwrite — ending with exactly the pre-crash
-  /// live rows and generation().
-  static StatusOr<std::unique_ptr<SegmentEngine>> Open(Options options);
+  /// engine. Recovery runs in two passes. A read-only checksum pass walks
+  /// every segment's frames (magic, version, length, FNV), one task per
+  /// segment on `pool` (borrowed; null runs it inline). Then a serial parse
+  /// pass replays the verified records in segment order without hashing
+  /// them again: appends build the row table, replaces overwrite — ending
+  /// with exactly the pre-crash live rows and generation(). The first
+  /// failure in segment order decides the outcome: a bad frame in the
+  /// final segment is a torn tail and is cut; anywhere else Open fails
+  /// before any file is truncated.
+  static StatusOr<std::unique_ptr<SegmentEngine>> Open(
+      Options options, ThreadPool* pool = nullptr);
 
   ~SegmentEngine() override;
 
@@ -146,12 +153,29 @@ class SegmentEngine : public StorageEngine {
   /// back into a borrowed Row. Returns the record's location.
   Status WriteRecord(uint64_t row_id, const Row& row, RowLoc* loc,
                      Row* borrowed);
+  /// What the checksum pass found in one segment: the end of its last
+  /// intact frame, the number of frames before that, and the status the
+  /// walk stopped on (NotFound for a clean end).
+  struct SegmentScan {
+    size_t end = 0;
+    uint64_t records = 0;
+    Status stop;
+  };
+
   /// Parses the record at (seg, *off) into (row_id, borrowed row).
-  Status ParseRecordAt(const Segment& seg, size_t* off, uint64_t* row_id,
-                       Row* borrowed) const;
-  /// Replays all records of segment `index` from `*off`; `restore` mode
-  /// (Load path) only re-points rows whose current location matches.
-  Status ReplaySegment(uint32_t index, bool restore);
+  /// `verified`: the frame was already checked (VerifySegment) or just
+  /// written, so its body is not hashed again.
+  Status ParseRecordAt(const Segment& seg, size_t* off, bool verified,
+                       uint64_t* row_id, Row* borrowed) const;
+  /// Checksum pass over segment `index`'s frames. Reads only the mapping,
+  /// so Open runs it for every segment concurrently.
+  SegmentScan VerifySegment(uint32_t index) const;
+  /// Replays segment `index`'s records. With `scan` (Open) it parses
+  /// inside `scan->end` without hashing and then acts on the status the
+  /// scan stopped on; without (LoadSegments) it checks each frame's
+  /// checksum as it parses, in one walk. `restore` mode (Load path) only
+  /// re-points rows whose current location matches.
+  Status ReplaySegment(uint32_t index, bool restore, const SegmentScan* scan);
   Status SealActiveLocked();
   /// Replaces segment `index`'s file with a purge marker recording that
   /// `purged_records` records were compacted away. Remaps the segment over

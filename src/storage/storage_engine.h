@@ -11,6 +11,7 @@
 namespace concealer {
 
 class NodeStore;
+class ThreadPool;
 
 /// The pluggable row heap underneath EncryptedTable — the part of the
 /// untrusted DBMS that stores the encrypted tuples. Two implementations:
@@ -162,9 +163,10 @@ struct StorageOptions {
 };
 
 /// Builds an engine from options. For kMmap this opens (and, if present,
-/// recovers) the segment directory.
+/// recovers) the segment directory, running the recovery checksum pass on
+/// `pool` (borrowed; null runs it inline — see SegmentEngine::Open).
 StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
-    const StorageOptions& options);
+    const StorageOptions& options, ThreadPool* pool = nullptr);
 
 }  // namespace concealer
 

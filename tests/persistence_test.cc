@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "concealer/data_provider.h"
@@ -310,6 +312,65 @@ TEST(PersistenceEndToEndTest, RecoveryRebuildsIndexWithoutSidecar) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(SerializeQueryResult(*result), want);
   }
+  RemoveDirRecursive(dir);
+}
+
+// The host owns the epoch-meta files and can re-frame a tampered one with
+// a valid checksum, so Open must check the fields it adopts: a row span
+// that wraps past 2^64 or a segment range beyond the recovered segments
+// fails Open with Corruption (not later, as "rows are evicted").
+TEST(PersistenceEndToEndTest, TamperedEpochMetaRangesFailOpen) {
+  const std::string dir = TempDir();
+  const ConcealerConfig config = TestConfig();
+  DataProvider dp(config, Bytes(32, 0x54));
+  auto epochs = dp.EncryptAll(TestTuples(2));
+  ASSERT_TRUE(epochs.ok());
+  ASSERT_EQ(epochs->size(), 2u);
+  StorageOptions options;
+  options.engine = StorageOptions::Engine::kMmap;
+  options.dir = dir;
+  uint32_t num_segments = 0;
+  {
+    auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
+    ASSERT_TRUE(sp.ok());
+    for (const auto& e : *epochs) ASSERT_TRUE((*sp)->IngestEpoch(e).ok());
+    num_segments = (*sp)->table().engine().NumSegments();
+  }
+  char name[40];
+  std::snprintf(name, sizeof(name), "epoch-%020llu.meta",
+                static_cast<unsigned long long>((*epochs)[1].epoch_id));
+  const std::string meta_path = dir + "/" + name;
+  StatusOr<Bytes> original = ReadFileBytes(meta_path);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+
+  const std::vector<std::pair<const char*, void (*)(EpochMeta*, uint32_t)>>
+      tamperings = {
+          {"row span wraps",
+           [](EpochMeta* m, uint32_t) {
+             m->first_row_id = ~uint64_t{0};
+             m->num_rows = 2;
+           }},
+          {"seg_hi past the last segment",
+           [](EpochMeta* m, uint32_t segments) { m->seg_hi = segments; }},
+          {"seg_lo above seg_hi",
+           [](EpochMeta* m, uint32_t) { m->seg_lo = m->seg_hi + 1; }},
+      };
+  for (const auto& [what, tamper] : tamperings) {
+    SCOPED_TRACE(what);
+    StatusOr<EpochMeta> meta = ReadEpochMetaFile(meta_path);
+    ASSERT_TRUE(meta.ok());
+    tamper(&*meta, num_segments);
+    ASSERT_TRUE(WriteEpochMetaFile(meta_path, *meta).ok());
+    auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
+    ASSERT_FALSE(sp.ok());
+    EXPECT_TRUE(sp.status().IsCorruption()) << sp.status().ToString();
+    ASSERT_TRUE(WriteFileBytes(meta_path, *original).ok());
+  }
+  // The untampered meta still opens: the refusals destroyed nothing.
+  auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
+  ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+  EXPECT_EQ((*sp)->num_epochs(), 2u);
+  sp->reset();
   RemoveDirRecursive(dir);
 }
 

@@ -13,9 +13,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "common/coding.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "storage/bplus_tree.h"
 #include "storage/encrypted_table.h"
 #include "storage/node_store.h"
@@ -351,6 +353,198 @@ TEST_P(BPlusTreeBulkGetPropertyTest, MatchesPerKeyGet) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeBulkGetPropertyTest,
                          ::testing::Values(2, 11, 47, 4321, 55555));
 
+// --- BulkLoad --------------------------------------------------------------
+
+// `n` distinct keys in ascending order, mixing the shapes that stress the
+// 8-byte sort prefix of EncryptedTable::RecoverIndex: keys shorter than 8
+// bytes, keys that share their first 8 bytes, and 16-byte random keys.
+std::vector<Bytes> BulkLoadKeys(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::set<Bytes> keys;
+  while (keys.size() < n) {
+    Bytes key;
+    size_t shared = 0;  // Leading bytes fixed across keys.
+    switch (rng.Uniform(3)) {
+      case 0:
+        key.resize(1 + rng.Uniform(7));
+        break;
+      case 1:
+        key = {'s', 'h', 'a', 'r', 'e', 'd', 'p', 'f'};
+        shared = key.size();
+        key.resize(shared + 1 + rng.Uniform(4));
+        break;
+      default:
+        key.resize(16);
+        break;
+    }
+    rng.FillBytes(key.data() + shared, key.size() - shared);
+    keys.insert(std::move(key));
+  }
+  return std::vector<Bytes>(keys.begin(), keys.end());
+}
+
+// Probe set for a key set: every key, plus absent keys of each shape.
+std::vector<Bytes> BulkLoadProbes(const std::vector<Bytes>& keys,
+                                  uint64_t seed) {
+  std::vector<Bytes> probes = keys;
+  const std::vector<Bytes> others = BulkLoadKeys(keys.size() / 4 + 8, seed);
+  probes.insert(probes.end(), others.begin(), others.end());
+  for (size_t i = 0; i < keys.size(); i += 97) {
+    Bytes longer = keys[i];
+    longer.push_back(0);  // Sorts right after keys[i]; absent unless stored.
+    probes.push_back(std::move(longer));
+  }
+  std::sort(probes.begin(), probes.end());
+  return probes;
+}
+
+// Loads `keys` (sorted, distinct) with scattered row ids, then checks the
+// result against a tree built by Insert over the same pairs in a shuffled
+// order: invariants, ForEach, Find and BulkFind on hits and misses (both
+// BulkFind branches), then 1,000 random Inserts and Deletes against a
+// std::map oracle.
+void CheckBulkLoadMatchesInsert(const std::vector<Bytes>& keys,
+                                uint64_t seed) {
+  SCOPED_TRACE("n=" + std::to_string(keys.size()));
+  Rng rng(seed);
+  std::vector<Slice> views(keys.begin(), keys.end());
+  std::vector<uint64_t> ids(keys.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i * 7919 % 1000003;
+
+  BPlusTree loaded;
+  ASSERT_TRUE(loaded.BulkLoad(views.data(), ids.data(), keys.size()).ok());
+  ASSERT_EQ(loaded.size(), keys.size());
+  const Status inv = loaded.CheckInvariants();
+  ASSERT_TRUE(inv.ok()) << inv.ToString();
+
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.Shuffle(&order);
+  BPlusTree inserted;
+  for (size_t i : order) ASSERT_TRUE(inserted.Insert(keys[i], ids[i]).ok());
+
+  size_t visited = 0;
+  bool same = true;
+  ASSERT_TRUE(loaded
+                  .ForEach([&](Slice key, uint64_t id) {
+                    same = same && visited < keys.size() &&
+                           key == Slice(keys[visited]) && id == ids[visited];
+                    ++visited;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_TRUE(same);
+  EXPECT_EQ(visited, keys.size());
+
+  const std::vector<Bytes> probes = BulkLoadProbes(keys, seed + 1);
+  for (const Bytes& probe : probes) {
+    ASSERT_EQ(FindId(loaded, probe), FindId(inserted, probe));
+  }
+  EXPECT_EQ(DifferentialBulkFindBothBranches(loaded, probes),
+            DifferentialBulkFindBothBranches(inserted, probes));
+  EXPECT_EQ(DifferentialBulkFind(loaded, probes),
+            DifferentialBulkFind(inserted, probes));
+
+  // The loaded tree stays an ordinary mutable tree.
+  std::map<Bytes, uint64_t> oracle;
+  for (size_t i = 0; i < keys.size(); ++i) oracle[keys[i]] = ids[i];
+  const std::vector<Bytes> extra = BulkLoadKeys(600, seed + 2);
+  for (int op = 0; op < 1000; ++op) {
+    if (rng.Uniform(2) == 0 || oracle.empty()) {
+      const Bytes& key = extra[rng.Uniform(extra.size())];
+      const uint64_t id = 2000000 + static_cast<uint64_t>(op);
+      const bool present = oracle.count(key) > 0;
+      EXPECT_EQ(loaded.Insert(key, id).ok(), !present);
+      if (!present) oracle[key] = id;
+    } else {
+      auto it = oracle.begin();
+      std::advance(it, rng.Uniform(std::min<size_t>(oracle.size(), 500)));
+      ASSERT_TRUE(loaded.Delete(it->first).ok());
+      oracle.erase(it);
+    }
+  }
+  EXPECT_EQ(loaded.size(), oracle.size());
+  ASSERT_TRUE(loaded.CheckInvariants().ok());
+  for (const auto& [key, id] : oracle) {
+    const std::optional<uint64_t> got = FindId(loaded, key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, id);
+  }
+  for (const Bytes& key : extra) {
+    EXPECT_EQ(FindId(loaded, key).has_value(), oracle.count(key) > 0);
+  }
+}
+
+TEST(BPlusTreeBulkLoadTest, BoundarySizesMatchInsertBuiltTree) {
+  constexpr size_t kF = BPlusTree::kFanout;
+  for (size_t n : {size_t{0}, size_t{1}, kF - 1, kF, kF + 1, kF * (kF + 1),
+                   kF * (kF + 1) + 1}) {
+    CheckBulkLoadMatchesInsert(BulkLoadKeys(n, 100 + n), 200 + n);
+  }
+}
+
+TEST(BPlusTreeBulkLoadTest, HundredThousandRandomKeysMatchInsertBuiltTree) {
+  const std::vector<Bytes> keys = BulkLoadKeys(100000, 7);
+  CheckBulkLoadMatchesInsert(keys, 8);
+  std::vector<Slice> views(keys.begin(), keys.end());
+  std::vector<uint64_t> ids(keys.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  BPlusTree tree;
+  ASSERT_TRUE(tree.BulkLoad(views.data(), ids.data(), keys.size()).ok());
+  EXPECT_EQ(tree.height(), 3);  // 1,563 leaves under 25 internal nodes.
+}
+
+TEST(BPlusTreeBulkLoadTest, DuplicateKeysLeaveTreeEmpty) {
+  // The duplicate sits deep in the input, past several built leaves.
+  std::vector<Bytes> keys = BulkLoadKeys(1000, 3);
+  keys.insert(keys.begin() + 700, keys[700]);
+  std::vector<Slice> views(keys.begin(), keys.end());
+  std::vector<uint64_t> ids(keys.size(), 1);
+  BPlusTree tree;
+  const Status st = tree.BulkLoad(views.data(), ids.data(), views.size());
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.ToString().find("duplicate index key"), std::string::npos);
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_FALSE(FindId(tree, keys[0]).has_value());
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  // Still empty, so a clean load succeeds afterwards.
+  keys.erase(keys.begin() + 700);
+  views.assign(keys.begin(), keys.end());
+  EXPECT_TRUE(tree.BulkLoad(views.data(), ids.data(), views.size()).ok());
+  EXPECT_EQ(tree.size(), keys.size());
+}
+
+TEST(BPlusTreeBulkLoadTest, KeysOutOfOrderAreRefused) {
+  std::vector<Bytes> keys = BulkLoadKeys(500, 4);
+  std::swap(keys[300], keys[301]);
+  std::vector<Slice> views(keys.begin(), keys.end());
+  std::vector<uint64_t> ids(keys.size(), 1);
+  BPlusTree tree;
+  EXPECT_FALSE(tree.BulkLoad(views.data(), ids.data(), views.size()).ok());
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_FALSE(FindId(tree, keys[0]).has_value());
+  // Descending input is refused at its second key.
+  std::reverse(views.begin(), views.end());
+  EXPECT_FALSE(tree.BulkLoad(views.data(), ids.data(), views.size()).ok());
+  EXPECT_EQ(tree.size(), 0u);
+}
+
+TEST(BPlusTreeBulkLoadTest, NonEmptyTreeIsRefused) {
+  const std::vector<Bytes> keys = BulkLoadKeys(10, 5);
+  std::vector<Slice> views(keys.begin(), keys.end());
+  std::vector<uint64_t> ids(keys.size(), 1);
+  BPlusTree tree;
+  ASSERT_TRUE(tree.Insert(OrderedKey(1), 1).ok());
+  EXPECT_TRUE(tree.BulkLoad(views.data(), ids.data(), views.size())
+                  .IsFailedPrecondition());
+  EXPECT_EQ(tree.size(), 1u);
+  BPlusTree loaded;
+  ASSERT_TRUE(loaded.BulkLoad(views.data(), ids.data(), views.size()).ok());
+  EXPECT_TRUE(loaded.BulkLoad(views.data(), ids.data(), views.size())
+                  .IsFailedPrecondition());
+}
+
 // --- Column semantics -----------------------------------------------------
 
 TEST(ColumnTest, OwnedAndBorrowedExposeSameBytes) {
@@ -644,6 +838,55 @@ TEST_P(EncryptedTableTest, BatchInsert) {
   EXPECT_EQ(table->num_rows(), 50u);
 }
 
+// RecoverIndex over rows written straight into the engine (as a restart
+// finds them): the sort-and-load rebuild must index every row under its
+// Index value, including values that tie on the zero-padded 8-byte sort
+// prefix ("ab", "ab\0", "ab\0\0\0\0\0\0x").
+TEST_P(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
+  auto table = MakeTable(2, 1);
+  std::vector<Bytes> keys = BulkLoadKeys(3000, 21);
+  keys.push_back(Bytes{'a', 'b'});
+  keys.push_back(Bytes{'a', 'b', 0});
+  keys.push_back(Bytes{'a', 'b', 0, 0, 0, 0, 0, 0, 'x'});
+  keys.push_back(Bytes{});
+  Rng rng(22);
+  rng.Shuffle(&keys);
+  for (uint64_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(
+        table->engine()->Append(Row{{Key(i), keys[i]}}).ok());
+  }
+  ASSERT_TRUE(table->RecoverIndex().ok());
+  EXPECT_TRUE(table->RecoverIndex().IsFailedPrecondition());
+
+  std::vector<Bytes> probes = keys;
+  probes.push_back(Bytes{'a', 'b', 0, 0});  // Absent: ties "ab\0" on prefix.
+  std::vector<RowRef> refs;
+  ASSERT_TRUE(table->FetchRefs(probes, &refs).ok());
+  ASSERT_EQ(refs.size(), keys.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(refs[i].probe, i);
+    EXPECT_EQ(refs[i].row_id, i);
+  }
+}
+
+// Rows whose Index values repeat (written past the index, as a damaged or
+// forged segment would hold them) must fail the rebuild with the status a
+// duplicate Insert gives, not yield an index that hides one of them.
+TEST_P(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
+  auto table = MakeTable(2, 1);
+  for (uint64_t i = 0; i < 200; ++i) {
+    const uint64_t index_value = i == 150 ? 40 : i;
+    ASSERT_TRUE(table->engine()
+                    ->Append(Row{{Bytes{uint8_t(i)}, Key(index_value)}})
+                    .ok());
+  }
+  const Status st = table->RecoverIndex();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  std::vector<RowRef> refs;
+  ASSERT_TRUE(table->FetchRefs({Key(40), Key(41)}, &refs).ok());
+  EXPECT_TRUE(refs.empty());  // Nothing half-built is served.
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, EncryptedTableTest,
                          ::testing::Values(EngineKind::kMemory,
                                            EngineKind::kMmap),
@@ -760,133 +1003,244 @@ TEST(SegmentEngineTest, EvictionSparesRowsReplacedIntoNewerSegments) {
   RemoveDirRecursive(dir);
 }
 
-TEST(SegmentEngineTest, TornFinalRecordIsTruncatedOnRecovery) {
-  const std::string dir = TempDir();
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_TRUE(engine.ok());
-    for (uint64_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
-    }
-  }
-  // Simulate a crash mid-append: flip a byte inside the last record.
-  const std::string seg0 = dir + "/seg-000000.seg";
-  std::FILE* f = std::fopen(seg0.c_str(), "r+b");
+// Open runs its checksum pass inline without a pool and one task per
+// segment with one; the recovery tests run both ways and must agree.
+ThreadPool* TestPool() {
+  static ThreadPool pool(4);
+  return &pool;
+}
+
+const std::vector<ThreadPool*>& InlineAndPooled() {
+  static const std::vector<ThreadPool*> pools = {nullptr, TestPool()};
+  return pools;
+}
+
+StatusOr<std::unique_ptr<SegmentEngine>> OpenDir(const std::string& dir,
+                                                 ThreadPool* pool,
+                                                 uint64_t segment_bytes = 0) {
+  SegmentEngine::Options options;
+  options.dir = dir;
+  if (segment_bytes != 0) options.segment_bytes = segment_bytes;
+  return SegmentEngine::Open(options, pool);
+}
+
+// XORs `mask` into the byte `from_end` bytes before the end of `path`.
+void FlipByteFromEnd(const std::string& path, long from_end, int mask) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, -3, SEEK_END);
-  std::fputc(0xff, f);
+  ASSERT_EQ(std::fseek(f, -from_end, SEEK_END), 0);
+  const int orig = std::fgetc(f);
+  ASSERT_NE(orig, EOF);
+  ASSERT_EQ(std::fseek(f, -from_end, SEEK_END), 0);
+  std::fputc(orig ^ mask, f);
   std::fclose(f);
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // The torn record is dropped; everything before it survives.
-    EXPECT_EQ((*engine)->size(), 4u);
-    for (uint64_t i = 0; i < 4; ++i) {
-      ASSERT_NE((*engine)->GetRef(i), nullptr);
-      EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns);
+}
+
+TEST(SegmentEngineTest, TornFinalRecordIsTruncatedOnRecovery) {
+  for (ThreadPool* pool : InlineAndPooled()) {
+    SCOPED_TRACE(pool == nullptr ? "inline" : "pooled");
+    const std::string dir = TempDir();
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok());
+      for (uint64_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+      }
     }
+    // Simulate a crash mid-append: flip a byte inside the last record.
+    const std::string seg0 = dir + "/seg-000000.seg";
+    std::FILE* f = std::fopen(seg0.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, -3, SEEK_END);
+    std::fputc(0xff, f);
+    std::fclose(f);
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      // The torn record is dropped; everything before it survives.
+      EXPECT_EQ((*engine)->size(), 4u);
+      for (uint64_t i = 0; i < 4; ++i) {
+        ASSERT_NE((*engine)->GetRef(i), nullptr);
+        EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns);
+      }
+    }
+    RemoveDirRecursive(dir);
   }
-  RemoveDirRecursive(dir);
 }
 
 TEST(SegmentEngineTest, CorruptionBeforeFinalSegmentFailsOpenIntact) {
-  const std::string dir = TempDir();
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_TRUE(engine.ok());
-    for (uint64_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+  for (ThreadPool* pool : InlineAndPooled()) {
+    SCOPED_TRACE(pool == nullptr ? "inline" : "pooled");
+    const std::string dir = TempDir();
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok());
+      for (uint64_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+      }
+      ASSERT_TRUE((*engine)->SealSegment().ok());
+      for (uint64_t i = 5; i < 10; ++i) {
+        ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+      }
     }
-    ASSERT_TRUE((*engine)->SealSegment().ok());
-    for (uint64_t i = 5; i < 10; ++i) {
-      ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+    // Flip a byte inside a record of segment 0 — committed, msync'd data
+    // in a NON-final segment. That is real damage, not a torn tail: Open
+    // must refuse, and must not truncate a single byte.
+    const std::string seg0 = dir + "/seg-000000.seg";
+    struct stat before;
+    ASSERT_EQ(::stat(seg0.c_str(), &before), 0);
+    FlipByteFromEnd(seg0, 3, 0xff);
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_FALSE(engine.ok());
+      EXPECT_TRUE(engine.status().IsCorruption())
+          << engine.status().ToString();
     }
-  }
-  // Flip a byte inside a record of segment 0 — committed, msync'd data in
-  // a NON-final segment. That is real damage, not a torn tail: Open must
-  // refuse, and must not truncate a single byte.
-  const std::string seg0 = dir + "/seg-000000.seg";
-  struct stat before;
-  ASSERT_EQ(::stat(seg0.c_str(), &before), 0);
-  std::FILE* f = std::fopen(seg0.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  const int orig = std::fgetc(f);
-  ASSERT_NE(orig, EOF);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  std::fputc(orig ^ 0xff, f);
-  std::fclose(f);
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_FALSE(engine.ok());
-    EXPECT_TRUE(engine.status().IsCorruption()) << engine.status().ToString();
-  }
-  struct stat after;
-  ASSERT_EQ(::stat(seg0.c_str(), &after), 0);
-  EXPECT_EQ(after.st_size, before.st_size);
-  // Proof no committed byte was destroyed: repairing the flipped byte
-  // brings every row straight back.
-  f = std::fopen(seg0.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  std::fputc(orig, f);
-  std::fclose(f);
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    EXPECT_EQ((*engine)->size(), 10u);
-    for (uint64_t i = 0; i < 10; ++i) {
-      ASSERT_NE((*engine)->GetRef(i), nullptr) << i;
-      EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns) << i;
+    struct stat after;
+    ASSERT_EQ(::stat(seg0.c_str(), &after), 0);
+    EXPECT_EQ(after.st_size, before.st_size);
+    // Proof no committed byte was destroyed: repairing the flipped byte
+    // brings every row straight back.
+    FlipByteFromEnd(seg0, 3, 0xff);
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      EXPECT_EQ((*engine)->size(), 10u);
+      for (uint64_t i = 0; i < 10; ++i) {
+        ASSERT_NE((*engine)->GetRef(i), nullptr) << i;
+        EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns) << i;
+      }
     }
+    RemoveDirRecursive(dir);
   }
-  RemoveDirRecursive(dir);
 }
 
 TEST(SegmentEngineTest, TornTailInFinalOfSeveralSegmentsRecovers) {
+  for (ThreadPool* pool : InlineAndPooled()) {
+    SCOPED_TRACE(pool == nullptr ? "inline" : "pooled");
+    const std::string dir = TempDir();
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok());
+      for (uint64_t i = 0; i < 5; ++i) {
+        ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+      }
+      ASSERT_TRUE((*engine)->SealSegment().ok());
+      for (uint64_t i = 5; i < 10; ++i) {
+        ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+      }
+    }
+    // Corrupt the last record of the FINAL segment: a genuine torn tail.
+    FlipByteFromEnd(dir + "/seg-000001.seg", 3, 0xff);
+    {
+      auto engine = OpenDir(dir, pool);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      // Only the torn record is dropped; segment 0 is untouched.
+      EXPECT_EQ((*engine)->size(), 9u);
+      for (uint64_t i = 0; i < 9; ++i) {
+        ASSERT_NE((*engine)->GetRef(i), nullptr) << i;
+        EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns) << i;
+      }
+    }
+    RemoveDirRecursive(dir);
+  }
+}
+
+// With damage in two non-final segments the checksum pass finds both at
+// once on the pool; Open must still report the LOWER segment's status, as
+// a serial replay would. Each damage kind has its own message, and the
+// two layouts swap them, so the test tells which segment was reported.
+TEST(SegmentEngineTest, PooledOpenReportsLowestDamagedSegment) {
+  for (ThreadPool* pool : InlineAndPooled()) {
+    for (const bool magic_first : {true, false}) {
+      SCOPED_TRACE(std::string(pool == nullptr ? "inline" : "pooled") +
+                   (magic_first ? " magic-first" : " checksum-first"));
+      const std::string dir = TempDir();
+      {
+        auto engine = OpenDir(dir, pool);
+        ASSERT_TRUE(engine.ok());
+        for (uint64_t seg = 0; seg < 4; ++seg) {
+          for (uint64_t i = 0; i < 5; ++i) {
+            ASSERT_TRUE((*engine)->Append(TestRow(seg * 5 + i)).ok());
+          }
+          ASSERT_TRUE((*engine)->SealSegment().ok());
+        }
+      }
+      // Segment 1 and segment 2 are damaged; segment 3 is final. A flipped
+      // first magic byte breaks a frame's magic; a flipped body byte its
+      // checksum.
+      const std::string seg1 = dir + "/seg-000001.seg";
+      const std::string seg2 = dir + "/seg-000002.seg";
+      const auto break_magic = [](const std::string& path) {
+        struct stat st;
+        ASSERT_EQ(::stat(path.c_str(), &st), 0);
+        FlipByteFromEnd(path, static_cast<long>(st.st_size), 0x01);
+      };
+      const auto break_checksum = [](const std::string& path) {
+        FlipByteFromEnd(path, 3, 0xff);
+      };
+      break_magic(magic_first ? seg1 : seg2);
+      break_checksum(magic_first ? seg2 : seg1);
+      auto engine = OpenDir(dir, pool);
+      ASSERT_FALSE(engine.ok());
+      EXPECT_TRUE(engine.status().IsCorruption());
+      const std::string want =
+          magic_first ? "bad record magic" : "record checksum mismatch";
+      EXPECT_NE(engine.status().ToString().find(want), std::string::npos)
+          << engine.status().ToString();
+      RemoveDirRecursive(dir);
+    }
+  }
+}
+
+// Opening one directory with a 4-thread pool and with none must build the
+// same engine: rows, generations, dead bytes and segments — over several
+// segments, replaced rows and a compacted (purge-marker) segment.
+TEST(SegmentEngineTest, PooledOpenMatchesInlineOpen) {
   const std::string dir = TempDir();
   {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
+    auto engine = OpenDir(dir, nullptr, /*segment_bytes=*/4096);
     ASSERT_TRUE(engine.ok());
-    for (uint64_t i = 0; i < 5; ++i) {
+    for (uint64_t i = 0; i < 300; ++i) {
       ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+    }
+    for (uint64_t i = 0; i < 60; ++i) {
+      ASSERT_TRUE((*engine)->Replace(i, TestRow(5000 + i)).ok());
     }
     ASSERT_TRUE((*engine)->SealSegment().ok());
-    for (uint64_t i = 5; i < 10; ++i) {
-      ASSERT_TRUE((*engine)->Append(TestRow(i)).ok());
+    auto reclaimed = (*engine)->Compact(0.3);
+    ASSERT_TRUE(reclaimed.ok());
+    ASSERT_GT(*reclaimed, 0u);
+    for (uint64_t i = 200; i < 230; ++i) {
+      ASSERT_TRUE((*engine)->Replace(i, TestRow(7000 + i)).ok());
     }
   }
-  // Corrupt the last record of the FINAL segment: a genuine torn tail.
-  const std::string seg1 = dir + "/seg-000001.seg";
-  std::FILE* f = std::fopen(seg1.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, -3, SEEK_END), 0);
-  std::fputc(0xff, f);
-  std::fclose(f);
-  {
-    SegmentEngine::Options options;
-    options.dir = dir;
-    auto engine = SegmentEngine::Open(options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // Only the torn record is dropped; segment 0 is untouched.
-    EXPECT_EQ((*engine)->size(), 9u);
-    for (uint64_t i = 0; i < 9; ++i) {
-      ASSERT_NE((*engine)->GetRef(i), nullptr) << i;
-      EXPECT_EQ((*engine)->GetRef(i)->columns, TestRow(i).columns) << i;
-    }
+  auto inline_open = OpenDir(dir, nullptr);
+  ASSERT_TRUE(inline_open.ok()) << inline_open.status().ToString();
+  auto pooled_open = OpenDir(dir, TestPool());
+  ASSERT_TRUE(pooled_open.ok()) << pooled_open.status().ToString();
+  const SegmentEngine& a = **inline_open;
+  const SegmentEngine& b = **pooled_open;
+  EXPECT_GT(a.NumSegments(), 4u);
+  EXPECT_EQ(a.NumSegments(), b.NumSegments());
+  EXPECT_EQ(a.generation(), b.generation());
+  EXPECT_EQ(a.durable_generation(), b.durable_generation());
+  EXPECT_EQ(a.DeadBytes(), b.DeadBytes());
+  EXPECT_GT(a.DeadBytes(), 0u);
+  EXPECT_EQ(a.TotalBytes(), b.TotalBytes());
+  ASSERT_EQ(a.size(), 300u);
+  ASSERT_EQ(b.size(), a.size());
+  for (uint64_t i = 0; i < a.size(); ++i) {
+    ASSERT_NE(a.GetRef(i), nullptr) << i;
+    ASSERT_NE(b.GetRef(i), nullptr) << i;
+    EXPECT_EQ(a.GetRef(i)->columns, b.GetRef(i)->columns) << i;
+    uint64_t version = i;
+    if (i < 60) version = 5000 + i;
+    if (i >= 200 && i < 230) version = 7000 + i;
+    EXPECT_EQ(b.GetRef(i)->columns, TestRow(version).columns) << i;
   }
+  inline_open->reset();
+  pooled_open->reset();
   RemoveDirRecursive(dir);
 }
 
