@@ -4,15 +4,12 @@
 // tenants — each with their own table, key material and epoch set — behind
 // one process. This bench sweeps 1/4/16 tenants, each hit by concurrent
 // clients, on BOTH storage engines (in-memory and mmap segments), with the
-// registry arbitrating one shared worker pool and, on the mmap engine, a
-// global hot-epoch budget tight enough that tenants actually steal
-// residency slots from each other mid-sweep.
+// registry arbitrating one shared worker pool.
 //
 // Isolation gate: every answer produced through the registry is
 // byte-compared against a DEDICATED single-tenant service over the same key
-// material and data. Any divergence — cross-tenant cache bleed, a stolen
-// slot corrupting a reload, wrong routing — fails the run with a nonzero
-// exit. A throughput floor (CONCEALER_EXP14_MIN_QPS, default 1 query/s
+// material and data. Any divergence — cross-tenant cache bleed, wrong
+// routing — fails the run with a nonzero exit. A throughput floor (CONCEALER_EXP14_MIN_QPS, default 1 query/s
 // aggregate) guards against the registry collapsing under fan-out.
 //
 // A Zipf-skew QoS sweep follows the main sweep (see RunSkewSweep below):
@@ -48,9 +45,6 @@ constexpr int kMaxTenants = 16;
 constexpr int kClientsPerTenant = 2;
 constexpr int kQueriesPerClient = 8;
 constexpr uint64_t kDays = 2;
-// Tight on purpose at 16 tenants (16 x kDays = 32 resident epochs wanting
-// slots): the sweep exercises LRU slot stealing, not just routing.
-constexpr size_t kGlobalHotEpochs = 24;
 
 struct TenantData {
   std::string id;
@@ -137,7 +131,7 @@ std::vector<Query> TenantQueries() {
 }
 
 /// Reference bytes from a dedicated single-tenant service on `engine` —
-/// no registry, no shared pool, no budget, nothing to steal from it.
+/// no registry and no shared pool.
 StatusOr<std::vector<Bytes>> DedicatedAnswers(const TenantData& t,
                                               StorageOptions::Engine engine,
                                               const std::vector<Query>& queries) {
@@ -477,7 +471,6 @@ int main(int argc, char** argv) {
   struct EngineResult {
     std::string name;
     std::vector<SweepRow> rows;
-    HotEpochBudget::Stats budget;
   };
   std::vector<EngineResult> engine_results;
   bool all_identical = true;
@@ -515,7 +508,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       options.root_dir = root;
-      options.global_hot_epochs = kGlobalHotEpochs;
     }
     TenantRegistry registry(options);
     std::vector<std::string> tokens;
@@ -573,14 +565,6 @@ int main(int argc, char** argv) {
                   row.clients, (unsigned long long)row.queries, row.seconds,
                   row.qps, row.identical ? "yes" : "NO");
     }
-    if (registry.hot_budget() != nullptr) {
-      er.budget = registry.hot_budget()->stats();
-      if (mmap) {
-        std::printf("hot-epoch budget: cap=%zu resident=%zu steals=%llu\n",
-                    er.budget.cap, er.budget.resident,
-                    (unsigned long long)er.budget.steals);
-      }
-    }
     engine_results.push_back(std::move(er));
     if (!root.empty()) {
       const std::string cmd = "rm -rf '" + root + "'";
@@ -636,15 +620,6 @@ int main(int argc, char** argv) {
         j.EndObject();
       }
       j.EndArray();
-      j.Key("budget");
-      j.BeginObject();
-      j.Key("cap");
-      j.Number(static_cast<uint64_t>(er.budget.cap));
-      j.Key("resident");
-      j.Number(static_cast<uint64_t>(er.budget.resident));
-      j.Key("steals");
-      j.Number(er.budget.steals);
-      j.EndObject();
       j.EndObject();
     }
     j.EndArray();

@@ -6,8 +6,8 @@
 //      register their own users and encrypt their own readings under their
 //      own secrets.
 //   2. One TenantRegistry hosts both: it owns ONE process-wide worker pool
-//      and ONE hot-epoch budget that all tenants share, while keys,
-//      sessions and caches stay strictly per tenant.
+//      that all tenants share, while keys, sessions and caches stay
+//      strictly per tenant.
 //   3. Clients of both tenants fire a mixed batch through the front door;
 //      every answer routes to the right tenant's data.
 //   4. Per-tenant QoS: tenants are created with DRR scheduling weights and
@@ -107,8 +107,7 @@ int main() {
   options.root_dir = root;
   // Persistent tenants so the restart demo below has something to recover.
   options.storage.engine = StorageOptions::Engine::kMmap;
-  options.pool_threads = 4;    // ONE pool for all tenants' fan-out.
-  options.global_hot_epochs = 8;  // ONE residency budget for all tenants.
+  options.pool_threads = 4;  // ONE pool for all tenants' fan-out.
   // Over-cap submissions are shed with Unavailable + retry-after instead of
   // queueing unboundedly (see the backpressure demo below).
   options.service.reject_over_capacity = true;

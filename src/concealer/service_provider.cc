@@ -101,7 +101,7 @@ Status ServiceProvider::Recover() {
     // The frame checksum does not vouch for these fields: the host can
     // re-frame a tampered meta. Check the span without wraparound and the
     // segment range against the recovered segments, so a bad meta fails
-    // here instead of later as "rows are evicted".
+    // here instead of later, in a query.
     if (meta->num_rows > table_.num_rows() ||
         meta->first_row_id > table_.num_rows() - meta->num_rows) {
       return Status::Corruption("epoch meta row span exceeds recovered rows: " +
@@ -316,40 +316,18 @@ Status ServiceProvider::IngestEpoch(const EncryptedEpoch& epoch) {
   return Status::OK();
 }
 
-bool ServiceProvider::EpochOverlapsQuery(const EpochState& state,
-                                         const Query& query) const {
-  if (config_.time_buckets == 0) return true;
-  const uint64_t lo = state.epoch_start();
-  const uint64_t hi = lo + config_.epoch_seconds - 1;
-  return query.time_hi >= lo && query.time_lo <= hi;
-}
-
 std::vector<uint64_t> ServiceProvider::EpochIdsForQuery(
     const Query& query) const {
   std::vector<uint64_t> out;
   for (const auto& [eid, state] : epochs_) {
-    if (EpochOverlapsQuery(state, query)) out.push_back(eid);
+    if (config_.time_buckets != 0) {
+      const uint64_t lo = state.epoch_start();
+      const uint64_t hi = lo + config_.epoch_seconds - 1;
+      if (query.time_hi < lo || query.time_lo > hi) continue;
+    }
+    out.push_back(eid);
   }
   return out;
-}
-
-bool ServiceProvider::EpochRowsResident(uint64_t epoch_id) const {
-  auto it = epoch_segments_.find(epoch_id);
-  if (it == epoch_segments_.end()) return true;  // Nothing segment-backed.
-  return table_.engine().SegmentsResident(it->second.first,
-                                          it->second.second);
-}
-
-Status ServiceProvider::EvictEpochRows(uint64_t epoch_id) {
-  auto it = epoch_segments_.find(epoch_id);
-  if (it == epoch_segments_.end()) return Status::OK();
-  return table_.engine()->EvictSegments(it->second.first, it->second.second);
-}
-
-Status ServiceProvider::LoadEpochRows(uint64_t epoch_id) {
-  auto it = epoch_segments_.find(epoch_id);
-  if (it == epoch_segments_.end()) return Status::OK();
-  return table_.engine()->LoadSegments(it->second.first, it->second.second);
 }
 
 StatusOr<EpochState*> ServiceProvider::epoch_state(uint64_t epoch_id) {
@@ -366,14 +344,6 @@ std::vector<EpochRowRange> ServiceProvider::EpochRowRanges() const {
                                    state.first_row_id(), state.num_rows()});
   }
   return ranges;
-}
-
-std::vector<EpochState*> ServiceProvider::EpochsForQuery(const Query& query) {
-  std::vector<EpochState*> out;
-  for (auto& [eid, state] : epochs_) {
-    if (EpochOverlapsQuery(state, query)) out.push_back(&state);
-  }
-  return out;
 }
 
 Status ServiceProvider::ExecuteOnEpoch(EpochState* state, const Query& query,
@@ -573,15 +543,8 @@ Status ServiceProvider::ReencryptBin(EpochState* state, uint32_t bin_index,
 
 StatusOr<QueryResult> ServiceProvider::Execute(const Query& query) {
   QueryExecutor::AggState agg;
-  for (EpochState* state : EpochsForQuery(query)) {
-    // An evicted epoch must fail loudly rather than silently answer from
-    // the rows that happen to be resident; the service layer's lifecycle
-    // manager reloads cold epochs before queries reach this point.
-    if (!EpochRowsResident(state->epoch_id())) {
-      return Status::FailedPrecondition(
-          "epoch " + std::to_string(state->epoch_id()) +
-          " rows are evicted; load them before querying");
-    }
+  for (uint64_t eid : EpochIdsForQuery(query)) {
+    EpochState* state = &epochs_.find(eid)->second;
     if (dynamic_mode_) {
       CONCEALER_RETURN_IF_ERROR(ExecuteOnEpochDynamic(state, query, &agg));
     } else {

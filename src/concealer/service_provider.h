@@ -141,23 +141,10 @@ class ServiceProvider {
   /// Execute calls.
   std::vector<EpochRowRange> EpochRowRanges() const;
 
-  // --- Epoch row tiering (persistent engines; no-ops in memory) ---------
-  // The service layer's EpochLifecycleManager drives these under the
-  // exclusive epoch lock: cold epochs' segments are unmapped and their row
-  // table dropped; a later query reloads them on demand. EpochState (the
-  // enclave-side meta-index) stays resident either way.
-
-  /// Ids of the epochs a query's time range touches (what the lifecycle
-  /// manager must keep resident to serve it). Safe under the shared lock.
+  /// Ids of the epochs a query's time range touches, in the order Execute
+  /// visits them (the benchmark's serial replica of Execute walks these).
+  /// Safe concurrently with static-mode Execute calls.
   std::vector<uint64_t> EpochIdsForQuery(const Query& query) const;
-
-  /// True iff every row of `epoch_id` is readable (also true for unknown
-  /// ids — nothing to load). Safe under the shared lock.
-  bool EpochRowsResident(uint64_t epoch_id) const;
-
-  /// Drop / restore the epoch's segment range. Exclusive access required.
-  Status EvictEpochRows(uint64_t epoch_id);
-  Status LoadEpochRows(uint64_t epoch_id);
 
   /// True when this provider persists to a reopenable directory.
   bool persistent() const { return persistent_; }
@@ -207,14 +194,6 @@ class ServiceProvider {
   /// corruption; tolerates only the tear a mid-append crash leaves.
   Status ReplayWal();
 
-  /// The one time-overlap predicate shared by the execute and lifecycle
-  /// paths — they must agree on which epochs a query touches, or the
-  /// residency guard would reject epochs the manager chose not to load.
-  bool EpochOverlapsQuery(const EpochState& state, const Query& query) const;
-
-  // Epochs overlapping the query's time range.
-  std::vector<EpochState*> EpochsForQuery(const Query& query);
-
   // Per-epoch execution, merging into `agg`.
   Status ExecuteOnEpoch(EpochState* state, const Query& query,
                         QueryExecutor::AggState* agg);
@@ -238,8 +217,8 @@ class ServiceProvider {
   QueryExecutor executor_;
   RangePlanner planner_;
   std::map<uint64_t, EpochState> epochs_;
-  /// Segment range each epoch's rows occupy (persistent engines; used by
-  /// the evict/load hooks and written into the epoch meta files).
+  /// Segment range each epoch's rows occupy (persistent engines; written
+  /// into the epoch meta files and checked at Recover).
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> epoch_segments_;
   /// Table size at the last node-file persist (geometric schedule — see
   /// IngestEpoch).

@@ -31,8 +31,8 @@ class HmacSha256 {
   uint8_t opad_key_[64];
 };
 
-/// Constant-time byte-wise comparison of two equal-length buffers; returns
-/// true iff equal. Avoids early-exit timing leaks when verifying tags.
+/// Constant-time comparison of two equal-length buffers; returns true iff
+/// equal. Avoids early-exit timing leaks when verifying tags.
 bool ConstantTimeEqual(Slice a, Slice b);
 
 }  // namespace concealer

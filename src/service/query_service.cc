@@ -1,7 +1,6 @@
 #include "service/query_service.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "concealer/result_seal.h"
 
@@ -27,28 +26,6 @@ QueryService::QueryService(std::unique_ptr<ServiceProvider> provider,
                                           options_.reject_over_capacity);
   provider_->set_work_cache(&work_cache_);
   provider_->set_pool(options_.pool);
-  // Epoch tiering engages for segment-backed providers (mmap engine) only:
-  // the in-memory engine cannot release row memory, so counting it against
-  // the budget would starve tenants that can.
-  if (provider_->storage_options().engine == StorageOptions::Engine::kMmap) {
-    lifecycle_ = std::make_unique<EpochLifecycleManager>(provider_.get(),
-                                                         options_.hot_budget);
-    // A provider recovered via ServiceProvider::Open already holds epochs:
-    // admit them coldest-first (ascending id), so the most recent data
-    // stays hot and anything beyond the cap is evicted right away instead
-    // of ballooning the reopened process.
-    for (const EpochRowRange& range : provider_->EpochRowRanges()) {
-      Status st = lifecycle_->OnEpochAdmitted(range.epoch_id);
-      if (!st.ok()) {
-        // A failed admission leaves this epoch resident beyond the hot cap.
-        // Constructors cannot fail, so keep the first error for callers to
-        // check via recovery_status() rather than swallowing it.
-        std::fprintf(stderr, "[query_service] epoch admit failed: %s\n",
-                     st.ToString().c_str());
-        if (recovery_status_.ok()) recovery_status_ = st;
-      }
-    }
-  }
 }
 
 Status QueryService::LoadRegistry(Slice encrypted_registry) {
@@ -58,13 +35,7 @@ Status QueryService::LoadRegistry(Slice encrypted_registry) {
 
 Status QueryService::IngestEpoch(const EncryptedEpoch& epoch) {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-  CONCEALER_RETURN_IF_ERROR(provider_->IngestEpoch(epoch));
-  // The fresh epoch enters the hot set; the coldest epoch beyond the cap
-  // is evicted here, under the exclusive lock ingest already holds.
-  if (lifecycle_ != nullptr) {
-    CONCEALER_RETURN_IF_ERROR(lifecycle_->OnEpochAdmitted(epoch.epoch_id));
-  }
-  return Status::OK();
+  return provider_->IngestEpoch(epoch);
 }
 
 void QueryService::set_dynamic_mode(bool on) {
@@ -76,8 +47,7 @@ void QueryService::set_dynamic_mode(bool on) {
 Status QueryService::MaintainStorage() {
   std::unique_lock<std::shared_mutex> lock(epoch_mu_);
   CONCEALER_RETURN_IF_ERROR(provider_->CheckpointDynamicState());
-  return lifecycle_ != nullptr ? lifecycle_->MaintainStorage()
-                               : provider_->MaintainStorage();
+  return provider_->MaintainStorage();
 }
 
 StatusOr<std::string> QueryService::OpenSession(const std::string& user_id,
@@ -121,19 +91,13 @@ StatusOr<QueryResult> QueryService::ExecuteUnderLocks(const Query& query) {
       // if the mode flipped off meanwhile — a static query under the
       // exclusive lock is merely over-serialized.)
       std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-      if (lifecycle_ != nullptr) {
-        CONCEALER_RETURN_IF_ERROR(
-            lifecycle_->EnsureResidentForQuery(query));
-      }
       StatusOr<QueryResult> result = provider_->Execute(query);
       if (result.ok()) {
         // Storage upkeep rides the exclusive lock the rewrite already
         // holds: checkpoint the dynamic WAL when it has grown past its
         // threshold and compact mostly-dead segments, so sustained churn
         // keeps disk bounded without a background thread racing readers.
-        CONCEALER_RETURN_IF_ERROR(lifecycle_ != nullptr
-                                      ? lifecycle_->MaintainStorage()
-                                      : provider_->MaintainStorage());
+        CONCEALER_RETURN_IF_ERROR(provider_->MaintainStorage());
       }
       return result;
     }
@@ -145,17 +109,6 @@ StatusOr<QueryResult> QueryService::ExecuteUnderLocks(const Query& query) {
     // unlocked snapshot above and our acquisition, retry exclusively
     // rather than run a rewriting query concurrently with readers.
     if (dynamic_mode_.load(std::memory_order_acquire)) continue;
-    if (lifecycle_ != nullptr && !lifecycle_->ResidentForQuery(query)) {
-      // Cold query: some epoch it needs was evicted. Residency changes
-      // need the exclusive lock (they invalidate concurrent readers'
-      // borrows), so reload + execute there — rare by construction, the
-      // hot set serves the common case under the shared lock.
-      lock.unlock();
-      std::unique_lock<std::shared_mutex> xlock(epoch_mu_);
-      CONCEALER_RETURN_IF_ERROR(lifecycle_->EnsureResidentForQuery(query));
-      return provider_->Execute(query);
-    }
-    if (lifecycle_ != nullptr) lifecycle_->TouchForQuery(query);
     return provider_->Execute(query);
   }
 }
@@ -182,16 +135,6 @@ StatusOr<Bytes> QueryService::ExecuteEncrypted(const std::string& token,
     nonce_seed = rng_.Next();
   }
   return SealResult(*result, (*session)->result_key, nonce_seed);
-}
-
-Status QueryService::ReclaimColdEpochs() {
-  if (lifecycle_ == nullptr || lifecycle_->pending_reclaim() == 0) {
-    return Status::OK();
-  }
-  // Residency changes invalidate concurrent readers' row borrows, so the
-  // eviction runs under the exclusive epoch lock like ingest does.
-  std::unique_lock<std::shared_mutex> lock(epoch_mu_);
-  return lifecycle_->ReclaimToBudget();
 }
 
 QueryService::CacheStats QueryService::cache_stats() const {

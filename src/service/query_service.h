@@ -15,7 +15,6 @@
 #include "concealer/service_provider.h"
 #include "concealer/types.h"
 #include "service/admission_gate.h"
-#include "service/epoch_lifecycle.h"
 #include "service/session_manager.h"
 
 namespace concealer {
@@ -52,14 +51,6 @@ struct QueryServiceOptions {
   /// deadlock-free.
   /// Non-owned; must outlive the service.
   ThreadPool* pool = nullptr;
-  /// Hot-epoch budget (null = unbounded): at most its cap of epochs keep
-  /// their rows resident (mapped + row table); colder ones are evicted to
-  /// disk and reloaded on demand. The tenant registry passes one budget
-  /// shared by all its tenants; a standalone service that wants a cap
-  /// passes its own. Engaged for segment-backed (mmap) providers only,
-  /// whose residency is what costs memory. Non-owned; must outlive the
-  /// service.
-  HotEpochBudget* hot_budget = nullptr;
   /// Test hook: fake clock for session expiry (seconds, monotonic).
   SessionManager::Clock clock;
 };
@@ -140,16 +131,6 @@ class QueryService {
   /// is in flight is a data race — quiesce first.
   ServiceProvider* provider() { return provider_.get(); }
   const SessionManager& sessions() const { return sessions_; }
-  /// Null unless the provider runs a segment-backed engine. Stats expose
-  /// cold-load/eviction counts.
-  const EpochLifecycleManager* lifecycle() const { return lifecycle_.get(); }
-
-  /// OK unless admitting a restart-recovered epoch into the hot set failed
-  /// during construction (the first error is kept). A failed admission
-  /// leaves the reopened process holding more resident epochs than the
-  /// hot-epoch budget allows, so restart paths should check this before
-  /// serving traffic.
-  const Status& recovery_status() const { return recovery_status_; }
 
   struct CacheStats {
     uint64_t trapdoor_hits = 0;
@@ -163,13 +144,6 @@ class QueryService {
     size_t filter_entries = 0;
   };
   CacheStats cache_stats() const;
-
-  /// Pays off this tenant's share of the shared hot-epoch budget's reclaim
-  /// debt (see HotEpochBudget): takes the exclusive epoch lock and evicts
-  /// this tenant's coldest epochs. No-op without a lifecycle manager, a
-  /// budget, or debt. Safe from any thread; the registry drains debtor
-  /// tenants through this after traffic.
-  Status ReclaimColdEpochs();
 
   /// Admission-gate state: in-flight count, fail-fast rejections issued,
   /// current service-time EWMA (what retry-after hints derive from).
@@ -198,13 +172,7 @@ class QueryService {
   /// points at it, so the provider is destroyed first.
   EnclaveWorkCache work_cache_;
   std::unique_ptr<ServiceProvider> provider_;
-  /// Hot/cold epoch tiering over the provider's segment-backed engine;
-  /// null for in-memory providers.
-  std::unique_ptr<EpochLifecycleManager> lifecycle_;
   SessionManager sessions_;
-  /// First failure admitting a recovered epoch at construction; see
-  /// recovery_status().
-  Status recovery_status_;
 
   /// Epoch-level reader/writer lock: shared for static-mode queries and
   /// read-only introspection, exclusive for ingest and dynamic-mode

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <utility>
 
@@ -78,39 +77,12 @@ bool IsValidTenantId(const std::string& tenant_id) {
 TenantRegistry::TenantRegistry(TenantRegistryOptions options)
     : options_(std::move(options)),
       pool_(std::make_unique<ThreadPool>(
-          options_.pool_threads == 0 ? 1 : options_.pool_threads)),
-      budget_(std::make_unique<HotEpochBudget>(options_.global_hot_epochs)),
-      reclaimer_([this] { ReclaimLoop(); }) {}
+          options_.pool_threads == 0 ? 1 : options_.pool_threads)) {}
 
 TenantRegistry::~TenantRegistry() {
-  {
-    std::lock_guard<std::mutex> lock(reclaim_mu_);
-    reclaim_stop_ = true;
-  }
-  reclaim_cv_.notify_all();
-  reclaimer_.join();
-  // Tenants hold raw pointers into pool_ and budget_: destroy them first,
-  // explicitly, rather than relying on member order staying correct.
+  // Tenants hold raw pointers into pool_: destroy them first, explicitly,
+  // rather than relying on member order staying correct.
   tenants_.clear();
-}
-
-void TenantRegistry::ReclaimLoop() {
-  std::unique_lock<std::mutex> lock(reclaim_mu_);
-  for (;;) {
-    reclaim_cv_.wait(lock,
-                     [this] { return reclaim_pending_ || reclaim_stop_; });
-    if (reclaim_stop_) return;
-    reclaim_pending_ = false;
-    lock.unlock();
-    const Status st = ReclaimOverBudget();
-    if (!st.ok()) {
-      // Reclaim failure leaves the process transiently over budget, not
-      // incorrect; surface it and retry at the next nudge.
-      std::fprintf(stderr, "[tenant_registry] budget reclaim failed: %s\n",
-                   st.ToString().c_str());
-    }
-    lock.lock();
-  }
 }
 
 Status TenantRegistry::OpenTenant(const std::string& tenant_id,
@@ -143,7 +115,6 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
 
   QueryServiceOptions service_options = options_.service;
   service_options.pool = pool_.get();
-  service_options.hot_budget = budget_.get();
   // The tenant's own DRR class on the shared pool: every Submit/ParallelFor
   // its queries issue is served weight-proportionally against the other
   // tenants' classes instead of first-come-first-served.
@@ -153,22 +124,16 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
   }
   auto service =
       std::make_shared<QueryService>(std::move(provider), service_options);
-  const Status recovery = service->recovery_status();
 
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (!tenants_.emplace(tenant_id, service).second) {
-      lock.unlock();
-      service.reset();  // Seals the engine before the class goes away.
-      pool_->UnregisterClass(service_options.sched_class);
-      return Status::InvalidArgument("tenant already exists: " + tenant_id);
-    }
-    RecordRecoveryLocked(tenant_id, recovery);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (!tenants_.emplace(tenant_id, service).second) {
+    lock.unlock();
+    service.reset();  // Seals the engine before the class goes away.
+    pool_->UnregisterClass(service_options.sched_class);
+    return Status::InvalidArgument("tenant already exists: " + tenant_id);
   }
-  // A freshly opened tenant's recovered epochs count against the shared
-  // budget immediately; settle any debt they caused.
-  DrainReclaims();
-  return recovery;
+  RecordRecoveryLocked(tenant_id, Status::OK());
+  return Status::OK();
 }
 
 Status TenantRegistry::CreateTenant(const std::string& tenant_id,
@@ -222,8 +187,7 @@ Status TenantRegistry::DropTenant(const std::string& tenant_id) {
   const bool persistent = service->provider()->persistent();
   const std::string dir = service->provider()->storage_options().dir;
   const uint64_t sched_class = service->sched_class();
-  service.reset();  // Seals and closes the engine (and releases budget slots
-                    // and the tenant's cache-budget registration).
+  service.reset();  // Seals and closes the engine.
   // Retire the tenant's scheduling class only after its service is gone:
   // any helper tasks it queued have drained by now (the drain loop above),
   // so the class retires empty and the pool erases it on sight.
@@ -281,23 +245,11 @@ Status TenantRegistry::OpenAll(const CredentialsResolver& resolver) {
       record_failure(id, creds.status());
       continue;
     }
+    // OpenTenant records the entry of a tenant it installs; a failed
+    // open installs nothing and is recorded here.
     const Status st = OpenTenant(id, creds->config, std::move(creds->sk),
                                  /*recovering=*/true, TenantQoS{});
-    if (!st.ok()) {
-      // OpenTenant records the per-tenant entry itself whenever the tenant
-      // was installed (even degraded — a failed hot-set admission); only a
-      // hard open failure, which installs nothing, is recorded here.
-      bool installed;
-      {
-        std::shared_lock<std::shared_mutex> lock(mu_);
-        installed = tenants_.count(id) > 0;
-      }
-      if (!installed) {
-        record_failure(id, st);
-      } else if (first_failure.ok()) {
-        first_failure = st;
-      }
-    }
+    if (!st.ok()) record_failure(id, st);
   }
   return first_failure;
 }
@@ -323,11 +275,7 @@ Status TenantRegistry::IngestEpoch(const std::string& tenant_id,
                                    const EncryptedEpoch& epoch) {
   StatusOr<std::shared_ptr<QueryService>> service = Resolve(tenant_id);
   if (!service.ok()) return service.status();
-  const Status st = (*service)->IngestEpoch(epoch);
-  // The fresh epoch may have stolen a budget slot from a colder tenant;
-  // settle the debt now, with no locks held.
-  DrainReclaims();
-  return st;
+  return (*service)->IngestEpoch(epoch);
 }
 
 StatusOr<std::string> TenantRegistry::OpenSession(const std::string& tenant_id,
@@ -349,11 +297,7 @@ StatusOr<QueryResult> TenantRegistry::Query(const std::string& tenant_id,
                                             const concealer::Query& query) {
   StatusOr<std::shared_ptr<QueryService>> service = Resolve(tenant_id);
   if (!service.ok()) return service.status();
-  StatusOr<QueryResult> result = (*service)->Execute(token, query);
-  // A cold-epoch reload may have pushed the process over the shared
-  // budget; pay the debt off the query's own lock path.
-  DrainReclaims();
-  return result;
+  return (*service)->Execute(token, query);
 }
 
 StatusOr<Bytes> TenantRegistry::QueryEncrypted(const std::string& tenant_id,
@@ -361,9 +305,7 @@ StatusOr<Bytes> TenantRegistry::QueryEncrypted(const std::string& tenant_id,
                                                const concealer::Query& query) {
   StatusOr<std::shared_ptr<QueryService>> service = Resolve(tenant_id);
   if (!service.ok()) return service.status();
-  StatusOr<Bytes> result = (*service)->ExecuteEncrypted(token, query);
-  DrainReclaims();
-  return result;
+  return (*service)->ExecuteEncrypted(token, query);
 }
 
 std::vector<StatusOr<QueryResult>> TenantRegistry::QueryBatch(
@@ -379,7 +321,6 @@ std::vector<StatusOr<QueryResult>> TenantRegistry::QueryBatch(
     }
     results[i] = (*service)->Execute(batch[i].token, batch[i].query);
   });
-  DrainReclaims();
   return results;
 }
 
@@ -414,37 +355,6 @@ Status TenantRegistry::AggregateRecoveryStatus() const {
     if (!r.status.ok()) return r.status;
   }
   return Status::OK();
-}
-
-Status TenantRegistry::ReclaimOverBudget() {
-  if (budget_->TotalDebt() == 0) return Status::OK();
-  std::vector<std::shared_ptr<QueryService>> snapshot;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    snapshot.reserve(tenants_.size());
-    for (const auto& [id, service] : tenants_) snapshot.push_back(service);
-  }
-  // One tenant at a time: ReclaimColdEpochs takes only that tenant's
-  // epoch lock, so debtors never deadlock against each other.
-  Status first_failure = Status::OK();
-  for (const auto& service : snapshot) {
-    const Status st = service->ReclaimColdEpochs();
-    if (!st.ok() && first_failure.ok()) first_failure = st;
-  }
-  return first_failure;
-}
-
-void TenantRegistry::DrainReclaims() {
-  // Hand the eviction work to the background reclaimer instead of paying
-  // for another tenant's debt on this caller's thread — a debtor's
-  // exclusive epoch lock and eviction I/O must not inflate an innocent
-  // tenant's query latency.
-  if (budget_->TotalDebt() == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(reclaim_mu_);
-    reclaim_pending_ = true;
-  }
-  reclaim_cv_.notify_one();
 }
 
 }  // namespace concealer

@@ -1,20 +1,17 @@
 #ifndef CONCEALER_SERVICE_TENANT_REGISTRY_H_
 #define CONCEALER_SERVICE_TENANT_REGISTRY_H_
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "concealer/types.h"
-#include "service/epoch_lifecycle.h"
 #include "service/query_service.h"
 
 namespace concealer {
@@ -42,13 +39,8 @@ struct TenantRegistryOptions {
   /// Workers in the process-wide pool shared by every tenant (QueryBatch
   /// fan-out AND per-query fetch units). 0 = one worker.
   uint32_t pool_threads = 4;
-  /// Hot-epoch budget across ALL tenants' segment-backed providers
-  /// (HotEpochBudget; 0 = unbounded). Under load, a tenant ingesting or
-  /// reloading takes its residency slot from whichever tenant has gone
-  /// globally coldest.
-  size_t global_hot_epochs = 0;
-  /// Template for each tenant's QueryServiceOptions. `pool`, `hot_budget`
-  /// and `sched_class` are overwritten with the registry's own; everything
+  /// Template for each tenant's QueryServiceOptions. `pool` and
+  /// `sched_class` are overwritten with the registry's own; everything
   /// else (session TTL, admission cap and mode) applies per tenant.
   QueryServiceOptions service;
 };
@@ -57,17 +49,14 @@ struct TenantRegistryOptions {
 /// tables/providers"): owns one QueryService per tenant — each with its own
 /// ServiceProvider, enclave key material, user registry, work cache and
 /// segment directory — and routes sessions, queries and epoch ingest by
-/// tenant id. The registry arbitrates exactly two shared resources:
-///
-///  1. One process-wide ThreadPool: QueryBatch's fan-out and every
-///     tenant's fetch fan-out run on it, so N tenants contend for the
-///     machine's cores in one queue instead of oversubscribing with N
-///     pools. Each tenant gets its own DRR scheduling class (weight from
-///     TenantQoS), so a flooding tenant is bounded to its weight share of
-///     service and cannot starve the others' queues.
-///  2. One HotEpochBudget: mapped-epoch residency is capped globally;
-///     tenants steal slots from globally-cold tenants (LRU), and the
-///     registry drains the resulting reclaim debt after traffic.
+/// tenant id. The registry arbitrates exactly one shared resource: one
+/// process-wide ThreadPool. QueryBatch's fan-out and every tenant's fetch
+/// fan-out run on it, so N tenants contend for the machine's cores in one
+/// queue instead of oversubscribing with N pools. Each tenant gets its own
+/// DRR scheduling class (weight from TenantQoS), so a flooding tenant is
+/// bounded to its weight share of service and cannot starve the others'
+/// queues. Mapped segment pages are left to the kernel's page cache, as a
+/// DBMS leaves them to its buffer pool.
 ///
 /// Nothing else is shared. Key material, sessions, epoch state and the
 /// enclave-work caches are strictly per tenant: a trapdoor minted under
@@ -83,7 +72,7 @@ struct TenantRegistryOptions {
 /// (DropTenant blocks until they drain); other tenants are untouched.
 ///
 /// Lifetime: the registry must outlive any QueryService* it hands out, and
-/// owns the shared pool and budget its tenants point at.
+/// owns the shared pool its tenants point at.
 class TenantRegistry {
  public:
   explicit TenantRegistry(TenantRegistryOptions options);
@@ -166,9 +155,8 @@ class TenantRegistry {
   size_t NumTenants() const;
 
   /// Per-tenant restart-recovery outcome, aggregated by OpenAll: the
-  /// directory-open / resolver / provider-recovery status, or — for
-  /// tenants that opened — the service's own recovery_status() (failed
-  /// hot-set admissions). CreateTenant appends an OK entry.
+  /// directory-open / resolver / provider-recovery status, or OK for a
+  /// tenant that opened. CreateTenant appends an OK entry.
   struct TenantRecovery {
     std::string tenant_id;
     Status status;
@@ -177,16 +165,6 @@ class TenantRegistry {
   /// First non-OK entry of recovery_statuses(), or OK.
   Status AggregateRecoveryStatus() const;
 
-  /// Evicts until the shared hot-epoch budget is satisfied, one debtor
-  /// tenant at a time (each under only its own epoch lock). The registry's
-  /// background reclaimer runs this whenever traffic leaves debt behind —
-  /// off every client's latency path, so one tenant's eviction I/O never
-  /// inflates another tenant's query tail. Exposed (synchronous) for
-  /// tests/benches that want a settled state to measure; safe concurrently
-  /// with the reclaimer. Returns the first eviction failure.
-  Status ReclaimOverBudget();
-
-  const HotEpochBudget* hot_budget() const { return budget_.get(); }
   ThreadPool* shared_pool() { return pool_.get(); }
 
  private:
@@ -200,15 +178,6 @@ class TenantRegistry {
   Status OpenTenant(const std::string& tenant_id, const ConcealerConfig& config,
                     Bytes sk, bool recovering, const TenantQoS& qos);
 
-  /// Nudges the background reclaimer if traffic left budget debt behind
-  /// (cheap no-op when there is none). Never evicts on the caller's
-  /// thread.
-  void DrainReclaims();
-
-  /// Background reclaimer body: waits for a nudge, settles the budget,
-  /// repeats until shutdown (stderr on eviction failure).
-  void ReclaimLoop();
-
   /// Replaces the tenant's recovery entry (one entry per tenant; a retried
   /// OpenAll overwrites the stale outcome). Caller holds mu_ exclusively.
   void RecordRecoveryLocked(const std::string& tenant_id,
@@ -216,7 +185,6 @@ class TenantRegistry {
 
   TenantRegistryOptions options_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<HotEpochBudget> budget_;
 
   /// Serializes tenant lifecycle (CreateTenant/DropTenant/OpenAll) END TO
   /// END — existence check, directory open/unlink and map update are one
@@ -228,13 +196,6 @@ class TenantRegistry {
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<QueryService>> tenants_;
   std::vector<TenantRecovery> recovery_;
-
-  /// Background budget reclaimer (see DrainReclaims / ReclaimLoop).
-  std::mutex reclaim_mu_;
-  std::condition_variable reclaim_cv_;
-  bool reclaim_pending_ = false;
-  bool reclaim_stop_ = false;
-  std::thread reclaimer_;
 };
 
 /// True iff `tenant_id` is a valid tenant id (safe path component).

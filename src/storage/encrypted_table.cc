@@ -67,14 +67,19 @@ Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
   const uint64_t generation = store_->generation();
   uint64_t hits = 0;
   uint64_t bytes = 0;
-  out->reserve(out->size() + n);
+  const size_t base = out->size();
+  out->reserve(base + n);
   for (size_t i = 0; i < n; ++i) {
     if (ids[i] == BPlusTree::kNoMatch) continue;
     const Row* row = store_->GetRef(ids[i]);
-    // A null ref for an indexed id means the row's segment is evicted;
-    // the lifecycle layer keeps queried epochs resident, so treat it like
-    // a miss rather than crash (debug builds assert upstream).
-    if (row == nullptr) continue;
+    if (row == nullptr) {
+      // The index holds an id the row heap does not: they disagree, and a
+      // shorter answer would hide it. Fail closed like an index I/O error,
+      // keeping none of this call's refs and moving no counter.
+      out->erase(out->begin() + base, out->end());
+      return Status::Corruption("indexed row " + std::to_string(ids[i]) +
+                                " is missing from the row heap");
+    }
     ++hits;
     bytes += RowByteSize(*row);
     out->push_back(RowRef{ids[i], row, store_.get(), generation, i});
@@ -90,24 +95,20 @@ Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
 Status EncryptedTable::Scan(
     const std::function<bool(const Row&)>& visitor) const {
   uint64_t scanned = 0;
-  Status st;
   for (uint64_t id = 0; id < store_->size(); ++id) {
     const Row* row = store_->GetRef(id);
     if (row == nullptr) {
-      // Residency guard, mirroring the Execute fetch path: a full scan
-      // must cover every row, so an evicted segment fails the scan rather
-      // than silently shrinking the answer.
-      st = Status::FailedPrecondition(
-          "row " + std::to_string(id) +
-          "'s segment is evicted; load it before scanning");
-      break;
+      // A full scan must cover every row: fail rather than silently
+      // shrink the answer, moving no counter, as the fetch path does.
+      return Status::Corruption("row " + std::to_string(id) +
+                                " is missing from the row heap");
     }
     ++scanned;
     if (!visitor(*row)) break;
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.rows_scanned += scanned;
-  return st;
+  return Status::OK();
 }
 
 Status EncryptedTable::ReindexRows(
@@ -188,8 +189,8 @@ Status EncryptedTable::RecoverIndex() {
   for (uint64_t id = 0; id < store_->size(); ++id) {
     const Row* row = store_->GetRef(id);
     if (row == nullptr) {
-      return Status::FailedPrecondition(
-          "cannot rebuild index with evicted segments");
+      return Status::Corruption("recovered row " + std::to_string(id) +
+                                " is missing from the row heap");
     }
     if (row->columns.size() != num_columns_) {
       return Status::Corruption("recovered row arity mismatch");

@@ -32,7 +32,7 @@ struct TableStats {
 /// A fetched row borrowed from the table's storage engine: the id, a
 /// non-owning pointer, and the engine generation at fetch time. Valid until
 /// the engine's generation moves — Insert/InsertBatch (the store may
-/// reallocate), Replace/Reindex of that id, and segment evict/load all bump
+/// reallocate), Replace/Reindex of that id, and segment compaction all bump
 /// it; the query path reads under the epoch-level shared lock, where none
 /// of these happen.
 ///
@@ -94,10 +94,9 @@ class EncryptedTable {
   /// The whole probe set resolves through one BPlusTree::BulkFind (a
   /// single probe is a batch of one); refs come back in `keys` order, each
   /// tagged with the position of the key that matched it (RowRef::probe).
-  /// With a paged index a probe may hit disk, so this can fail — and it
-  /// fails closed (no partial refs appended, stats untouched) rather than
-  /// answering from a corrupt page. On a fully resident index it always
-  /// succeeds.
+  /// It fails closed (no refs kept, stats untouched) rather than answer
+  /// short: with Corruption when an index hit names a row the engine does
+  /// not hold, or with the page's error when a paged-index probe fails.
   Status FetchRefs(const Slice* keys, size_t n,
                    std::vector<RowRef>* out) const;
   Status FetchRefs(const std::vector<Bytes>& keys,
@@ -107,8 +106,8 @@ class EncryptedTable {
   }
 
   /// Full scan in row-id order (Opaque baseline). Visitor returns false to
-  /// stop. Fails with FailedPrecondition on a row whose segment is evicted
-  /// (same residency guard as the fetch path): a partial scan silently
+  /// stop. Fails with Corruption, moving no counter, on a row id the
+  /// engine does not hold (as the fetch path does): a partial scan silently
   /// answering for the whole table would be worse than no answer.
   Status Scan(const std::function<bool(const Row&)>& visitor) const;
 
@@ -129,7 +128,7 @@ class EncryptedTable {
   /// from the directory, leaves stay on disk, so an index larger than RAM
   /// reopens in two small reads. In every other case — no node store, an
   /// absent, stale, torn or corrupt node file — the index is rebuilt from
-  /// the engine's rows (which must all be resident) by one sort of their
+  /// the engine's rows by one sort of their
   /// Index values and a bottom-up BPlusTree::BulkLoad; never a wrong
   /// index. Two rows with the same Index value fail the rebuild with
   /// kInvalidArgument. Call once, before serving queries.
@@ -157,7 +156,7 @@ class EncryptedTable {
   uint64_t TotalBytes() const { return store_->TotalBytes(); }
 
   /// The underlying row heap. Mutating through it bypasses the index —
-  /// reserved for the storage-lifecycle paths (seal/evict/load/sync).
+  /// reserved for the storage-lifecycle paths (seal/compact/sync).
   StorageEngine* engine() { return store_.get(); }
   const StorageEngine& engine() const { return *store_; }
 

@@ -63,9 +63,9 @@ class NodeStore {
  public:
   struct Options {
     std::string path;  // The node file ("<dir>/index-nodes").
-    /// LRU cache budget over parsed pages (bytes, approximate). Budgeted
-    /// like HotEpochBudget: a hard target the cache trims down to after
-    /// every insertion, not a reservation.
+    /// LRU cache budget over parsed pages (bytes, approximate): a hard
+    /// target the cache trims down to after every insertion, not a
+    /// reservation.
     uint64_t cache_bytes = 64ull << 20;
   };
 

@@ -9,13 +9,6 @@ StatusOr<uint64_t> RowStore::Append(Row row) {
   return rows_.size() - 1;
 }
 
-StatusOr<Row> RowStore::Get(uint64_t row_id) const {
-  if (row_id >= rows_.size()) {
-    return Status::NotFound("row id out of range");
-  }
-  return rows_[row_id];
-}
-
 const Row* RowStore::GetRef(uint64_t row_id) const {
   if (row_id >= rows_.size()) return nullptr;
   return &rows_[row_id];

@@ -26,7 +26,6 @@ class RowStore : public StorageEngine {
   RowStore& operator=(const RowStore&) = delete;
 
   StatusOr<uint64_t> Append(Row row) override;
-  StatusOr<Row> Get(uint64_t row_id) const override;
   const Row* GetRef(uint64_t row_id) const override;
   Status Replace(uint64_t row_id, Row row) override;
 

@@ -140,10 +140,9 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(
     }
     ::close(fd);
     // Every recovered segment is treated as sealed: new appends start a
-    // fresh segment, which keeps the epoch<->segment-range alignment the
-    // lifecycle layer relies on across restarts.
+    // fresh segment, so the next epoch starts a fresh segment range after
+    // a restart too.
     seg.sealed = true;
-    seg.resident = true;
     engine->segments_.push_back(std::move(seg));
   }
   // Checksum pass on the pool, then the parse pass in segment order. Only
@@ -165,8 +164,7 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(
   engine->row_bytes_.reserve(records);
   engine->rec_bytes_.reserve(records);
   for (uint32_t index = 0; index < indexes.size(); ++index) {
-    CONCEALER_RETURN_IF_ERROR(
-        engine->ReplaySegment(index, /*restore=*/false, &scans[index]));
+    CONCEALER_RETURN_IF_ERROR(engine->ReplaySegment(index, scans[index]));
   }
   if (!engine->replay_holes_.empty()) {
     return Status::Corruption(
@@ -263,19 +261,16 @@ Status SegmentEngine::WriteRecord(uint64_t row_id, const Row& row, RowLoc* loc,
   loc->off = active.tail;
   size_t off = active.tail;
   uint64_t parsed_id = 0;
-  CONCEALER_RETURN_IF_ERROR(
-      ParseRecordAt(active, &off, /*verified=*/true, &parsed_id, borrowed));
+  CONCEALER_RETURN_IF_ERROR(ParseRecordAt(active, &off, &parsed_id, borrowed));
   active.tail = off;
   active.row_ids.push_back(row_id);
   return Status::OK();
 }
 
 Status SegmentEngine::ParseRecordAt(const Segment& seg, size_t* off,
-                                    bool verified, uint64_t* row_id,
-                                    Row* borrowed) const {
-  const Slice data(seg.map, seg.map_len);
-  StatusOr<Slice> body = verified ? ReadVerifiedFramedRecord(data, off)
-                                  : ReadFramedRecord(data, off);
+                                    uint64_t* row_id, Row* borrowed) const {
+  StatusOr<Slice> body =
+      ReadVerifiedFramedRecord(Slice(seg.map, seg.map_len), off);
   if (!body.ok()) return body.status();
   if (body->size() < 12) return Status::Corruption("row record truncated");
   *row_id = DecodeFixed64(body->data());
@@ -312,22 +307,18 @@ SegmentEngine::SegmentScan SegmentEngine::VerifySegment(
   }
 }
 
-Status SegmentEngine::ReplaySegment(uint32_t index, bool restore,
-                                    const SegmentScan* scan) {
+Status SegmentEngine::ReplaySegment(uint32_t index, const SegmentScan& scan) {
   Segment& seg = segments_[index];
-  // What ends the replay: the scan's stop status, or the end of the file
-  // (NotFound = a clean zero-filled tail or the end), unless a frame
-  // fails to read or parse first.
-  Status stop = scan != nullptr ? scan->stop
-                                : Status::NotFound("end of records");
-  const size_t end = scan != nullptr ? scan->end : seg.map_len;
+  // What ends the replay: the scan's stop status (NotFound = a clean
+  // zero-filled tail or the end of the file), unless a frame fails to
+  // parse first.
+  Status stop = scan.stop;
   size_t off = 0;
-  while (off < end) {
+  while (off < scan.end) {
     const size_t record_off = off;
     uint64_t row_id = 0;
     Row borrowed;
-    Status st = ParseRecordAt(seg, &off, /*verified=*/scan != nullptr,
-                              &row_id, &borrowed);
+    Status st = ParseRecordAt(seg, &off, &row_id, &borrowed);
     if (!st.ok()) {
       stop = st;
       off = record_off;
@@ -336,7 +327,6 @@ Status SegmentEngine::ReplaySegment(uint32_t index, bool restore,
     if (row_id == kPurgeMarkerRowId) {
       // Compaction purge marker: re-count the purged records into the
       // durable generation; there are no row bytes to restore.
-      if (restore) continue;
       if (borrowed.columns.size() != 1 || borrowed.columns[0].size() != 8) {
         return Status::Corruption("malformed purge marker in " + seg.path);
       }
@@ -344,15 +334,6 @@ Status SegmentEngine::ReplaySegment(uint32_t index, bool restore,
       records_ += purged;
       generation_ += purged;
       replay_purged_ += purged;
-      continue;
-    }
-    if (restore) {
-      // Only re-point rows whose current record still lives here; rows a
-      // later Replace moved elsewhere keep their newer bytes.
-      if (row_id < locs_.size() && locs_[row_id].seg == index &&
-          locs_[row_id].off == record_off) {
-        rows_[row_id] = std::move(borrowed);
-      }
       continue;
     }
     const uint32_t bytes = static_cast<uint32_t>(RowByteSize(borrowed));
@@ -398,7 +379,7 @@ Status SegmentEngine::ReplaySegment(uint32_t index, bool restore,
     ++records_;
   }
   if (!stop.IsNotFound()) {
-    if (restore || index + 1 != segments_.size()) return stop;
+    if (index + 1 != segments_.size()) return stop;
     // A torn final write (crash mid-append) truncates the log here;
     // anything corrupt before the last segment is real damage. Open maps
     // the full recovered set before replaying any segment, so this
@@ -429,20 +410,8 @@ StatusOr<uint64_t> SegmentEngine::Append(Row row) {
   return row_id;
 }
 
-StatusOr<Row> SegmentEngine::Get(uint64_t row_id) const {
-  const Row* ref = GetRef(row_id);
-  if (ref == nullptr) {
-    if (row_id < rows_.size()) {
-      return Status::FailedPrecondition("row's segment is evicted");
-    }
-    return Status::NotFound("row id out of range");
-  }
-  return *ref;  // Copying a borrowed row materializes owned columns.
-}
-
 const Row* SegmentEngine::GetRef(uint64_t row_id) const {
   if (row_id >= rows_.size()) return nullptr;
-  if (!segments_[locs_[row_id].seg].resident) return nullptr;
   return &rows_[row_id];
 }
 
@@ -503,89 +472,6 @@ Status SegmentEngine::Sync() {
   return Status::OK();
 }
 
-Status SegmentEngine::EvictSegments(uint32_t lo, uint32_t hi) {
-  if (lo > hi || hi >= segments_.size()) {
-    return Status::InvalidArgument("bad segment range");
-  }
-  for (uint32_t i = lo; i <= hi; ++i) {
-    Segment& seg = segments_[i];
-    if (!seg.sealed) {
-      return Status::FailedPrecondition("cannot evict the active segment");
-    }
-    if (!seg.resident) continue;
-    for (uint64_t id : seg.row_ids) {
-      if (locs_[id].seg == i) rows_[id].columns.clear();
-    }
-    if (seg.map != nullptr) ::munmap(seg.map, seg.map_len);
-    seg.map = nullptr;
-    seg.resident = false;
-  }
-  // A cold epoch drops its index pages with its rows. DET index keys
-  // scatter an epoch's rows across the whole key space, so there is no
-  // per-epoch page range to evict selectively — the cache is dropped
-  // wholesale and hot pages re-warm on the next probe batch (bounded,
-  // cheap: upper levels are resident, only touched leaves reload).
-  if (node_store_ != nullptr) node_store_->DropCache();
-  ++generation_;
-  return Status::OK();
-}
-
-Status SegmentEngine::LoadSegments(uint32_t lo, uint32_t hi) {
-  if (lo > hi || hi >= segments_.size()) {
-    return Status::InvalidArgument("bad segment range");
-  }
-  for (uint32_t i = lo; i <= hi; ++i) {
-    Segment& seg = segments_[i];
-    if (seg.resident) continue;
-    const int fd = ::open(seg.path.c_str(), O_RDONLY);
-    if (fd < 0) return Status::Internal("cannot reopen " + seg.path);
-    struct stat st;
-    // Shrinking below the replayed tail loses records; extra bytes past it
-    // (e.g. slack a crash left behind) are benign — the map covers tail.
-    if (::fstat(fd, &st) != 0 ||
-        static_cast<size_t>(st.st_size) < seg.tail) {
-      ::close(fd);
-      return Status::Corruption("segment shrank while evicted: " + seg.path);
-    }
-    seg.map_len = seg.tail;
-    void* map = seg.map_len == 0
-                    ? nullptr
-                    : ::mmap(nullptr, seg.map_len, PROT_READ, MAP_SHARED, fd,
-                             0);
-    ::close(fd);
-    if (map == MAP_FAILED) {
-      return Status::Internal("mmap failed for " + seg.path);
-    }
-    seg.map = static_cast<uint8_t*>(map);
-    seg.resident = true;
-    Status replayed = ReplaySegment(i, /*restore=*/true, /*scan=*/nullptr);
-    if (!replayed.ok()) {
-      // Roll back to the evicted state: left "resident", the query path
-      // would serve rows whose columns are still cleared (or dangle into
-      // the mapping we are about to drop). Staying evicted also lets a
-      // repaired file retry the load.
-      for (uint64_t id : seg.row_ids) {
-        if (locs_[id].seg == i) rows_[id].columns.clear();
-      }
-      if (seg.map != nullptr) ::munmap(seg.map, seg.map_len);
-      seg.map = nullptr;
-      seg.resident = false;
-      ++generation_;
-      return replayed;
-    }
-  }
-  ++generation_;
-  return Status::OK();
-}
-
-bool SegmentEngine::SegmentsResident(uint32_t lo, uint32_t hi) const {
-  if (lo > hi || hi >= segments_.size()) return false;
-  for (uint32_t i = lo; i <= hi; ++i) {
-    if (!segments_[i].resident) return false;
-  }
-  return true;
-}
-
 uint64_t SegmentEngine::DeadBytes() const {
   uint64_t dead = 0;
   for (const Segment& seg : segments_) dead += seg.dead_bytes;
@@ -605,7 +491,7 @@ StatusOr<uint64_t> SegmentEngine::Compact(double min_dead_ratio) {
   const uint32_t fixed = static_cast<uint32_t>(segments_.size());
   for (uint32_t i = 0; i < fixed; ++i) {
     // Re-index each iteration: WriteRecord below may grow segments_.
-    if (!segments_[i].sealed || !segments_[i].resident) continue;
+    if (!segments_[i].sealed) continue;
     if (segments_[i].tail == 0 || segments_[i].dead_bytes == 0) continue;
     if (static_cast<double>(segments_[i].dead_bytes) <
         min_dead_ratio * static_cast<double>(segments_[i].tail)) {
@@ -680,8 +566,7 @@ Status SegmentEngine::TombstoneSegment(uint32_t index,
 
 bool SegmentEngine::IsMapped(const uint8_t* p) const {
   for (const Segment& seg : segments_) {
-    if (seg.resident && seg.map != nullptr && p >= seg.map &&
-        p < seg.map + seg.tail) {
+    if (seg.map != nullptr && p >= seg.map && p < seg.map + seg.tail) {
       return true;
     }
   }

@@ -33,15 +33,13 @@ namespace concealer {
 /// decrypt/verify loop the stored ciphertext in place — same contract as
 /// the in-memory engine, same bytes, no heap copies of row data.
 ///
-/// Epoch alignment: the lifecycle layer calls SealSegment() after each
-/// ingested epoch, so an epoch occupies a contiguous segment range that
-/// EvictSegments/LoadSegments can drop and restore wholesale (hot/cold
-/// tiering). Rows a later dynamic-mode Replace moved into a newer segment
-/// stay resident through an evict of their birth range — eviction goes by
-/// each row's *current* record location.
+/// Epoch alignment: the provider calls SealSegment() after each ingested
+/// epoch, so an epoch occupies a contiguous segment range (recorded in its
+/// meta file). Residency is the kernel's: sealed segments stay mapped
+/// read-only and page in and out like any file-backed mapping.
 ///
 /// Thread safety: same contract as the in-memory engine — concurrent const
-/// reads are safe; Append/Replace/Seal/Evict/Load/Sync require external
+/// reads are safe; Append/Replace/Seal/Compact/Sync require external
 /// exclusive synchronization (the service layer's epoch-level lock).
 class SegmentEngine : public StorageEngine {
  public:
@@ -76,7 +74,6 @@ class SegmentEngine : public StorageEngine {
   SegmentEngine& operator=(const SegmentEngine&) = delete;
 
   StatusOr<uint64_t> Append(Row row) override;
-  StatusOr<Row> Get(uint64_t row_id) const override;
   const Row* GetRef(uint64_t row_id) const override;
   Status Replace(uint64_t row_id, Row row) override;
 
@@ -90,7 +87,7 @@ class SegmentEngine : public StorageEngine {
   uint64_t DeadBytes() const override;
   uint64_t DiskBytes() const override;
 
-  /// Rewrites live records out of resident sealed segments whose dead-byte
+  /// Rewrites live records out of sealed segments whose dead-byte
   /// ratio is >= `min_dead_ratio`, then truncates the victim down to a
   /// small purge marker. The marker (a) keeps the segment file present so
   /// recovery's dense-numbering check still detects a genuinely missing
@@ -106,9 +103,6 @@ class SegmentEngine : public StorageEngine {
     return static_cast<uint32_t>(segments_.size());
   }
   Status SealSegment() override;
-  Status EvictSegments(uint32_t lo, uint32_t hi) override;
-  Status LoadSegments(uint32_t lo, uint32_t hi) override;
-  bool SegmentsResident(uint32_t lo, uint32_t hi) const override;
 
   /// True iff `p` points into a currently mapped segment — the test hook
   /// asserting that borrowed columns really live in the mapped region.
@@ -128,12 +122,11 @@ class SegmentEngine : public StorageEngine {
     size_t map_len = 0;     // Length of the mapping (file capacity).
     size_t tail = 0;        // End of the last record.
     bool sealed = false;
-    bool resident = true;
     /// Framed bytes of records in this segment superseded by a later
     /// Replace (the compactor's victim-selection signal).
     uint64_t dead_bytes = 0;
     /// Row ids that ever had a record written to this segment (a Replace
-    /// may have moved some elsewhere since; evict/load re-checks locs_).
+    /// may have moved some elsewhere since; Compact re-checks locs_).
     std::vector<uint64_t> row_ids;
   };
 
@@ -162,20 +155,17 @@ class SegmentEngine : public StorageEngine {
     Status stop;
   };
 
-  /// Parses the record at (seg, *off) into (row_id, borrowed row).
-  /// `verified`: the frame was already checked (VerifySegment) or just
-  /// written, so its body is not hashed again.
-  Status ParseRecordAt(const Segment& seg, size_t* off, bool verified,
-                       uint64_t* row_id, Row* borrowed) const;
+  /// Parses the record at (seg, *off) into (row_id, borrowed row). The
+  /// frame was already checked (VerifySegment) or just written, so its
+  /// body is not hashed again.
+  Status ParseRecordAt(const Segment& seg, size_t* off, uint64_t* row_id,
+                       Row* borrowed) const;
   /// Checksum pass over segment `index`'s frames. Reads only the mapping,
   /// so Open runs it for every segment concurrently.
   SegmentScan VerifySegment(uint32_t index) const;
-  /// Replays segment `index`'s records. With `scan` (Open) it parses
-  /// inside `scan->end` without hashing and then acts on the status the
-  /// scan stopped on; without (LoadSegments) it checks each frame's
-  /// checksum as it parses, in one walk. `restore` mode (Load path) only
-  /// re-points rows whose current location matches.
-  Status ReplaySegment(uint32_t index, bool restore, const SegmentScan* scan);
+  /// Replays segment `index`'s records inside `scan.end` without hashing
+  /// them again, then acts on the status the scan stopped on.
+  Status ReplaySegment(uint32_t index, const SegmentScan& scan);
   Status SealActiveLocked();
   /// Replaces segment `index`'s file with a purge marker recording that
   /// `purged_records` records were compacted away. Remaps the segment over
@@ -183,16 +173,15 @@ class SegmentEngine : public StorageEngine {
   Status TombstoneSegment(uint32_t index, uint64_t purged_records);
 
   Options options_;
-  /// Paged-index leaf pages live beside the segments; eviction of cold
-  /// epochs trims this cache too (see EvictSegments).
+  /// Paged-index leaf pages live beside the segments.
   std::unique_ptr<NodeStore> node_store_;
   std::vector<Segment> segments_;
-  std::vector<Row> rows_;      // Borrowed views; evicted rows are cleared.
+  std::vector<Row> rows_;      // Borrowed views into the mappings.
   std::vector<RowLoc> locs_;   // Parallel to rows_.
   std::vector<uint32_t> row_bytes_;  // Column-byte size per row.
   std::vector<uint32_t> rec_bytes_;  // Framed record size per row.
   uint64_t total_bytes_ = 0;
-  uint64_t generation_ = 0;  // Records written + residency flips (borrows).
+  uint64_t generation_ = 0;  // Borrow invalidations (see base).
   uint64_t records_ = 0;     // Records written only (durable, see base).
   /// Recovery-only: purged records announced by tombstone markers, and the
   /// row-id holes they opened that later records have not yet filled. Open

@@ -26,10 +26,10 @@ class ThreadPool;
 /// Contract shared by all engines:
 ///  - Rows are addressed by dense 64-bit ids assigned by Append.
 ///  - GetRef borrows are invalidated by any generation() bump — Append,
-///    Replace, EvictSegments and LoadSegments all bump it. The query path
-///    reads under the epoch-level shared lock, where none of these run
-///    (RowRef carries the generation for a debug-checked borrow).
-///  - Mutators and the segment-lifecycle calls require external exclusive
+///    Replace and Compact all bump it. The query path reads under the
+///    epoch-level shared lock, where none of these run (RowRef carries the
+///    generation for a debug-checked borrow).
+///  - Mutators, SealSegment and Compact require external exclusive
 ///    synchronization; const reads may run concurrently with each other.
 class StorageEngine {
  public:
@@ -38,12 +38,7 @@ class StorageEngine {
   /// Appends a row; returns its dense row id.
   virtual StatusOr<uint64_t> Append(Row row) = 0;
 
-  /// Fetches an owned copy of a row by id.
-  virtual StatusOr<Row> Get(uint64_t row_id) const = 0;
-
-  /// Borrowed access (no copy). Returns nullptr for an out-of-range id or
-  /// a row whose segment is currently evicted (the lifecycle manager
-  /// guarantees residency before queries run).
+  /// Borrowed access (no copy). Returns nullptr for an out-of-range id.
   virtual const Row* GetRef(uint64_t row_id) const = 0;
 
   /// Overwrites an existing row (dynamic insertion re-encryption).
@@ -56,14 +51,16 @@ class StorageEngine {
   virtual uint64_t TotalBytes() const = 0;
 
   /// Borrow-invalidation counter: bumped by every operation that may move
-  /// or drop row memory (Append/Replace/Evict/Load).
+  /// or drop row memory (Append/Replace/Compact).
   virtual uint64_t generation() const = 0;
 
-  /// Durable mutation counter: Append/Replace only — the record count a
-  /// persistent engine recomputes from its log on restart, so it is
+  /// Durable mutation counter: one per record written (Append, Replace,
+  /// compaction rewrites) — the record count a persistent engine
+  /// recomputes from its log on restart, so it is
   /// stable across reopen and serves as the node file's freshness stamp.
-  /// (generation() also counts residency flips, which do not change the
-  /// rows and would spuriously invalidate the node file.)
+  /// (generation() counts a compaction as one bump per compacted segment,
+  /// not one per record it rewrites, so after a compaction it differs from
+  /// the count a restart replays.)
   virtual uint64_t durable_generation() const { return generation(); }
 
   /// Engine name for stats/bench output ("memory", "mmap").
@@ -82,10 +79,10 @@ class StorageEngine {
   /// before its index, so tree-held pointers never dangle.
   virtual NodeStore* node_store() { return nullptr; }
 
-  // --- Segment lifecycle (persistent engines; trivial no-ops in memory) --
-  // The lifecycle manager aligns epochs with segments: it seals after each
-  // ingested epoch, so one epoch maps to a contiguous segment range that
-  // can be evicted (unmapped, row table dropped) and reloaded on demand.
+  // --- Segments (persistent engines; trivial no-ops in memory) ----------
+  // The provider seals after each ingested epoch, so one epoch maps to a
+  // contiguous segment range, which it records in the epoch's meta file
+  // and checks at recovery.
 
   /// Number of segment files (0 for non-segmented engines).
   virtual uint32_t NumSegments() const { return 0; }
@@ -93,48 +90,24 @@ class StorageEngine {
   /// Seals the active segment: subsequent appends start a new segment.
   virtual Status SealSegment() { return Status::OK(); }
 
-  /// Drops the in-memory residency of segments [lo, hi] (munmap + row
-  /// table). Rows whose latest version lives elsewhere are untouched.
-  virtual Status EvictSegments(uint32_t lo, uint32_t hi) {
-    (void)lo;
-    (void)hi;
-    return Status::OK();
-  }
-
-  /// Re-maps segments [lo, hi] and restores their rows' borrows.
-  virtual Status LoadSegments(uint32_t lo, uint32_t hi) {
-    (void)lo;
-    (void)hi;
-    return Status::OK();
-  }
-
-  /// True iff every row stored in segments [lo, hi] is readable via GetRef.
-  virtual bool SegmentsResident(uint32_t lo, uint32_t hi) const {
-    (void)lo;
-    (void)hi;
-    return true;
-  }
-
   // --- Compaction (append-only persistent engines; no-ops in memory) -----
   // A Replace appends a new version of the row, so the superseded record
   // becomes dead weight in its (sealed) segment. Sustained dynamic-mode
   // churn would grow disk without bound; Compact rewrites the live records
   // of mostly-dead segments into the active segment and reclaims the rest.
 
-  /// Record bytes superseded by later Replaces, summed over resident
-  /// sealed segments (0 for non-segmented engines).
+  /// Record bytes superseded by later Replaces, summed over sealed
+  /// segments (0 for non-segmented engines).
   virtual uint64_t DeadBytes() const { return 0; }
 
   /// Bytes of record data currently on disk across all segments (live +
   /// dead; 0 for non-persistent engines).
   virtual uint64_t DiskBytes() const { return 0; }
 
-  /// Rewrites the live records of every resident sealed segment whose
-  /// dead-byte ratio is >= `min_dead_ratio` into the active segment, then
-  /// reclaims the victim's file. Bumps generation() (outstanding borrows go
-  /// stale — callers hold the exclusive epoch lock, like Replace). Evicted
-  /// segments are skipped (compacting them would fault their rows back in;
-  /// their dead bytes wait until they are resident again). Returns the
+  /// Rewrites the live records of every sealed segment whose dead-byte
+  /// ratio is >= `min_dead_ratio` into the active segment, then reclaims
+  /// the victim's file. Bumps generation() (outstanding borrows go stale —
+  /// callers hold the exclusive epoch lock, like Replace). Returns the
   /// record bytes reclaimed.
   virtual StatusOr<uint64_t> Compact(double min_dead_ratio) {
     (void)min_dead_ratio;

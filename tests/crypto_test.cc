@@ -179,6 +179,15 @@ TEST(HmacTest, ConstantTimeEqual) {
   EXPECT_TRUE(ConstantTimeEqual(a, b));
   EXPECT_FALSE(ConstantTimeEqual(a, c));
   EXPECT_FALSE(ConstantTimeEqual(a, d));
+  // Whole words and a tail: a difference in either part is found.
+  Bytes e(19, 7);
+  const Bytes f = e;
+  EXPECT_TRUE(ConstantTimeEqual(e, f));
+  for (size_t i : {size_t{0}, size_t{7}, size_t{8}, size_t{15}, size_t{18}}) {
+    Bytes g = f;
+    g[i] ^= 0x80;
+    EXPECT_FALSE(ConstantTimeEqual(e, g)) << i;
+  }
 }
 
 // --- AES-CMAC (RFC 4493) ---

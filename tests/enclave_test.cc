@@ -41,6 +41,20 @@ TEST(ObliviousTest, OSwapBytes) {
   OSwapBytes(1, a.data(), b.data(), 3);
   EXPECT_EQ(a, (Bytes{4, 5, 6}));
   EXPECT_EQ(b, (Bytes{1, 2, 3}));
+
+  // Whole words and a tail.
+  Bytes c(19), d(19);
+  for (size_t i = 0; i < c.size(); ++i) {
+    c[i] = static_cast<uint8_t>(i);
+    d[i] = static_cast<uint8_t>(100 + i);
+  }
+  const Bytes c0 = c, d0 = d;
+  OSwapBytes(0, c.data(), d.data(), c.size());
+  EXPECT_EQ(c, c0);
+  EXPECT_EQ(d, d0);
+  OSwapBytes(1, c.data(), d.data(), c.size());
+  EXPECT_EQ(c, d0);
+  EXPECT_EQ(d, c0);
 }
 
 TEST(ObliviousTest, OSwap64) {

@@ -644,37 +644,5 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
   RemoveDirRecursive(dir);
 }
 
-TEST(IndexPagingTest, EvictingEpochsDropsNodePages) {
-  const std::string dir = TempDir();
-  auto table = std::make_unique<EncryptedTable>(
-      "t", 2, 1, OpenSegEngine(dir, 1u << 20));
-  for (uint64_t i = 0; i < 800; ++i) {
-    ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
-  }
-  ASSERT_TRUE(table->engine()->SealSegment().ok());
-  ASSERT_TRUE(table->PersistPagedIndex().ok());
-  NodeStore* ns = table->engine()->node_store();
-
-  // Warm the node cache, then evict the (only) segment range: the engine
-  // drops the whole node cache with it — DET index keys scatter an
-  // epoch's rows across the key space, so no smaller range would do.
-  std::vector<RowRef> refs;
-  ASSERT_TRUE(table->FetchRefs({Key(1), Key(700)}, &refs).ok());
-  EXPECT_GT(ns->cache_bytes(), 0u);
-  const uint32_t num_segments = table->engine()->NumSegments();
-  ASSERT_GT(num_segments, 0u);
-  ASSERT_TRUE(table->engine()->EvictSegments(0, num_segments - 1).ok());
-  EXPECT_EQ(ns->cache_bytes(), 0u);
-
-  // Reload and probe again: pages come back on demand.
-  ASSERT_TRUE(table->engine()->LoadSegments(0, num_segments - 1).ok());
-  refs.clear();
-  ASSERT_TRUE(table->FetchRefs({Key(700)}, &refs).ok());
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_EQ(refs[0].row_id, 700u);
-  table.reset();
-  RemoveDirRecursive(dir);
-}
-
 }  // namespace
 }  // namespace concealer

@@ -2,13 +2,13 @@
 // that also guard every segment record), epoch-meta sidecars, and the
 // end-to-end restart contract — ingest with the mmap engine, destroy the
 // provider, re-open the segment directory and get answers byte-identical
-// to an in-memory provider that never restarted. Plus the service-level
-// epoch lifecycle: hot/cold tiering with reload-on-demand.
+// to an in-memory provider that never restarted.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,8 +17,6 @@
 #include "concealer/epoch_io.h"
 #include "concealer/service_provider.h"
 #include "concealer/wire.h"
-#include "enclave/registry.h"
-#include "service/query_service.h"
 #include "storage/segment_engine.h"
 #include "workload/wifi_generator.h"
 
@@ -268,10 +266,6 @@ TEST(PersistenceEndToEndTest, RestartAnswersByteIdentical) {
       EXPECT_EQ(SerializeQueryResult(*result), want[i]) << "query " << i;
     }
     EXPECT_EQ((*sp)->table().stats().bytes_fetched, mmap_bytes_fetched);
-
-    // Restart-of-restart: ingest another epoch into the reopened provider
-    // and keep querying (the recovered provider is fully live).
-    EXPECT_TRUE((*sp)->EpochRowsResident(0));
   }
   RemoveDirRecursive(dir);
 }
@@ -377,8 +371,9 @@ TEST(PersistenceEndToEndTest, TamperedEpochMetaRangesFailOpen) {
 TEST(PersistenceEndToEndTest, IngestAfterDynamicModeKeepsSegmentAlignment) {
   // Regression: a §6 dynamic query's re-encryption Replace opens a fresh
   // active segment. A subsequent ingest must seal it first, or the new
-  // epoch's recorded segment range would miss its own rows and every
-  // query on it would fail the residency guard.
+  // epoch's recorded segment range would miss its own rows — here all of
+  // them, leaving a range that ends before it starts, which Recover
+  // refuses.
   const std::string dir = TempDir();
   const ConcealerConfig config = TestConfig();
   const auto tuples = TestTuples(2);
@@ -405,8 +400,6 @@ TEST(PersistenceEndToEndTest, IngestAfterDynamicModeKeepsSegmentAlignment) {
   ASSERT_TRUE((*sp)->Execute(dyn).ok());
   (*sp)->set_dynamic_mode(false);
 
-  // Ingest epoch 1 and query it: with a misaligned segment range this
-  // returned FailedPrecondition("rows are evicted") forever.
   ASSERT_TRUE((*sp)->IngestEpoch((*epochs)[1]).ok());
   Query q;
   q.agg = Aggregate::kCount;
@@ -415,22 +408,21 @@ TEST(PersistenceEndToEndTest, IngestAfterDynamicModeKeepsSegmentAlignment) {
   q.time_hi = 86400 + 12 * 3600;
   auto result = (*sp)->Execute(q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE((*sp)->EpochRowsResident(1));
-  // And the epoch's rows really evict/reload through its recorded range.
-  ASSERT_TRUE((*sp)->EvictEpochRows(1).ok());
-  EXPECT_FALSE((*sp)->EpochRowsResident(1));
-  ASSERT_TRUE((*sp)->LoadEpochRows(1).ok());
-  auto again = (*sp)->Execute(q);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->count, result->count);
-  (*sp).reset();
+  // Reopen the directory: Recover checks epoch 1's recorded segment range
+  // against the recovered segments, and the same query answers the same.
+  sp->reset();
+  auto reopened = ServiceProvider::Open(config, dp.shared_secret(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto again = (*reopened)->Execute(q);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(SerializeQueryResult(*again), SerializeQueryResult(*result));
+  reopened->reset();
   RemoveDirRecursive(dir);
 }
 
-TEST(PersistenceEndToEndTest, CrashSlackSegmentStillEvictsAndReloads) {
-  // Regression: a crash leaves the active segment preallocated (zero tail
-  // on disk). Recovery must normalize it so a later evict/reload cycle
-  // round-trips instead of rejecting the segment as resized.
+TEST(PersistenceEndToEndTest, CrashSlackSegmentIsTruncatedOnOpen) {
+  // A crash leaves the active segment preallocated (zero tail on disk).
+  // Open must cut the file back to its last record and still answer.
   const std::string dir = TempDir();
   const ConcealerConfig config = TestConfig();
   const auto tuples = TestTuples(1);
@@ -441,139 +433,40 @@ TEST(PersistenceEndToEndTest, CrashSlackSegmentStillEvictsAndReloads) {
   StorageOptions options;
   options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
+  Query q;
+  q.agg = Aggregate::kCount;
+  q.key_values = {{4}};
+  q.time_lo = 6 * 3600;
+  q.time_hi = 8 * 3600;
+  Bytes want;
   {
     auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok());
     ASSERT_TRUE((*sp)->IngestEpoch((*epochs)[0]).ok());
+    auto result = (*sp)->Execute(q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    want = SerializeQueryResult(*result);
   }
   // Simulate the crash by re-inflating the sealed file with a zero tail
   // (exactly what an unsealed preallocated segment looks like on disk).
   const std::string seg0 = dir + "/seg-000000.seg";
+  const uintmax_t sealed_size = std::filesystem::file_size(seg0);
+  ASSERT_GT(sealed_size, 0u);
   std::FILE* f = std::fopen(seg0.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
   const std::vector<char> zeros(1 << 20, 0);
   ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f), zeros.size());
   std::fclose(f);
+  ASSERT_EQ(std::filesystem::file_size(seg0), sealed_size + zeros.size());
   {
     auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();
-    ASSERT_TRUE((*sp)->EvictEpochRows(0).ok());
-    EXPECT_FALSE((*sp)->EpochRowsResident(0));
-    ASSERT_TRUE((*sp)->LoadEpochRows(0).ok()) << "reload after crash slack";
-    Query q;
-    q.agg = Aggregate::kCount;
-    q.key_values = {{4}};
-    q.time_lo = 6 * 3600;
-    q.time_hi = 8 * 3600;
+    EXPECT_EQ(std::filesystem::file_size(seg0), sealed_size);
     auto result = (*sp)->Execute(q);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(SerializeQueryResult(*result), want);
   }
-  RemoveDirRecursive(dir);
-}
-
-// --- Service-level epoch lifecycle ----------------------------------------
-
-TEST(EpochLifecycleTest, ColdEpochsEvictAndReloadOnDemand) {
-  const std::string dir = TempDir();
-  const ConcealerConfig config = TestConfig();
-  const auto tuples = TestTuples(3);
-  DataProvider dp(config, Bytes(32, 0x54));
-  ASSERT_TRUE(dp.RegisterUser("alice", Slice("alice-secret", 12), "").ok());
-  auto epochs = dp.EncryptAll(tuples);
-  ASSERT_TRUE(epochs.ok());
-  ASSERT_EQ(epochs->size(), 3u);
-
-  // Reference answers from a plain in-memory service.
-  auto memory_sp = std::make_unique<ServiceProvider>(config,
-                                                     dp.shared_secret());
-  for (const auto& e : *epochs) ASSERT_TRUE(memory_sp->IngestEpoch(e).ok());
-
-  StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
-  options.dir = dir;
-  auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
-  ASSERT_TRUE(sp.ok());
-
-  HotEpochBudget budget(1);  // Aggressive tiering: one hot epoch.
-  QueryServiceOptions service_options;
-  service_options.hot_budget = &budget;
-  // Heap-held so the restart below can destroy it first — two live engines
-  // over one segment directory is not a supported configuration.
-  auto service = std::make_unique<QueryService>(std::move(*sp),
-                                                service_options);
-  ASSERT_TRUE(service->LoadRegistry(dp.EncryptedRegistry()).ok());
-  for (const auto& e : *epochs) ASSERT_TRUE(service->IngestEpoch(e).ok());
-
-  ASSERT_NE(service->lifecycle(), nullptr);
-  // Three epochs through a 1-epoch hot set: two are already cold.
-  EXPECT_EQ(service->lifecycle()->stats().resident_epochs, 1u);
-  EXPECT_GE(service->lifecycle()->stats().evictions, 2u);
-
-  auto token = service->OpenSession(
-      "alice", Registry::MakeProof(Slice("alice-secret", 12), "alice"));
-  ASSERT_TRUE(token.ok());
-
-  // Ping-pong across epochs: every switch reloads a cold epoch, answers
-  // stay identical to the never-evicting in-memory provider.
-  for (int round = 0; round < 2; ++round) {
-    for (uint64_t day = 0; day < 3; ++day) {
-      Query q;
-      q.agg = Aggregate::kCount;
-      q.key_values = {{3}};
-      q.time_lo = day * 86400 + 9 * 3600;
-      q.time_hi = day * 86400 + 11 * 3600;
-      q.verify = true;
-      auto got = service->Execute(*token, q);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      auto want = memory_sp->Execute(q);
-      ASSERT_TRUE(want.ok());
-      EXPECT_EQ(SerializeQueryResult(*got), SerializeQueryResult(*want))
-          << "day " << day << " round " << round;
-    }
-  }
-  const EpochLifecycleManager::Stats stats = service->lifecycle()->stats();
-  EXPECT_GE(stats.loads, 4u);  // Cold reloads actually happened.
-  EXPECT_EQ(stats.resident_epochs, 1u);
-
-  // A whole-range query must pull every epoch in (hot cap never blocks a
-  // query's own epochs) and still answer correctly.
-  Query all;
-  all.agg = Aggregate::kCount;
-  all.key_values = {{3}};
-  all.time_lo = 0;
-  all.time_hi = 3 * 86400;
-  auto got = service->Execute(*token, all);
-  ASSERT_TRUE(got.ok());
-  auto want = memory_sp->Execute(all);
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(got->count, want->count);
-
-  // A real restart: tear the first service down (sealing its engine)
-  // before any second engine opens the directory.
-  service.reset();
-
-  // Restart: the reopened provider re-admits its recovered epochs through
-  // the lifecycle manager at construction. The hot cap must hold after the
-  // restart, and no admission may have failed silently — recovery_status()
-  // reports the first failure.
-  {
-    auto sp2 = ServiceProvider::Open(config, dp.shared_secret(), options);
-    ASSERT_TRUE(sp2.ok()) << sp2.status().ToString();
-    QueryService reopened(std::move(*sp2), service_options);
-    ASSERT_TRUE(reopened.recovery_status().ok())
-        << reopened.recovery_status().ToString();
-    ASSERT_NE(reopened.lifecycle(), nullptr);
-    EXPECT_EQ(reopened.lifecycle()->stats().resident_epochs, 1u);
-    ASSERT_TRUE(reopened.LoadRegistry(dp.EncryptedRegistry()).ok());
-    auto token2 = reopened.OpenSession(
-        "alice", Registry::MakeProof(Slice("alice-secret", 12), "alice"));
-    ASSERT_TRUE(token2.ok());
-    auto got2 = reopened.Execute(*token2, all);
-    ASSERT_TRUE(got2.ok()) << got2.status().ToString();
-    EXPECT_EQ(got2->count, want->count);
-  }
-
   RemoveDirRecursive(dir);
 }
 

@@ -1,8 +1,7 @@
 // TenantRegistry tests: routing and per-tenant isolation (sessions, key
 // material, work caches), cross-tenant ciphertext rejection, DropTenant
-// under concurrent traffic to other tenants, restart recovery of every
-// tenant directory with per-tenant status surfacing, and the shared
-// hot-epoch budget stealing cold tenants' residency slots.
+// under concurrent traffic to other tenants, and restart recovery of every
+// tenant directory with per-tenant status surfacing.
 
 #include <gtest/gtest.h>
 
@@ -464,51 +463,6 @@ TEST_F(TenantTest, RestartRecoversAllTenants) {
     EXPECT_EQ(SerializeQueryResult(*a), want_acme[i]) << "query " << i;
     EXPECT_EQ(SerializeQueryResult(*b), want_bolt[i]) << "query " << i;
   }
-}
-
-TEST_F(TenantTest, GlobalHotBudgetStealsColdTenantSlots) {
-  TenantRegistryOptions options = Options();
-  options.storage.engine = StorageOptions::Engine::kMmap;
-  options.global_hot_epochs = 2;
-  TenantRegistry registry(options);
-
-  TenantFixture acme = MakeTenant("acme", 0x69, /*days=*/3);
-  TenantFixture bolt = MakeTenant("bolt", 0x6a, /*days=*/2);
-  ASSERT_EQ(acme.epochs.size(), 3u);
-  Provision(&registry, acme);
-
-  // Three epochs through a 2-slot global budget: acme already gave one up.
-  ASSERT_NE(registry.hot_budget(), nullptr);
-  EXPECT_LE(registry.hot_budget()->stats().resident, 2u);
-
-  // bolt's ingest steals the remaining slots from the now-cold acme.
-  Provision(&registry, bolt);
-  ASSERT_TRUE(registry.ReclaimOverBudget().ok());
-  const HotEpochBudget::Stats stats = registry.hot_budget()->stats();
-  EXPECT_LE(stats.resident, 2u);
-  EXPECT_GT(stats.steals, 0u);
-  auto acme_service = registry.tenant("acme");
-  ASSERT_TRUE(acme_service.ok());
-  ASSERT_NE((*acme_service)->lifecycle(), nullptr);
-  EXPECT_GE((*acme_service)->lifecycle()->stats().evictions, 2u);
-
-  // Queries against the evicted tenant reload on demand and stay correct
-  // — compare against a dedicated never-evicting run.
-  const std::vector<Query> queries = TenantQueries();
-  const std::vector<Bytes> want = DedicatedAnswers(acme, queries);
-  auto token = registry.OpenSession("acme", "alice", AliceProof(acme));
-  ASSERT_TRUE(token.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto got = registry.Query("acme", *token, queries[i]);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(SerializeQueryResult(*got), want[i]) << "query " << i;
-  }
-  EXPECT_GT((*acme_service)->lifecycle()->stats().loads, 0u);
-
-  // Traffic settles back under the cap once the drains run.
-  ASSERT_TRUE(registry.ReclaimOverBudget().ok());
-  EXPECT_LE(registry.hot_budget()->stats().resident, 2u);
-  EXPECT_EQ(registry.hot_budget()->stats().debt, 0u);
 }
 
 TEST_F(TenantTest, InvalidIdsAndDuplicatesRejected) {
