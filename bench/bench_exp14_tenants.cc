@@ -3,7 +3,7 @@
 // provider for one client population; the ROADMAP's north star is many
 // tenants — each with their own table, key material and epoch set — behind
 // one process. This bench sweeps 1/4/16 tenants, each hit by concurrent
-// clients, on BOTH storage engines (in-memory and mmap segments), with the
+// clients, with each tenant's segment directory under one root and the
 // registry arbitrating one shared worker pool.
 //
 // Isolation gate: every answer produced through the registry is
@@ -130,24 +130,14 @@ std::vector<Query> TenantQueries() {
   return queries;
 }
 
-/// Reference bytes from a dedicated single-tenant service on `engine` —
-/// no registry and no shared pool.
+/// Reference bytes from a dedicated single-tenant service over an ephemeral
+/// directory — no registry and no shared pool.
 StatusOr<std::vector<Bytes>> DedicatedAnswers(const TenantData& t,
-                                              StorageOptions::Engine engine,
                                               const std::vector<Query>& queries) {
-  std::unique_ptr<ServiceProvider> provider;
-  if (engine == StorageOptions::Engine::kMmap) {
-    StorageOptions storage;
-    storage.engine = engine;  // Empty dir: ephemeral.
-    StatusOr<std::unique_ptr<ServiceProvider>> opened =
-        ServiceProvider::Open(t.config, t.dp->shared_secret(), storage);
-    if (!opened.ok()) return opened.status();
-    provider = std::move(*opened);
-  } else {
-    provider =
-        std::make_unique<ServiceProvider>(t.config, t.dp->shared_secret());
-  }
-  QueryService service(std::move(provider), QueryServiceOptions{});
+  StatusOr<std::unique_ptr<ServiceProvider>> provider =
+      ServiceProvider::Open(t.config, t.dp->shared_secret());
+  if (!provider.ok()) return provider.status();
+  QueryService service(std::move(*provider), QueryServiceOptions{});
   CONCEALER_RETURN_IF_ERROR(service.LoadRegistry(t.dp->EncryptedRegistry()));
   for (const auto& e : t.epochs) {
     CONCEALER_RETURN_IF_ERROR(service.IngestEpoch(e));
@@ -186,7 +176,7 @@ std::string MakeTempRoot() {
 // drag the other tenants' tail out, because each tenant's work runs in its
 // own DRR scheduling class on the shared pool (see common/thread_pool.h).
 //
-// Two phases over the same 4-tenant in-memory registry:
+// Two phases over the same 4-tenant registry (ephemeral tenant directories):
 //   even: every tenant gets the same client count — the baseline tail.
 //   zipf: client counts follow a Zipf(1) law, so tenant-00 is hit with ~8x
 //         the load of tenant-03 and saturates the pool on its own.
@@ -305,11 +295,10 @@ bool RunSkewSweep(const std::vector<TenantData>& tenants,
                   const std::vector<Query>& queries, int argc, char** argv) {
   std::printf("\n--- zipf skew sweep: light-tenant tail under a flooder ---\n");
 
-  // Dedicated single-tenant references (in-memory engine).
+  // Dedicated single-tenant references.
   std::vector<std::vector<Bytes>> expected(kSkewTenants);
   for (int i = 0; i < kSkewTenants; ++i) {
-    auto want =
-        DedicatedAnswers(tenants[i], StorageOptions::Engine::kMemory, queries);
+    auto want = DedicatedAnswers(tenants[i], queries);
     if (!want.ok()) {
       std::fprintf(stderr, "dedicated run failed: %s\n",
                    want.status().ToString().c_str());
@@ -322,7 +311,6 @@ bool RunSkewSweep(const std::vector<TenantData>& tenants,
   // flooder actually saturates it; equal DRR weights — fairness must come
   // from the per-tenant queues, not from privileging the light tenants.
   TenantRegistryOptions options;
-  options.storage.engine = StorageOptions::Engine::kMemory;
   options.pool_threads = 4;
   options.service.max_inflight = 64;
   TenantRegistry registry(options);
@@ -444,8 +432,7 @@ bool RunSkewSweep(const std::vector<TenantData>& tenants,
 
 int main(int argc, char** argv) {
   bench::PrintHeader(
-      "Exp 14: TenantRegistry, 1/4/16 tenants x concurrent clients, both "
-      "storage engines",
+      "Exp 14: TenantRegistry, 1/4/16 tenants x concurrent clients",
       "extension beyond the paper (single-tenant deployment model)");
   std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
 
@@ -455,7 +442,7 @@ int main(int argc, char** argv) {
           ? std::atof(std::getenv("CONCEALER_EXP14_MIN_QPS"))
           : 1.0;
 
-  // --- Per-tenant pipelines (encrypted once, shared by both engines) ----
+  // --- Per-tenant pipelines (encrypted once, shared by both sweeps) -----
   std::fprintf(stderr, "[bench] encrypting %d tenants...\n", kMaxTenants);
   std::vector<TenantData> tenants;
   for (int i = 0; i < kMaxTenants; ++i) {
@@ -468,47 +455,32 @@ int main(int argc, char** argv) {
     tenants.push_back(std::move(*t));
   }
 
-  struct EngineResult {
-    std::string name;
-    std::vector<SweepRow> rows;
-  };
-  std::vector<EngineResult> engine_results;
+  // Dedicated single-tenant references.
+  std::vector<std::vector<Bytes>> expected(tenants.size());
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    auto want = DedicatedAnswers(tenants[i], queries);
+    if (!want.ok()) {
+      std::fprintf(stderr, "dedicated run failed: %s\n",
+                   want.status().ToString().c_str());
+      return 1;
+    }
+    expected[i] = std::move(*want);
+  }
+
+  // One registry holding all 16 tenants; sweeps target prefixes of it.
+  const std::string root = MakeTempRoot();
+  if (root.empty()) {
+    std::fprintf(stderr, "mkdtemp failed\n");
+    return 1;
+  }
+  std::vector<SweepRow> rows;
   bool all_identical = true;
   double worst_qps = -1;
-
-  for (StorageOptions::Engine engine :
-       {StorageOptions::Engine::kMemory, StorageOptions::Engine::kMmap}) {
-    const bool mmap = engine == StorageOptions::Engine::kMmap;
-    EngineResult er;
-    er.name = mmap ? "mmap" : "memory";
-    std::printf("\n--- engine: %s ---\n", er.name.c_str());
-
-    // Dedicated single-tenant references on this engine.
-    std::vector<std::vector<Bytes>> expected(tenants.size());
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      auto want = DedicatedAnswers(tenants[i], engine, queries);
-      if (!want.ok()) {
-        std::fprintf(stderr, "dedicated run failed: %s\n",
-                     want.status().ToString().c_str());
-        return 1;
-      }
-      expected[i] = std::move(*want);
-    }
-
-    // One registry holding all 16 tenants; sweeps target prefixes of it.
+  {
     TenantRegistryOptions options;
-    options.storage.engine = engine;
+    options.root_dir = root;
     options.pool_threads = 8;
     options.service.max_inflight = 64;
-    std::string root;
-    if (mmap) {
-      root = MakeTempRoot();
-      if (root.empty()) {
-        std::fprintf(stderr, "mkdtemp failed\n");
-        return 1;
-      }
-      options.root_dir = root;
-    }
     TenantRegistry registry(options);
     std::vector<std::string> tokens;
     for (const TenantData& t : tenants) {
@@ -560,18 +532,15 @@ int main(int argc, char** argv) {
       for (int m : mismatches) row.identical = row.identical && m == 0;
       all_identical = all_identical && row.identical;
       if (worst_qps < 0 || row.qps < worst_qps) worst_qps = row.qps;
-      er.rows.push_back(row);
+      rows.push_back(row);
       std::printf("%8d %8d %10llu %10.3f %10.1f %10s\n", row.tenants,
                   row.clients, (unsigned long long)row.queries, row.seconds,
                   row.qps, row.identical ? "yes" : "NO");
     }
-    engine_results.push_back(std::move(er));
-    if (!root.empty()) {
-      const std::string cmd = "rm -rf '" + root + "'";
-      if (std::system(cmd.c_str()) != 0) {
-        std::fprintf(stderr, "cleanup of %s failed\n", root.c_str());
-      }
-    }
+  }
+  const std::string cmd = "rm -rf '" + root + "'";
+  if (std::system(cmd.c_str()) != 0) {
+    std::fprintf(stderr, "cleanup of %s failed\n", root.c_str());
   }
 
   const bool skew_pass = RunSkewSweep(tenants, queries, argc, argv);
@@ -595,31 +564,22 @@ int main(int argc, char** argv) {
     j.Number(static_cast<uint64_t>(bench::Scale()));
     j.Key("queries_per_client");
     j.Number(static_cast<uint64_t>(kQueriesPerClient));
-    j.Key("engines");
+    j.Key("sweep");
     j.BeginArray();
-    for (const EngineResult& er : engine_results) {
+    for (const SweepRow& r : rows) {
       j.BeginObject();
-      j.Key("engine");
-      j.String(er.name);
-      j.Key("sweep");
-      j.BeginArray();
-      for (const SweepRow& r : er.rows) {
-        j.BeginObject();
-        j.Key("tenants");
-        j.Number(static_cast<uint64_t>(r.tenants));
-        j.Key("clients");
-        j.Number(static_cast<uint64_t>(r.clients));
-        j.Key("queries");
-        j.Number(r.queries);
-        j.Key("seconds");
-        j.Number(r.seconds);
-        j.Key("qps");
-        j.Number(r.qps);
-        j.Key("identical");
-        j.Bool(r.identical);
-        j.EndObject();
-      }
-      j.EndArray();
+      j.Key("tenants");
+      j.Number(static_cast<uint64_t>(r.tenants));
+      j.Key("clients");
+      j.Number(static_cast<uint64_t>(r.clients));
+      j.Key("queries");
+      j.Number(r.queries);
+      j.Key("seconds");
+      j.Number(r.seconds);
+      j.Key("qps");
+      j.Number(r.qps);
+      j.Key("identical");
+      j.Bool(r.identical);
       j.EndObject();
     }
     j.EndArray();

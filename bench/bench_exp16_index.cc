@@ -9,8 +9,8 @@
 //      pre-sorted and shuffled (the shuffled bulk timing pays the
 //      permutation sort that FetchRefs pays, so it is the honest
 //      end-to-end index cost).
-//   2. Table sweep — FetchRefs vs PerKeyFetchRefs below, on both storage
-//      engines. The reference is a fetch without bulk probing: one Find
+//   2. Table sweep — FetchRefs vs PerKeyFetchRefs below, on an ephemeral
+//      segment-engine table with a resident index. The reference is a fetch without bulk probing: one Find
 //      per key on a tree built by the same inserts as the table's index,
 //      the engine's borrowed row and its byte size, and one stats fold per
 //      batch. Includes the row-touch cost common to both paths, so the
@@ -38,8 +38,7 @@
 //     exact row-id sequence the resident one did; every query answer
 //     equals the oracle's;
 //   - speedup: FetchRefs >= CONCEALER_EXP16_MIN_SPEEDUP x the per-key
-//     reference at 256 probes/unit on the memory engine (default 2.0; 0
-//     disables);
+//     reference at 256 probes/unit (default 2.0; 0 disables);
 //   - prefetch: cold-cache paged BulkFind with prefetch beats without,
 //     cold/prefetch >= CONCEALER_EXP16_MIN_PREFETCH_SPEEDUP (default 1.0;
 //     0 disables). Auto-passes when dropping the cache had no measurable
@@ -365,18 +364,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Layer 2: FetchRefs on both storage engines -------------------------
-  struct EngineSweep {
-    std::string name;
-    std::vector<SweepPoint> points;
-  };
-  std::vector<EngineSweep> engine_sweeps;
-  for (int which = 0; which < 2; ++which) {
-    StorageOptions options;
-    options.engine = which == 0 ? StorageOptions::Engine::kMemory
-                                : StorageOptions::Engine::kMmap;
-    // Empty dir: the mmap engine manages an ephemeral temp directory.
-    auto engine = MakeStorageEngine(options);
+  // --- Layer 2: FetchRefs on the segment engine ---------------------------
+  std::vector<SweepPoint> fetch_sweep;
+  {
+    // Empty dir: the engine manages an ephemeral temp directory.
+    auto engine = MakeStorageEngine(StorageOptions{});
     if (!engine.ok()) {
       std::fprintf(stderr, "engine open failed: %s\n",
                    engine.status().ToString().c_str());
@@ -404,11 +396,8 @@ int main(int argc, char** argv) {
     }
     std::mutex per_key_mu;
     TableStats per_key_stats;
-    EngineSweep sweep;
-    sweep.name = which == 0 ? "memory" : "mmap";
-    std::fprintf(stderr, "[exp16] %s table: %llu rows in %.2fs\n",
-                 sweep.name.c_str(), static_cast<unsigned long long>(rows),
-                 t.ElapsedSeconds());
+    std::fprintf(stderr, "[exp16] table: %llu rows in %.2fs\n",
+                 static_cast<unsigned long long>(rows), t.ElapsedSeconds());
 
     for (size_t per : pers) {
       const std::vector<Unit> probe_units =
@@ -441,8 +430,8 @@ int main(int argc, char** argv) {
           got_stats.bytes_fetched != want_stats.bytes_fetched) {
         std::fprintf(stderr,
                      "IDENTITY GATE VIOLATION: FetchRefs diverged from the "
-                     "per-key reference (%s, per=%zu)\n",
-                     sweep.name.c_str(), per);
+                     "per-key reference (per=%zu)\n",
+                     per);
         identical = false;
       }
 
@@ -469,20 +458,17 @@ int main(int argc, char** argv) {
       point.per_key_ns = best_per_key * 1e9 / probes_total;
       point.bulk_ns = best_bulk * 1e9 / probes_total;
       point.speedup = best_bulk > 0 ? best_per_key / best_bulk : 0;
-      if (sweep.name == "memory" && per == 256) gate_speedup = point.speedup;
-      sweep.points.push_back(point);
+      if (per == 256) gate_speedup = point.speedup;
+      fetch_sweep.push_back(point);
     }
-    engine_sweeps.push_back(std::move(sweep));
   }
 
   std::printf("\nFetchRefs sweep (row-touch cost included; shuffled order):\n");
-  std::printf("%-10s %-10s %16s %16s %10s\n", "engine", "probes",
-              "per-key (ns)", "bulk (ns)", "speedup");
-  for (const EngineSweep& sweep : engine_sweeps) {
-    for (const SweepPoint& p : sweep.points) {
-      std::printf("%-10s %-10zu %16.1f %16.1f %9.2fx\n", sweep.name.c_str(),
-                  p.per, p.per_key_ns, p.bulk_ns, p.speedup);
-    }
+  std::printf("%-10s %16s %16s %10s\n", "probes", "per-key (ns)",
+              "bulk (ns)", "speedup");
+  for (const SweepPoint& p : fetch_sweep) {
+    std::printf("%-10zu %16.1f %16.1f %9.2fx\n", p.per, p.per_key_ns,
+                p.bulk_ns, p.speedup);
   }
 
   // --- Paged leg: cold-cache BulkFind, prefetch off vs on -----------------
@@ -505,7 +491,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   StorageOptions paged_options;
-  paged_options.engine = StorageOptions::Engine::kMmap;
   paged_options.dir = paged_dir;
   // A node cache far smaller than the leaf set, so cold probes really
   // page: this is the "index exceeds the budget" configuration.
@@ -723,7 +708,7 @@ int main(int argc, char** argv) {
   const bool speedup_pass = min_speedup <= 0 || gate_speedup >= min_speedup;
   std::printf("\nend-to-end point query: %.3f ms (answers oracle-checked)\n",
               e2e * 1e3);
-  std::printf("identity gate: %s | speedup gate (FetchRefs/memory @256 >= "
+  std::printf("identity gate: %s | speedup gate (FetchRefs @256 >= "
               "%.2fx): %.2fx %s | paged prefetch gate (cold >= %.2fx): %s | "
               "rebuild gate (>= %.2fx): %.2fx %s\n",
               identical ? "PASS (bulk == per-key, paged == resident, "
@@ -770,21 +755,17 @@ int main(int argc, char** argv) {
     j.EndArray();
     j.Key("fetchrefs_sweep");
     j.BeginArray();
-    for (const EngineSweep& sweep : engine_sweeps) {
-      for (const SweepPoint& p : sweep.points) {
-        j.BeginObject();
-        j.Key("engine");
-        j.String(sweep.name);
-        j.Key("probes_per_unit");
-        j.Number(static_cast<uint64_t>(p.per));
-        j.Key("per_key_ns_per_probe");
-        j.Number(p.per_key_ns);
-        j.Key("bulk_ns_per_probe");
-        j.Number(p.bulk_ns);
-        j.Key("speedup");
-        j.Number(p.speedup);
-        j.EndObject();
-      }
+    for (const SweepPoint& p : fetch_sweep) {
+      j.BeginObject();
+      j.Key("probes_per_unit");
+      j.Number(static_cast<uint64_t>(p.per));
+      j.Key("per_key_ns_per_probe");
+      j.Number(p.per_key_ns);
+      j.Key("bulk_ns_per_probe");
+      j.Number(p.bulk_ns);
+      j.Key("speedup");
+      j.Number(p.speedup);
+      j.EndObject();
     }
     j.EndArray();
     j.Key("paged");
@@ -852,7 +833,7 @@ int main(int argc, char** argv) {
     j.Bool(identical);
     j.Key("min_speedup");
     j.Number(min_speedup);
-    j.Key("speedup_at_256_fetchrefs_memory");
+    j.Key("speedup_at_256_fetchrefs");
     j.Number(gate_speedup);
     j.Key("speedup_pass");
     j.Bool(speedup_pass);

@@ -19,7 +19,7 @@
 //     compactor reclaim what churn strands;
 //   - the WAL is truncated back under its checkpoint threshold by upkeep;
 //   - after every reopen, static verify=true probes answer byte-identical
-//     to a never-restarted in-memory reference.
+//     to a never-restarted reference provider (ephemeral directory).
 // Emits BENCH_dynamic.json (argv[1] or CONCEALER_BENCH_JSON).
 
 #include <algorithm>
@@ -169,15 +169,16 @@ int main(int argc, char** argv) {
   auto churn_epochs = churn_dp.EncryptAll(churn_tuples);
   if (!churn_epochs.ok()) return 1;
 
-  // Never-restarted in-memory reference: the byte-identity witness.
-  ServiceProvider ref_sp(churn_config, churn_dp.shared_secret());
+  // Never-restarted reference: the byte-identity witness.
+  std::unique_ptr<ServiceProvider> ref_sp =
+      bench::MakeProvider(churn_config, churn_dp.shared_secret());
   for (const auto& e : *churn_epochs) {
-    if (!ref_sp.IngestEpoch(e).ok()) return 1;
+    if (!ref_sp->IngestEpoch(e).ok()) return 1;
   }
   const std::vector<Query> probes = ChurnProbes();
   std::vector<Bytes> want;
   for (const Query& q : probes) {
-    auto r = ref_sp.Execute(q);
+    auto r = ref_sp->Execute(q);
     if (!r.ok()) return 1;
     want.push_back(SerializeQueryResult(*r));
   }
@@ -186,7 +187,6 @@ int main(int argc, char** argv) {
   if (::mkdtemp(dir_tmpl) == nullptr) return 1;
   const std::string churn_dir = dir_tmpl;
   StorageOptions churn_storage;
-  churn_storage.engine = StorageOptions::Engine::kMmap;
   churn_storage.dir = churn_dir;
 
   bool identity_pass = true;
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     (*churn_sp)->set_wal_checkpoint_bytes(kWalCheckpointBytes);
     (*churn_sp)->set_compaction_dead_ratio(0.4);
 
-    // Reopen fidelity: static probes must match the in-memory reference.
+    // Reopen fidelity: static probes must match the reference.
     (*churn_sp)->set_dynamic_mode(false);
     for (size_t i = 0; i < probes.size(); ++i) {
       auto r = (*churn_sp)->Execute(probes[i]);

@@ -1,13 +1,10 @@
 #include "bench_util.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/random.h"
@@ -32,22 +29,10 @@ int Reps() {
 
 std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,
                                               Bytes sk) {
-  const char* env = std::getenv("CONCEALER_STORAGE_ENGINE");
-  if (env == nullptr || std::strcmp(env, "memory") == 0) {
-    return std::make_unique<ServiceProvider>(config, std::move(sk));
-  }
-  if (std::strcmp(env, "mmap") != 0) {
-    std::fprintf(stderr,
-                 "CONCEALER_STORAGE_ENGINE='%s': expected 'memory' or 'mmap'\n",
-                 env);
-    std::abort();
-  }
-  StorageOptions storage;
-  storage.engine = StorageOptions::Engine::kMmap;
   StatusOr<std::unique_ptr<ServiceProvider>> sp =
-      ServiceProvider::Open(config, std::move(sk), storage);
+      ServiceProvider::Open(config, std::move(sk));
   if (!sp.ok()) {
-    std::fprintf(stderr, "cannot open the mmap engine: %s\n",
+    std::fprintf(stderr, "cannot open the storage engine: %s\n",
                  sp.status().ToString().c_str());
     std::abort();
   }
@@ -343,28 +328,6 @@ void WriteFileOrDie(const std::string& path, const std::string& content) {
     std::abort();
   }
   std::printf("wrote JSON results to %s\n", path.c_str());
-}
-
-void DropPageCache(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    const std::string path = dir + "/" + name;
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) continue;
-    struct stat st;
-    if (::fstat(fd, &st) == 0 && S_ISDIR(st.st_mode)) {
-      ::close(fd);
-      DropPageCache(path);
-      continue;
-    }
-    ::fsync(fd);
-    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    ::close(fd);
-  }
-  ::closedir(d);
 }
 
 void DropFileCache(const std::string& path) {

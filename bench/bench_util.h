@@ -25,9 +25,8 @@ uint64_t Scale();
 /// Reps per timed query (default 5; CONCEALER_REPS env overrides).
 int Reps();
 
-/// A provider on the engine CONCEALER_STORAGE_ENGINE names: "memory" (the
-/// default) or "mmap" (an ephemeral temp directory). Any other value, or
-/// an mmap engine that cannot be opened, aborts the bench.
+/// A provider over an ephemeral segment directory, removed with it. An
+/// engine that cannot be opened aborts the bench.
 std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,
                                               Bytes sk);
 
@@ -82,17 +81,11 @@ std::vector<Query> RandomPointQueries(const WifiDataset& dataset, int count,
 void PrintHeader(const std::string& title, const std::string& paper_ref);
 void PrintFooter();
 
-/// Evicts every file under `dir` (recursing into subdirectories) from the
-/// OS page cache: fsync first so dirty pages become droppable, then
-/// posix_fadvise(POSIX_FADV_DONTNEED). Cold-pass benches (exp13 restart,
-/// exp16 paged index) call this so their "cold" reads actually hit disk
-/// instead of the cache the preceding write pass populated. Best-effort:
-/// unreadable entries are skipped silently.
-void DropPageCache(const std::string& dir);
-
-/// Single-file variant of DropPageCache — the exp16 paged leg drops just
-/// the index-nodes file so its cold-pass timing isolates index I/O from
-/// segment faults.
+/// Evicts `path` from the OS page cache: fsync first so dirty pages become
+/// droppable, then posix_fadvise(POSIX_FADV_DONTNEED). The exp16 paged leg
+/// drops just the index-nodes file so its cold-pass reads hit disk and its
+/// timing isolates index I/O from segment faults. Best-effort: an
+/// unreadable file is skipped silently.
 void DropFileCache(const std::string& path);
 
 /// Minimal JSON emitter for the bench artifacts CI uploads. Structural

@@ -104,9 +104,9 @@ int main() {
   if (root == nullptr) return 1;
 
   TenantRegistryOptions options;
+  // A root directory makes the tenants persistent, so the restart demo
+  // below has something to recover.
   options.root_dir = root;
-  // Persistent tenants so the restart demo below has something to recover.
-  options.storage.engine = StorageOptions::Engine::kMmap;
   options.pool_threads = 4;  // ONE pool for all tenants' fan-out.
   // Over-cap submissions are shed with Unavailable + retry-after instead of
   // queueing unboundedly (see the backpressure demo below).

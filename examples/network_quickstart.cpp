@@ -193,7 +193,6 @@ int RunDriver(const std::string& host, uint16_t port, bool provision,
 // Default mode: everything in one process, but all through the wire.
 int RunDemo() {
   TenantRegistryOptions registry_options;
-  registry_options.storage.engine = StorageOptions::Engine::kMemory;
   registry_options.pool_threads = 2;
   TenantRegistry registry(registry_options);
 

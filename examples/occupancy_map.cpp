@@ -44,7 +44,9 @@ int main() {
     return 1;
   }
 
-  ServiceProvider sp(config, dp.shared_secret());
+  auto opened = ServiceProvider::Open(config, dp.shared_secret());
+  if (!opened.ok()) return 1;
+  ServiceProvider& sp = **opened;
   if (!sp.LoadRegistry(dp.EncryptedRegistry()).ok()) return 1;
   auto epochs = dp.EncryptAll(events);
   if (!epochs.ok()) return 1;

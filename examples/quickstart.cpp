@@ -11,8 +11,6 @@
 // Build: cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "concealer/client.h"
@@ -55,27 +53,14 @@ int main() {
   }
 
   // --- SP side: ingest ciphertext + registry ---------------------------
-  // The SP's row store: the in-memory heap, or mmap'd segment files with
-  // CONCEALER_STORAGE_ENGINE=mmap (an ephemeral directory here; give
-  // StorageOptions::dir a path to keep the data across restarts).
-  std::unique_ptr<ServiceProvider> sp;
-  const char* engine = std::getenv("CONCEALER_STORAGE_ENGINE");
-  if (engine == nullptr || std::strcmp(engine, "memory") == 0) {
-    sp = std::make_unique<ServiceProvider>(config, dp.shared_secret());
-  } else if (std::strcmp(engine, "mmap") == 0) {
-    StorageOptions storage;
-    storage.engine = StorageOptions::Engine::kMmap;
-    auto opened = ServiceProvider::Open(config, dp.shared_secret(), storage);
-    if (!opened.ok()) {
-      std::printf("open failed: %s\n", opened.status().ToString().c_str());
-      return 1;
-    }
-    sp = std::move(*opened);
-  } else {
-    std::printf("CONCEALER_STORAGE_ENGINE='%s': expected memory or mmap\n",
-                engine);
+  // The SP's row store: mmap'd segment files in an ephemeral directory
+  // (give StorageOptions::dir a path to keep the data across restarts).
+  auto opened = ServiceProvider::Open(config, dp.shared_secret());
+  if (!opened.ok()) {
+    std::printf("open failed: %s\n", opened.status().ToString().c_str());
     return 1;
   }
+  std::unique_ptr<ServiceProvider> sp = std::move(*opened);
   if (!sp->LoadRegistry(dp.EncryptedRegistry()).ok()) return 1;
   for (const auto& epoch : *epochs) {
     if (!sp->IngestEpoch(epoch).ok()) return 1;

@@ -30,7 +30,9 @@ int main() {
   config.time_quantum = 1;
 
   DataProvider dp(config, Bytes(32, 0x33));
-  ServiceProvider sp(config, dp.shared_secret());
+  auto opened = ServiceProvider::Open(config, dp.shared_secret());
+  if (!opened.ok()) return 1;
+  ServiceProvider& sp = **opened;
   auto epochs = dp.EncryptAll(tuples);
   if (!epochs.ok()) {
     std::printf("encrypt failed: %s\n", epochs.status().ToString().c_str());

@@ -15,7 +15,6 @@
 #include "crypto/det_cipher.h"
 #include "crypto/kdf.h"
 #include "crypto/rand_cipher.h"
-#include "storage/row_store.h"
 
 namespace concealer {
 
@@ -33,10 +32,6 @@ std::string EpochMetaPath(const std::string& dir, uint64_t epoch_id) {
 }
 
 }  // namespace
-
-ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk)
-    : ServiceProvider(std::move(config), std::move(sk), StorageOptions{},
-                      std::make_unique<RowStore>()) {}
 
 ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
                                  StorageOptions storage,
@@ -61,10 +56,6 @@ ServiceProvider::ServiceProvider(ConcealerConfig config, Bytes sk,
 StatusOr<std::unique_ptr<ServiceProvider>> ServiceProvider::Open(
     ConcealerConfig config, Bytes sk, const StorageOptions& storage,
     ThreadPool* pool) {
-  if (storage.engine != StorageOptions::Engine::kMmap) {
-    return Status::InvalidArgument(
-        "ServiceProvider::Open needs the mmap storage engine");
-  }
   StatusOr<std::unique_ptr<StorageEngine>> engine =
       MakeStorageEngine(storage, pool);
   if (!engine.ok()) return engine.status();
@@ -274,7 +265,7 @@ Status ServiceProvider::IngestEpoch(const EncryptedEpoch& epoch) {
   const uint32_t seg_lo = engine->NumSegments();
   CONCEALER_RETURN_IF_ERROR(table_.InsertBatch(epoch.rows));
   epochs_.emplace(epoch.epoch_id, std::move(*state));
-  if (!epoch.rows.empty() && engine->NumSegments() > 0) {
+  if (!epoch.rows.empty()) {
     CONCEALER_RETURN_IF_ERROR(engine->SealSegment());
     epoch_segments_[epoch.epoch_id] = {seg_lo, engine->NumSegments() - 1};
   }
@@ -298,17 +289,16 @@ Status ServiceProvider::IngestEpoch(const EncryptedEpoch& epoch) {
     CONCEALER_RETURN_IF_ERROR(WriteEpochMetaFile(
         EpochMetaPath(storage_options_.dir, epoch.epoch_id), meta));
   }
-  // Index persistence into the node file (any engine with a NodeStore,
-  // including ephemeral mmap dirs). After PersistPagedIndex the tree
-  // serves leaves through the bounded page cache instead of resident
-  // vectors, and a restart attaches in two small reads. A persist rewrites
-  // the WHOLE index, so persisting on every ingest would cost O(K^2)
-  // cumulative bytes over a provider's lifetime. Persist geometrically
-  // (first epoch, then each time the table has doubled): total index I/O
-  // stays O(total rows), and a restart whose stamp is stale simply
-  // rebuilds the index from the recovered rows.
+  // Index persistence into the node file (ephemeral directories too).
+  // After PersistPagedIndex the tree serves leaves through the bounded
+  // page cache instead of resident vectors, and a restart attaches in two
+  // small reads. A persist rewrites the WHOLE index, so persisting on
+  // every ingest would cost O(K^2) cumulative bytes over a provider's
+  // lifetime. Persist geometrically (first epoch, then each time the table
+  // has doubled): total index I/O stays O(total rows), and a restart whose
+  // stamp is stale simply rebuilds the index from the recovered rows.
   const uint64_t rows_now = table_.num_rows();
-  if (table_.engine()->node_store() != nullptr && rows_now > 0 &&
+  if (rows_now > 0 &&
       (node_file_rows_ == 0 || rows_now >= 2 * node_file_rows_)) {
     CONCEALER_RETURN_IF_ERROR(table_.PersistPagedIndex());
     node_file_rows_ = rows_now;

@@ -39,14 +39,10 @@ namespace concealer {
 /// enforces exactly that split with an epoch-level reader/writer lock.
 class ServiceProvider {
  public:
-  /// A provider over the in-memory heap. `sk` models the DP-provisioned
-  /// enclave secret (remote attestation and key exchange are out of the
-  /// paper's scope, §1.2).
-  ServiceProvider(ConcealerConfig config, Bytes sk);
-
-  /// The one way to a provider over the mmap segment engine
-  /// (`storage.engine == kMmap`; any other engine is InvalidArgument).
-  /// An empty `storage.dir` opens an ephemeral temp directory, removed
+  /// The one way to a provider. `sk` models the DP-provisioned enclave
+  /// secret (remote attestation and key exchange are out of the paper's
+  /// scope, §1.2). The table lives in the mmap segment engine. An empty
+  /// `storage.dir` (the default) opens an ephemeral temp directory, removed
   /// with the provider. A non-empty dir is opened and RECOVERED: Open
   /// re-maps the segments, attaches the B+-tree's node file (or rebuilds
   /// the index from the rows), and re-adopts every ingested epoch from its
@@ -63,7 +59,7 @@ class ServiceProvider {
   /// provider whose answers and tags are byte-identical to one that never
   /// crashed.
   static StatusOr<std::unique_ptr<ServiceProvider>> Open(
-      ConcealerConfig config, Bytes sk, const StorageOptions& storage,
+      ConcealerConfig config, Bytes sk, const StorageOptions& storage = {},
       ThreadPool* pool = nullptr);
 
   /// Installs the DP's encrypted user registry (Phase 0).
@@ -150,7 +146,7 @@ class ServiceProvider {
   bool persistent() const { return persistent_; }
   const StorageOptions& storage_options() const { return storage_options_; }
 
-  // --- Dynamic-mode durability (persistent engines; no-ops in memory) ----
+  // --- Dynamic-mode durability (persistent dirs; no-ops when ephemeral) --
 
   /// Folds the dynamic state (key versions, re-encryption counters,
   /// refreshed tags) of every WAL-dirty epoch into its epoch-meta sidecar,
@@ -217,8 +213,8 @@ class ServiceProvider {
   QueryExecutor executor_;
   RangePlanner planner_;
   std::map<uint64_t, EpochState> epochs_;
-  /// Segment range each epoch's rows occupy (persistent engines; written
-  /// into the epoch meta files and checked at Recover).
+  /// Segment range each epoch's rows occupy (written into the epoch meta
+  /// files and checked at Recover).
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> epoch_segments_;
   /// Table size at the last node-file persist (geometric schedule — see
   /// IngestEpoch).

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/slice.h"
-#include "storage/row_store.h"
+#include "storage/row.h"
 
 namespace concealer {
 

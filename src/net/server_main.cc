@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
 
   concealer::TenantRegistryOptions registry_options;
   registry_options.root_dir = flags.root;
-  registry_options.storage.engine = concealer::StorageOptions::Engine::kMmap;
   registry_options.pool_threads = flags.pool_threads;
   registry_options.service.reject_over_capacity = true;
   concealer::TenantRegistry registry(registry_options);

@@ -27,9 +27,10 @@ struct QueryServiceOptions {
   uint32_t max_inflight = 16;
   /// Real backpressure: over-cap queries get Unavailable (with a
   /// retry-after hint on the Status) instead of parking their thread.
-  /// The tenant registry enables this for hosted tenants so one saturated
-  /// tenant sheds its own load rather than tying the shared pool's callers
-  /// up in its queue; retrying clients (service/retry.h) ride it out.
+  /// concealer_server turns this on in its tenant registry's service
+  /// template, so one saturated tenant sheds its own load rather than
+  /// tying the shared pool's callers up in its queue; retrying clients
+  /// (service/retry.h) ride it out.
   bool reject_over_capacity = false;
   /// Scheduling class on the injected shared pool (ThreadPool::
   /// RegisterClass): each query's fetch fan-out submissions are tagged

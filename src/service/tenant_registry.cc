@@ -87,31 +87,19 @@ TenantRegistry::~TenantRegistry() {
 
 Status TenantRegistry::OpenTenant(const std::string& tenant_id,
                                   const ConcealerConfig& config, Bytes sk,
-                                  bool recovering, const TenantQoS& qos) {
-  std::unique_ptr<ServiceProvider> provider;
-  if (options_.storage.engine == StorageOptions::Engine::kMmap) {
-    if (options_.root_dir.empty()) {
-      return Status::InvalidArgument(
-          "TenantRegistryOptions.root_dir is required for the mmap engine");
-    }
-    // Both for fresh tenants (creates the empty directory) and for
-    // recovery (re-maps segments, restores index and epochs). The shared
-    // pool runs recovery's segment checksum pass. The server calls this
-    // from a pool task (Submit), not from inside a ParallelFor, so the
-    // fan-out is not a nested call that would run inline.
-    StorageOptions storage = options_.storage;
-    storage.dir = options_.root_dir + "/" + tenant_id;
-    StatusOr<std::unique_ptr<ServiceProvider>> opened =
-        ServiceProvider::Open(config, std::move(sk), storage, pool_.get());
-    if (!opened.ok()) return opened.status();
-    provider = std::move(*opened);
-  } else {
-    if (recovering) {
-      return Status::FailedPrecondition(
-          "tenant recovery requires the persistent (mmap) engine");
-    }
-    provider = std::make_unique<ServiceProvider>(config, std::move(sk));
-  }
+                                  const TenantQoS& qos) {
+  // Both for fresh tenants (creates the empty directory) and for recovery
+  // (re-maps segments, restores index and epochs). An empty root_dir gives
+  // the tenant an ephemeral directory, removed with its provider. The
+  // shared pool runs recovery's segment checksum pass. The server calls
+  // this from a pool task (Submit), not from inside a ParallelFor, so the
+  // fan-out is not a nested call that would run inline.
+  StorageOptions storage = options_.storage;
+  storage.dir =
+      options_.root_dir.empty() ? "" : options_.root_dir + "/" + tenant_id;
+  StatusOr<std::unique_ptr<ServiceProvider>> provider =
+      ServiceProvider::Open(config, std::move(sk), storage, pool_.get());
+  if (!provider.ok()) return provider.status();
 
   QueryServiceOptions service_options = options_.service;
   service_options.pool = pool_.get();
@@ -123,7 +111,7 @@ Status TenantRegistry::OpenTenant(const std::string& tenant_id,
     service_options.max_inflight = qos.max_inflight;
   }
   auto service =
-      std::make_shared<QueryService>(std::move(provider), service_options);
+      std::make_shared<QueryService>(std::move(*provider), service_options);
 
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (!tenants_.emplace(tenant_id, service).second) {
@@ -150,8 +138,7 @@ Status TenantRegistry::CreateTenant(const std::string& tenant_id,
       return Status::InvalidArgument("tenant already exists: " + tenant_id);
     }
   }
-  return OpenTenant(tenant_id, config, std::move(sk), /*recovering=*/false,
-                    qos);
+  return OpenTenant(tenant_id, config, std::move(sk), qos);
 }
 
 Status TenantRegistry::DropTenant(const std::string& tenant_id) {
@@ -192,18 +179,12 @@ Status TenantRegistry::DropTenant(const std::string& tenant_id) {
   // any helper tasks it queued have drained by now (the drain loop above),
   // so the class retires empty and the pool erases it on sight.
   pool_->UnregisterClass(sched_class);
-  if (persistent && !dir.empty()) {
-    return RemoveTree(dir);
-  }
+  if (persistent) return RemoveTree(dir);
   return Status::OK();
 }
 
 Status TenantRegistry::OpenAll(const CredentialsResolver& resolver) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  if (options_.storage.engine != StorageOptions::Engine::kMmap) {
-    return Status::FailedPrecondition(
-        "OpenAll requires the persistent (mmap) engine");
-  }
   if (options_.root_dir.empty()) {
     return Status::InvalidArgument("OpenAll requires root_dir");
   }
@@ -247,8 +228,8 @@ Status TenantRegistry::OpenAll(const CredentialsResolver& resolver) {
     }
     // OpenTenant records the entry of a tenant it installs; a failed
     // open installs nothing and is recorded here.
-    const Status st = OpenTenant(id, creds->config, std::move(creds->sk),
-                                 /*recovering=*/true, TenantQoS{});
+    const Status st =
+        OpenTenant(id, creds->config, std::move(creds->sk), TenantQoS{});
     if (!st.ok()) record_failure(id, st);
   }
   return first_failure;

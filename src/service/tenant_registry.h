@@ -29,12 +29,13 @@ struct TenantQoS {
 
 struct TenantRegistryOptions {
   /// Root directory for persistent tenants: tenant `t`'s segments, epoch
-  /// metas and index node file live under `<root_dir>/<t>`. Required when
-  /// `storage.engine == kMmap`; unused for the in-memory engine.
+  /// metas and index node file live under `<root_dir>/<t>`. Empty gives
+  /// each tenant its own ephemeral directory, removed with the tenant;
+  /// OpenAll requires a root.
   std::string root_dir;
-  /// Engine template for every tenant (the in-memory heap by default).
-  /// `dir` is ignored (the registry derives the per-tenant subpath);
-  /// engine, segment_bytes and node_cache_bytes apply.
+  /// Engine template for every tenant. `dir` is ignored (the registry
+  /// derives the per-tenant subpath); segment_bytes and node_cache_bytes
+  /// apply.
   StorageOptions storage;
   /// Workers in the process-wide pool shared by every tenant (QueryBatch
   /// fan-out AND per-query fetch units). 0 = one worker.
@@ -83,7 +84,7 @@ class TenantRegistry {
 
   // --- Tenant lifecycle -------------------------------------------------
 
-  /// Creates (or, for a persistent engine with an existing non-empty
+  /// Creates (or, under a root_dir with an existing non-empty tenant
   /// directory, recovers) tenant `tenant_id` with its own provider under
   /// `config` and enclave secret `sk`. Ids are path components: 1-64 chars
   /// of [A-Za-z0-9._-], not "." or "..". InvalidArgument on a bad id or a
@@ -101,7 +102,7 @@ class TenantRegistry {
   /// never blocked or perturbed. NotFound for unknown ids.
   Status DropTenant(const std::string& tenant_id);
 
-  /// Restart recovery (persistent engines): scans root_dir for tenant
+  /// Restart recovery (requires root_dir): scans root_dir for tenant
   /// directories a previous process left behind and re-opens every one,
   /// recovering its rows, index and epochs. `resolver` supplies each
   /// tenant's config and enclave secret — key material never touches the
@@ -172,11 +173,11 @@ class TenantRegistry {
   StatusOr<std::shared_ptr<QueryService>> Resolve(
       const std::string& tenant_id) const;
 
-  /// Opens one tenant service (fresh or recovering; an mmap tenant lives
-  /// under `<root_dir>/<tenant_id>`) and installs it. Recovery requires
-  /// the mmap engine.
+  /// Opens one tenant service (fresh or recovering; a tenant lives under
+  /// `<root_dir>/<tenant_id>`, or in an ephemeral directory without a
+  /// root) and installs it.
   Status OpenTenant(const std::string& tenant_id, const ConcealerConfig& config,
-                    Bytes sk, bool recovering, const TenantQoS& qos);
+                    Bytes sk, const TenantQoS& qos);
 
   /// Replaces the tenant's recovery entry (one entry per tenant; a retried
   /// OpenAll overwrites the stale outcome). Caller holds mu_ exclusively.

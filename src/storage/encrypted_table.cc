@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "storage/node_store.h"
-#include "storage/row_store.h"
 
 namespace concealer {
 
@@ -14,8 +13,7 @@ EncryptedTable::EncryptedTable(std::string name, size_t num_columns,
     : name_(std::move(name)),
       num_columns_(num_columns),
       index_column_(index_column),
-      store_(engine != nullptr ? std::move(engine)
-                               : std::make_unique<RowStore>()) {}
+      store_(std::move(engine)) {}
 
 Status EncryptedTable::Insert(Row row) {
   if (row.columns.size() != num_columns_) {
@@ -147,9 +145,6 @@ Status EncryptedTable::ReplaceRows(
 
 Status EncryptedTable::PersistPagedIndex() {
   NodeStore* ns = store_->node_store();
-  if (ns == nullptr) {
-    return Status::FailedPrecondition("engine has no node store");
-  }
   CONCEALER_RETURN_IF_ERROR(index_.SavePaged(ns, store_->durable_generation()));
   // Re-open over the just-renamed file and swap the tree onto it: resident
   // leaves become page stubs served through the bounded cache.
@@ -166,13 +161,12 @@ Status EncryptedTable::RecoverIndex() {
   // absent file, stale stamp, torn tail, corrupt directory — falls through
   // to the rebuild: the frame checksums make corruption indistinguishable
   // from staleness here, and both get the same safe answer.
-  if (NodeStore* ns = store_->node_store()) {
-    if (ns->Open().ok() && ns->stamp() == store_->durable_generation() &&
-        index_.AttachPaged(ns).ok()) {
-      return Status::OK();
-    }
-    index_ = BPlusTree();
+  NodeStore* ns = store_->node_store();
+  if (ns->Open().ok() && ns->stamp() == store_->durable_generation() &&
+      index_.AttachPaged(ns).ok()) {
+    return Status::OK();
   }
+  index_ = BPlusTree();
   // Rebuild as a DBMS's sorted index build does: one sort of the keys,
   // then a bottom-up load. Each 32-byte entry carries an 8-byte big-endian
   // prefix of its key (zero-padded), which orders entries the same way

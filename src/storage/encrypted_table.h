@@ -59,18 +59,18 @@ struct RowRef {
   }
 };
 
-/// The untrusted DBMS at the service provider: a pluggable row heap
-/// (StorageEngine — in-memory or mmap-backed persistent segments) plus a
-/// B+-tree over the designated `Index` column. Mirrors how the paper uses
-/// MySQL — the engine never sees plaintext and supports only (a) bulk
-/// insertion of encrypted epochs, (b) exact-match fetch by a batch of
-/// trapdoors, and (c) full scans (used by the Opaque baseline).
+/// The untrusted DBMS at the service provider: a row heap (StorageEngine,
+/// the mmap-backed segment files) plus a B+-tree over the designated
+/// `Index` column. Mirrors how the paper uses MySQL — the engine never
+/// sees plaintext and supports only (a) bulk insertion of encrypted
+/// epochs, (b) exact-match fetch by a batch of trapdoors, and (c) full
+/// scans (used by the Opaque baseline).
 class EncryptedTable {
  public:
   /// `num_columns` includes the index column; `index_column` is its
-  /// ordinal. A null `engine` gets the in-memory heap (RowStore).
+  /// ordinal. `engine` must not be null.
   EncryptedTable(std::string name, size_t num_columns, size_t index_column,
-                 std::unique_ptr<StorageEngine> engine = nullptr);
+                 std::unique_ptr<StorageEngine> engine);
 
   EncryptedTable(const EncryptedTable&) = delete;
   EncryptedTable& operator=(const EncryptedTable&) = delete;
@@ -88,8 +88,8 @@ class EncryptedTable {
   /// and reporting which trapdoors missed would be a leak the enclave does
   /// not rely on). This is the query path's primitive: one capacity
   /// reservation, no row copies — the decrypt/verify loop reads the stored
-  /// ciphertext bytes in place (for the mmap engine, straight out of the
-  /// mapped segment). See RowRef for the borrow rules.
+  /// ciphertext bytes in place, straight out of the mapped segment. See
+  /// RowRef for the borrow rules.
   ///
   /// The whole probe set resolves through one BPlusTree::BulkFind (a
   /// single probe is a batch of one); refs come back in `keys` order, each
@@ -120,24 +120,22 @@ class EncryptedTable {
   /// inserts the new ones.
   Status ReindexRows(const std::vector<std::pair<uint64_t, Row>>& rows);
 
-  // --- Index persistence (persistent engines) -------------------------
+  // --- Index persistence ---------------------------------------------
 
   /// Rebuilds the B+-tree after the engine was re-opened from disk. If the
-  /// engine's node file (paged engines) carries a fresh durable-generation
-  /// stamp, the index ATTACHES instead of loading: internal levels come
-  /// from the directory, leaves stay on disk, so an index larger than RAM
-  /// reopens in two small reads. In every other case — no node store, an
-  /// absent, stale, torn or corrupt node file — the index is rebuilt from
-  /// the engine's rows by one sort of their
-  /// Index values and a bottom-up BPlusTree::BulkLoad; never a wrong
-  /// index. Two rows with the same Index value fail the rebuild with
+  /// engine's node file carries a fresh durable-generation stamp, the
+  /// index ATTACHES instead of loading: internal levels come from the
+  /// directory, leaves stay on disk, so an index larger than RAM reopens
+  /// in two small reads. In every other case — an absent, stale, torn or
+  /// corrupt node file — the index is rebuilt from the engine's rows by
+  /// one sort of their Index values and a bottom-up BPlusTree::BulkLoad;
+  /// never a wrong index. Two rows with the same Index value fail the rebuild with
   /// kInvalidArgument. Call once, before serving queries.
   Status RecoverIndex();
 
-  /// Paged engines only (engine()->node_store() != null): serializes the
-  /// B+-tree's leaves into the engine's node file (crash-safe tmp+rename,
-  /// stamped with durable_generation), then re-attaches the index to the
-  /// new file — resident leaf memory drops to page stubs, and the bounded
+  /// Serializes the B+-tree's leaves into the engine's node file
+  /// (crash-safe tmp+rename, stamped with durable_generation), then
+  /// re-attaches the index to the new file — resident leaf memory drops to page stubs, and the bounded
   /// node cache takes over. The persist schedule is the service layer's
   /// (geometric in the table size).
   Status PersistPagedIndex();

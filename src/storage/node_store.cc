@@ -193,8 +193,7 @@ StatusOr<NodeStore::PagePin> NodeStore::GetPage(uint32_t id) {
     auto it = cache_.find(id);
     if (it != cache_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++cache_hits_;
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second.page;
     }
   }
@@ -203,10 +202,7 @@ StatusOr<NodeStore::PagePin> NodeStore::GetPage(uint32_t id) {
   // one wins the cache slot, both pins are valid).
   StatusOr<std::shared_ptr<const Page>> page = LoadPage(id);
   if (!page.ok()) return page.status();
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++loads_;
-  }
+  loads_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t bytes =
       (*page)->body.size() + 16 * (*page)->keys.size() + 96;
   std::lock_guard<std::mutex> lock(mu_);
@@ -233,10 +229,7 @@ void NodeStore::Prefetch(const uint32_t* ids, size_t n) {
     }
   }
   if (ranges.empty()) return;
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    prefetched_pages_ += ranges.size();
-  }
+  prefetched_pages_.fetch_add(ranges.size(), std::memory_order_relaxed);
   for (const auto& [off, len] : ranges) {
     ::posix_fadvise(fd_, static_cast<off_t>(off), static_cast<off_t>(len),
                     POSIX_FADV_WILLNEED);
@@ -261,21 +254,6 @@ void NodeStore::TrimCache(uint64_t target_bytes) {
 uint64_t NodeStore::cache_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_bytes_;
-}
-
-uint64_t NodeStore::loads() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return loads_;
-}
-
-uint64_t NodeStore::cache_hits() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return cache_hits_;
-}
-
-uint64_t NodeStore::prefetched_pages() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return prefetched_pages_;
 }
 
 // --- NodeFileBuilder -------------------------------------------------------

@@ -1,6 +1,7 @@
 #ifndef CONCEALER_STORAGE_NODE_STORE_H_
 #define CONCEALER_STORAGE_NODE_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -133,9 +134,16 @@ class NodeStore {
   void set_prefetch_mode(PrefetchMode mode) { prefetch_mode_ = mode; }
 
   // --- Observability (tests and the exp16 paged leg) ---------------------
-  uint64_t loads() const;          // Pages read from disk.
-  uint64_t cache_hits() const;     // GetPage served from cache.
-  uint64_t prefetched_pages() const;
+  // Relaxed counters: each is read on its own, never as a consistent set.
+  uint64_t loads() const {  // Pages read from disk.
+    return loads_.load(std::memory_order_relaxed);
+  }
+  uint64_t cache_hits() const {  // GetPage served from cache.
+    return cache_hits_.load(std::memory_order_relaxed);
+  }
+  uint64_t prefetched_pages() const {
+    return prefetched_pages_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct PageLoc {
@@ -166,10 +174,9 @@ class NodeStore {
 
   PrefetchMode prefetch_mode_ = PrefetchMode::kFadvise;
 
-  mutable std::mutex stats_mu_;
-  uint64_t loads_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t prefetched_pages_ = 0;
+  std::atomic<uint64_t> loads_{0};
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> prefetched_pages_{0};
 };
 
 /// Crash-safe writer for a node file: pages and metadata stream into

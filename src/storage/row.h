@@ -14,7 +14,7 @@ namespace concealer {
 ///
 /// A Column either OWNS its bytes (the DP pipeline, deserialized epochs and
 /// every copied row) or BORROWS them from storage it does not manage — the
-/// mmap'd segment of a persistent engine, where the ciphertext is read in
+/// mmap'd segment of the storage engine, where the ciphertext is read in
 /// place and never duplicated on the heap. The distinction is invisible to
 /// readers: both modes expose the same data()/size()/Slice view, so the
 /// zero-copy decrypt/verify loop is engine-agnostic.

@@ -19,7 +19,6 @@
 #include "common/thread_pool.h"
 #include "concealer/epoch_io.h"
 #include "storage/fault_fs.h"
-#include "storage/row_store.h"
 
 namespace concealer {
 
@@ -573,13 +572,10 @@ bool SegmentEngine::IsMapped(const uint8_t* p) const {
   return false;
 }
 
-// --- Engine selection -----------------------------------------------------
+// --- Engine construction --------------------------------------------------
 
 StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
     const StorageOptions& options, ThreadPool* pool) {
-  if (options.engine == StorageOptions::Engine::kMemory) {
-    return std::unique_ptr<StorageEngine>(new RowStore());
-  }
   SegmentEngine::Options seg_options;
   seg_options.segment_bytes = options.segment_bytes;
   seg_options.node_cache_bytes = options.node_cache_bytes;

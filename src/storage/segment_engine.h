@@ -30,17 +30,17 @@ namespace concealer {
 ///
 /// Zero-copy: the per-row Row kept in memory holds *borrowed* Columns
 /// pointing straight into the mapped region, so GetRef hands the
-/// decrypt/verify loop the stored ciphertext in place — same contract as
-/// the in-memory engine, same bytes, no heap copies of row data.
+/// decrypt/verify loop the stored ciphertext in place, with no heap copies
+/// of row data.
 ///
 /// Epoch alignment: the provider calls SealSegment() after each ingested
 /// epoch, so an epoch occupies a contiguous segment range (recorded in its
 /// meta file). Residency is the kernel's: sealed segments stay mapped
 /// read-only and page in and out like any file-backed mapping.
 ///
-/// Thread safety: same contract as the in-memory engine — concurrent const
-/// reads are safe; Append/Replace/Seal/Compact/Sync require external
-/// exclusive synchronization (the service layer's epoch-level lock).
+/// Thread safety: concurrent const reads are safe; Append/Replace/Seal/
+/// Compact/Sync require external exclusive synchronization (the service
+/// layer's epoch-level lock).
 class SegmentEngine : public StorageEngine {
  public:
   struct Options {
@@ -49,7 +49,7 @@ class SegmentEngine : public StorageEngine {
     /// gets a dedicated oversized segment.
     uint64_t segment_bytes = 8ull << 20;
     /// Ephemeral mode: unlink every file and remove the directory on
-    /// destruction (benches/tests that only want mmap semantics).
+    /// destruction (a StorageOptions with an empty dir).
     bool remove_on_close = false;
     /// Node-page cache budget (see StorageOptions::node_cache_bytes).
     uint64_t node_cache_bytes = 64ull << 20;

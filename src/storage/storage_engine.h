@@ -13,17 +13,14 @@ namespace concealer {
 class NodeStore;
 class ThreadPool;
 
-/// The pluggable row heap underneath EncryptedTable — the part of the
-/// untrusted DBMS that stores the encrypted tuples. Two implementations:
+/// The row heap underneath EncryptedTable — the part of the untrusted DBMS
+/// that stores the encrypted tuples. SegmentEngine (segment_engine.h) is
+/// the one implementation: persistent, append-only mmap'd segment files
+/// with the paged index's node file beside them; GetRef borrows point
+/// straight into the mapped region. The interface stays so that a test
+/// fake can wrap the engine and hide rows from the table.
 ///
-///  - RowStore (row_store.h): the original in-memory heap. Fast, volatile,
-///    dataset capped by RAM.
-///  - SegmentEngine (segment_engine.h): persistent, append-only mmap'd
-///    segment files. Rows survive restart; GetRef borrows point straight
-///    into the mapped region, so the zero-copy fetch/decrypt path is
-///    byte-identical to the in-memory engine.
-///
-/// Contract shared by all engines:
+/// Contract:
 ///  - Rows are addressed by dense 64-bit ids assigned by Append.
 ///  - GetRef borrows are invalidated by any generation() bump — Append,
 ///    Replace and Compact all bump it. The query path reads under the
@@ -55,89 +52,86 @@ class StorageEngine {
   virtual uint64_t generation() const = 0;
 
   /// Durable mutation counter: one per record written (Append, Replace,
-  /// compaction rewrites) — the record count a persistent engine
-  /// recomputes from its log on restart, so it is
-  /// stable across reopen and serves as the node file's freshness stamp.
-  /// (generation() counts a compaction as one bump per compacted segment,
-  /// not one per record it rewrites, so after a compaction it differs from
-  /// the count a restart replays.)
-  virtual uint64_t durable_generation() const { return generation(); }
+  /// compaction rewrites) — the record count the engine recomputes from
+  /// its log on restart, so it is stable across reopen and serves as the
+  /// node file's freshness stamp. (generation() counts a compaction as one
+  /// bump per compacted segment, not one per record it rewrites, so after
+  /// a compaction it differs from the count a restart replays.)
+  virtual uint64_t durable_generation() const = 0;
 
-  /// Engine name for stats/bench output ("memory", "mmap").
+  /// Engine name for stats/bench output ("mmap").
   virtual const char* name() const = 0;
 
-  /// Durability barrier (msync for mmap engines). No-op in memory.
-  virtual Status Sync() { return Status::OK(); }
+  /// Durability barrier (msync).
+  virtual Status Sync() = 0;
 
-  /// True when rows survive destruction of this object (on-disk engines).
-  virtual bool persistent() const { return false; }
+  /// True when rows survive destruction of this object (false for an
+  /// ephemeral directory, which is removed with the engine).
+  virtual bool persistent() const = 0;
 
-  /// The engine's paged-index node store (the B+-tree leaf-page file +
-  /// bounded page cache beside the segments), or null for engines without
-  /// one — the in-memory engine keeps the index fully resident. Owned by
-  /// the engine and destroyed with it; EncryptedTable declares its engine
-  /// before its index, so tree-held pointers never dangle.
-  virtual NodeStore* node_store() { return nullptr; }
+  /// The paged-index node store (the B+-tree leaf-page file + bounded page
+  /// cache beside the segments). Never null. Owned by the engine and
+  /// destroyed with it; EncryptedTable declares its engine before its
+  /// index, so tree-held pointers never dangle.
+  virtual NodeStore* node_store() = 0;
 
-  // --- Segments (persistent engines; trivial no-ops in memory) ----------
+  // --- Segments ------------------------------------------------------------
   // The provider seals after each ingested epoch, so one epoch maps to a
   // contiguous segment range, which it records in the epoch's meta file
   // and checks at recovery.
 
-  /// Number of segment files (0 for non-segmented engines).
-  virtual uint32_t NumSegments() const { return 0; }
+  /// Number of segment files.
+  virtual uint32_t NumSegments() const = 0;
 
   /// Seals the active segment: subsequent appends start a new segment.
-  virtual Status SealSegment() { return Status::OK(); }
+  virtual Status SealSegment() = 0;
 
-  // --- Compaction (append-only persistent engines; no-ops in memory) -----
+  // --- Compaction ----------------------------------------------------------
   // A Replace appends a new version of the row, so the superseded record
   // becomes dead weight in its (sealed) segment. Sustained dynamic-mode
   // churn would grow disk without bound; Compact rewrites the live records
   // of mostly-dead segments into the active segment and reclaims the rest.
 
   /// Record bytes superseded by later Replaces, summed over sealed
-  /// segments (0 for non-segmented engines).
-  virtual uint64_t DeadBytes() const { return 0; }
+  /// segments.
+  virtual uint64_t DeadBytes() const = 0;
 
   /// Bytes of record data currently on disk across all segments (live +
-  /// dead; 0 for non-persistent engines).
-  virtual uint64_t DiskBytes() const { return 0; }
+  /// dead).
+  virtual uint64_t DiskBytes() const = 0;
 
   /// Rewrites the live records of every sealed segment whose dead-byte
   /// ratio is >= `min_dead_ratio` into the active segment, then reclaims
   /// the victim's file. Bumps generation() (outstanding borrows go stale —
   /// callers hold the exclusive epoch lock, like Replace). Returns the
   /// record bytes reclaimed.
-  virtual StatusOr<uint64_t> Compact(double min_dead_ratio) {
-    (void)min_dead_ratio;
-    return static_cast<uint64_t>(0);
-  }
+  virtual StatusOr<uint64_t> Compact(double min_dead_ratio) = 0;
 };
 
-/// Engine selection for a ServiceProvider's table (ServiceProvider::Open)
-/// or a tenant registry. The default is the in-memory heap.
+/// Engine settings for a ServiceProvider's table (ServiceProvider::Open)
+/// or a tenant registry.
 struct StorageOptions {
-  enum class Engine { kMemory, kMmap };
-  Engine engine = Engine::kMemory;
-  /// Segment directory for kMmap. Empty = an ephemeral directory the
-  /// engine creates under std::filesystem::temp_directory_path() and
-  /// removes on destruction (tests/benches that want mmap behavior without
-  /// managing paths). Persistence across process restarts requires an
+  /// Always kMmap: the segment engine is the only one. The field stays
+  /// because the benchmark (perfbench/driver.cc) still assigns it.
+  enum class Engine { kMmap };
+  Engine engine = Engine::kMmap;
+  /// Segment directory. Empty = an ephemeral directory the engine creates
+  /// under std::filesystem::temp_directory_path() and removes on
+  /// destruction. Persistence across process restarts requires an
   /// explicit dir.
   std::string dir;
   /// Capacity of one segment file. Oversized rows get a dedicated segment.
   uint64_t segment_bytes = 8ull << 20;
-  /// Byte budget of the node-page LRU cache. kMmap engines page the
-  /// B+-tree index to disk: leaf pages live in an `index-nodes` file
-  /// beside the segments and load on demand through this cache, so an
-  /// index larger than RAM stays serveable.
+  /// Byte budget of the node-page LRU cache. The engine pages the B+-tree
+  /// index to disk: leaf pages live in an `index-nodes` file beside the
+  /// segments and load on demand through this cache, so an index larger
+  /// than RAM stays serveable.
   uint64_t node_cache_bytes = 64ull << 20;
 };
 
-/// Builds an engine from options. For kMmap this opens (and, if present,
-/// recovers) the segment directory, running the recovery checksum pass on
-/// `pool` (borrowed; null runs it inline — see SegmentEngine::Open).
+/// Opens (and, if present, recovers) the segment directory `options`
+/// names, running the recovery checksum pass on `pool` (borrowed; null
+/// runs it inline — see SegmentEngine::Open).
 StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
     const StorageOptions& options, ThreadPool* pool = nullptr);
 

@@ -21,7 +21,6 @@
 #include "concealer/wire.h"
 #include "crypto/aes_backend.h"
 #include "crypto/sha256.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -67,7 +66,9 @@ class ConcealerE2ETest : public ::testing::Test {
     oracle_ = new CleartextDb(config_->time_quantum);
     oracle_->Insert(*tuples_);
 
-    sp_ = MakeTestProvider(*config_, dp_->shared_secret()).release();
+    auto opened = ServiceProvider::Open(*config_, dp_->shared_secret());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    sp_ = opened->release();
     ASSERT_TRUE(sp_->LoadRegistry(dp_->EncryptedRegistry()).ok());
     auto epochs = dp_->EncryptAll(*tuples_);
     ASSERT_TRUE(epochs.ok());
@@ -388,7 +389,9 @@ class TamperTest : public ::testing::Test {
     WifiGenerator gen(wifi);
     tuples_ = gen.Generate();
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x55));
-    sp_ = MakeTestProvider(config_, dp_->shared_secret());
+    auto opened = ServiceProvider::Open(config_, dp_->shared_secret());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    sp_ = std::move(*opened);
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     for (const auto& e : *epochs) ASSERT_TRUE(sp_->IngestEpoch(e).ok());
@@ -815,8 +818,9 @@ TEST(CryptoBackendEquivalenceTest, PipelineBytesIdenticalAcrossBackends) {
     ScopedShaBackendOverride forced_sha(sha);
     PipelineBytes out;
     DataProvider dp(config, Bytes(32, 0x42));
-    std::unique_ptr<ServiceProvider> sp =
-        MakeTestProvider(config, dp.shared_secret());
+    auto opened = ServiceProvider::Open(config, dp.shared_secret());
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    ServiceProvider* sp = opened->get();
     auto epochs = dp.EncryptAll(tuples);
     EXPECT_TRUE(epochs.ok());
     for (const auto& epoch : *epochs) {

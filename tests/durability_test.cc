@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/cleartext_db.h"
 #include "concealer/data_provider.h"
 #include "concealer/dynamic_wal.h"
 #include "concealer/epoch_io.h"
@@ -137,7 +138,6 @@ Status RunDynamicPhase(ServiceProvider* sp) {
 
 StorageOptions MmapOptions(const std::string& dir) {
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   return options;
 }
@@ -271,16 +271,31 @@ TEST(DurabilityTest, DynamicStateSurvivesRestart) {
   const std::string dir = TempDir();
   const ConcealerConfig config = TestConfig();
   DataProvider dp(config, Bytes(32, 0x61));
-  auto epochs = dp.EncryptAll(TestTuples(2));
+  const std::vector<PlainTuple> tuples = TestTuples(2);
+  auto epochs = dp.EncryptAll(tuples);
   ASSERT_TRUE(epochs.ok());
   ASSERT_EQ(epochs->size(), 2u);
 
-  // In-memory reference that never restarts (and never rewrites): static
+  // Ephemeral reference that never restarts (and never rewrites): static
   // probe answers are invariant under §6, so all three worlds must agree.
-  ServiceProvider memory_sp(config, dp.shared_secret());
-  for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
-  const std::vector<Bytes> want = Probe(&memory_sp);
+  // It runs the subject's engine, so it must also agree with the cleartext
+  // oracle: an engine bug that hit both alike would otherwise pass.
+  auto reference = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const auto& e : *epochs) {
+    ASSERT_TRUE((*reference)->IngestEpoch(e).ok());
+  }
+  const std::vector<Bytes> want = Probe(reference->get());
   ASSERT_FALSE(want.empty());
+  CleartextDb oracle(config.time_quantum);
+  oracle.Insert(tuples);
+  for (const Query& q : ProbeQueries()) {
+    auto got = (*reference)->Execute(q);
+    auto truth = oracle.Execute(q);
+    ASSERT_TRUE(got.ok() && truth.ok());
+    EXPECT_EQ(got->count, truth->count);
+    EXPECT_EQ(got->keyed_counts, truth->keyed_counts);
+  }
 
   const StorageOptions options = MmapOptions(dir);
   std::map<uint64_t, uint64_t> want_counters;
@@ -350,9 +365,12 @@ TEST(DurabilityTest, CheckpointTruncatesWalAndSurvivesRestart) {
   auto epochs = dp.EncryptAll(TestTuples(2));
   ASSERT_TRUE(epochs.ok());
 
-  ServiceProvider memory_sp(config, dp.shared_secret());
-  for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
-  const std::vector<Bytes> want = Probe(&memory_sp);
+  auto reference = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const auto& e : *epochs) {
+    ASSERT_TRUE((*reference)->IngestEpoch(e).ok());
+  }
+  const std::vector<Bytes> want = Probe(reference->get());
 
   const StorageOptions options = MmapOptions(dir);
   std::map<uint64_t, uint64_t> want_counters;
@@ -406,9 +424,12 @@ TEST(DurabilityTest, CrashSweepEveryIoPoint) {
   ASSERT_TRUE(epochs.ok());
   ASSERT_EQ(epochs->size(), 2u);
 
-  ServiceProvider memory_sp(config, dp.shared_secret());
-  for (const auto& e : *epochs) ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
-  const std::vector<Bytes> want = Probe(&memory_sp);
+  auto reference = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const auto& e : *epochs) {
+    ASSERT_TRUE((*reference)->IngestEpoch(e).ok());
+  }
+  const std::vector<Bytes> want = Probe(reference->get());
   ASSERT_FALSE(want.empty());
 
   // Reference run: count the crash points, then prove the clean path.
@@ -487,7 +508,6 @@ TEST(DurabilityTest, TenantRegistryRecoversDynamicState) {
 
   TenantRegistryOptions options;
   options.root_dir = root;
-  options.storage.engine = StorageOptions::Engine::kMmap;
 
   std::vector<Bytes> want;
   {

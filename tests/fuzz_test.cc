@@ -30,7 +30,6 @@
 #include "net/server.h"
 #include "net/wire_format.h"
 #include "service/tenant_registry.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -71,8 +70,9 @@ TEST_P(PipelineFuzz, RandomConfigAndQueriesMatchOracle) {
 
   DataProvider dp(config, Bytes(32, uint8_t(GetParam())));
   ThreadPool pool(4);
-  std::unique_ptr<ServiceProvider> sp =
-      MakeTestProvider(config, dp.shared_secret());
+  auto opened = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ServiceProvider* sp = opened->get();
   auto epochs = dp.EncryptAll(tuples);
   ASSERT_TRUE(epochs.ok()) << epochs.status().ToString();
   for (const auto& e : *epochs) {

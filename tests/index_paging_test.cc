@@ -591,13 +591,15 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
     queries.push_back(q);
   }
 
-  // Memory-engine reference answers.
+  // Reference answers: an ephemeral provider under the default node
+  // cache, which holds the whole index, that never restarts.
   std::vector<Bytes> want;
   {
-    ServiceProvider sp(config, dp.shared_secret());
-    for (const auto& e : *epochs) ASSERT_TRUE(sp.IngestEpoch(e).ok());
+    auto sp = ServiceProvider::Open(config, dp.shared_secret());
+    ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+    for (const auto& e : *epochs) ASSERT_TRUE((*sp)->IngestEpoch(e).ok());
     for (const Query& q : queries) {
-      auto result = sp.Execute(q);
+      auto result = (*sp)->Execute(q);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       want.push_back(SerializeQueryResult(*result));
     }
@@ -605,7 +607,6 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
 
   const std::string dir = TempDir();
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   // Small budget: the provider serves paged probes through real evictions.
   options.node_cache_bytes = 16 << 10;

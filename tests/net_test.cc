@@ -49,7 +49,6 @@
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "storage/fault_fs.h"
-#include "test_engine.h"
 
 namespace concealer {
 namespace {
@@ -399,13 +398,10 @@ struct ServerHarness {
   std::unique_ptr<TenantRegistry> registry;
   std::unique_ptr<ConcealerServer> server;
 
-  explicit ServerHarness(ServerOptions server_options = {},
-                         bool mmap_engine = false) {
+  explicit ServerHarness(ServerOptions server_options = {}) {
     root = TempDir();
     TenantRegistryOptions options;
     options.root_dir = root;
-    options.storage.engine =
-        mmap_engine ? StorageOptions::Engine::kMmap : TestEngine();
     options.pool_threads = 4;
     std::shared_ptr<ExecuteGate> gate_ref = gate;
     options.service.execute_fault_hook = [gate_ref] { gate_ref->Hook(); };
@@ -487,7 +483,6 @@ TEST(NetServerTest, ConcurrentConnectionsMatchInProcessAnswers) {
   TenantFixture acme = MakeTenant("acme", 0x3c);
   TenantRegistryOptions registry_options;
   registry_options.root_dir = root;
-  registry_options.storage.engine = TestEngine();
   registry_options.pool_threads = 4;
   registry_options.service.reject_over_capacity = true;
   registry_options.service.max_inflight = 2;
@@ -710,7 +705,7 @@ TEST(NetServerTest, IdleConnectionsAreSwept) {
 TEST(NetServerTest, DrainFinishesInflightShedsNewAndReportsDraining) {
   ServerOptions options;
   options.drain_retry_after_ms = 777;  // Distinctive: identifies the shed.
-  ServerHarness harness(options, /*mmap_engine=*/true);
+  ServerHarness harness(options);
   TenantFixture acme = MakeTenant("acme", 0x39);
   Provision(harness.registry.get(), acme);
   ConcealerClient client = harness.Dial();
@@ -761,7 +756,6 @@ TEST(NetServerTest, RetryingClientRidesOutRestartByteIdentically) {
   TenantFixture acme = MakeTenant("acme", 0x3a);
   TenantRegistryOptions registry_options;
   registry_options.root_dir = root;
-  registry_options.storage.engine = StorageOptions::Engine::kMmap;
 
   uint16_t port = 0;
   Bytes want;
@@ -842,7 +836,6 @@ TEST(NetServerTest, DrainLeavesAnEmptyWalBehind) {
   TenantFixture acme = MakeTenant("acme", 0x3b);
   TenantRegistryOptions registry_options;
   registry_options.root_dir = root;
-  registry_options.storage.engine = StorageOptions::Engine::kMmap;
   const std::string wal_path = root + "/" + acme.id + "/dynamic.wal";
   const auto wal_bytes = [&] {
     struct stat st;
@@ -994,7 +987,6 @@ TEST(NetCrashSweepTest, KillAtEveryWireIoPointRecoversByteIdentically) {
   TenantFixture dynamics = MakeTenant("dynamics", 0x52);
 
   TenantRegistryOptions base_options;
-  base_options.storage.engine = StorageOptions::Engine::kMmap;
   base_options.pool_threads = 2;
 
   struct RunState {

@@ -1,8 +1,9 @@
 // Storage persistence tests: epoch_io framing negative paths (the checks
-// that also guard every segment record), epoch-meta sidecars, and the
-// end-to-end restart contract — ingest with the mmap engine, destroy the
-// provider, re-open the segment directory and get answers byte-identical
-// to an in-memory provider that never restarted.
+// that also guard every segment record), epoch-meta sidecars, the
+// ephemeral default of ServiceProvider::Open, and the end-to-end restart
+// contract — ingest into a segment directory, destroy the provider,
+// re-open the directory and get answers byte-identical to a provider that
+// never restarted (whose own answers match the cleartext oracle).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/cleartext_db.h"
 #include "concealer/data_provider.h"
 #include "concealer/epoch_io.h"
 #include "concealer/service_provider.h"
@@ -166,6 +168,46 @@ TEST(EpochMetaTest, RoundTrip) {
   EXPECT_FALSE(DeserializeEpochMeta(bad).ok());
 }
 
+// --- The default provider: an ephemeral segment directory ----------------
+
+// Open without StorageOptions runs the one engine in a temp directory: the
+// index pages to the node file from the first ingest, a dynamic query
+// writes no WAL (nothing will reopen the directory), and destroying the
+// provider removes the directory.
+TEST(EphemeralProviderTest, DefaultOpenPagesTheIndexAndLeavesNoDirectory) {
+  const ConcealerConfig config = TestConfig();
+  DataProvider dp(config, Bytes(32, 0x57));
+  auto epochs = dp.EncryptAll(TestTuples(1));
+  ASSERT_TRUE(epochs.ok());
+  auto sp = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+  const auto& engine =
+      static_cast<const SegmentEngine&>((*sp)->table().engine());
+  EXPECT_STREQ(engine.name(), "mmap");
+  EXPECT_FALSE((*sp)->persistent());
+  EXPECT_NE((*sp)->mutable_table().engine()->node_store(), nullptr);
+  const std::string dir = engine.dir();
+  ASSERT_TRUE(std::filesystem::is_directory(dir));
+
+  ASSERT_TRUE((*sp)->IngestEpoch((*epochs)[0]).ok());
+  EXPECT_TRUE((*sp)->table().paged_index());
+
+  (*sp)->set_dynamic_mode(true);
+  const uint64_t generation = engine.generation();
+  Query q;
+  q.agg = Aggregate::kCount;
+  q.key_values = {{5}};
+  q.time_lo = 10 * 3600;
+  q.time_hi = 10 * 3600;
+  auto result = (*sp)->Execute(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(engine.generation(), generation);  // Rows were rewritten...
+  EXPECT_FALSE(std::filesystem::exists(dir + "/dynamic.wal"));  // ...unlogged.
+
+  sp->reset();
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 // --- End-to-end restart equivalence ---------------------------------------
 
 std::vector<Query> EquivalenceQueries() {
@@ -202,70 +244,69 @@ TEST(PersistenceEndToEndTest, RestartAnswersByteIdentical) {
   ASSERT_TRUE(epochs.ok());
   ASSERT_EQ(epochs->size(), 3u);
 
-  // Reference: an in-memory provider that never restarts.
-  ServiceProvider memory_sp(config, dp.shared_secret());
+  // Reference: an ephemeral provider that never restarts. It runs the same
+  // engine as the subject, so its answers are checked against the
+  // cleartext oracle too: an engine bug that hit both alike would
+  // otherwise pass as "identical".
+  auto reference = ServiceProvider::Open(config, dp.shared_secret());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ServiceProvider& ref_sp = **reference;
   for (const auto& e : *epochs) {
-    ASSERT_TRUE(memory_sp.IngestEpoch(e).ok());
+    ASSERT_TRUE(ref_sp.IngestEpoch(e).ok());
   }
+  CleartextDb oracle(config.time_quantum);
+  oracle.Insert(tuples);
 
   const std::vector<Query> queries = EquivalenceQueries();
   std::vector<Bytes> want;
-  for (const Query& q : queries) {
-    auto result = memory_sp.Execute(q);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto result = ref_sp.Execute(queries[i]);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto truth = oracle.Execute(queries[i]);
+    ASSERT_TRUE(truth.ok());
+    EXPECT_EQ(result->count, truth->count) << "query " << i;
+    EXPECT_EQ(result->keyed_counts, truth->keyed_counts) << "query " << i;
     want.push_back(SerializeQueryResult(*result));
   }
 
-  StorageOptions mmap_options;
-  mmap_options.engine = StorageOptions::Engine::kMmap;
-  mmap_options.dir = dir;
+  StorageOptions options;
+  options.dir = dir;
 
-  uint64_t mmap_bytes_fetched = 0;
+  uint64_t bytes_fetched = 0;
   {
-    // First life: ingest + query with the mmap engine.
-    auto sp = ServiceProvider::Open(config, dp.shared_secret(), mmap_options);
+    // First life: ingest + query into the directory.
+    auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();
     for (const auto& e : *epochs) {
       ASSERT_TRUE((*sp)->IngestEpoch(e).ok());
     }
-    EXPECT_EQ((*sp)->table().TotalBytes(), memory_sp.table().TotalBytes());
+    EXPECT_EQ((*sp)->table().TotalBytes(), ref_sp.table().TotalBytes());
     (*sp)->mutable_table().ResetStats();
-    memory_sp.mutable_table().ResetStats();
     for (size_t i = 0; i < queries.size(); ++i) {
       auto result = (*sp)->Execute(queries[i]);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(SerializeQueryResult(*result), want[i]) << "query " << i;
-      auto check = memory_sp.Execute(queries[i]);
-      ASSERT_TRUE(check.ok());
     }
-    // Zero-copy accounting: both engines fetched exactly the same
-    // ciphertext bytes through the borrow path — FetchRefs copies no row
-    // on either backend (the mmap borrows are asserted to point into the
-    // mapped region in storage_test).
-    const TableStats mmap_stats = (*sp)->table().stats();
-    const TableStats mem_stats = memory_sp.table().stats();
-    EXPECT_GT(mmap_stats.bytes_fetched, 0u);
-    EXPECT_EQ(mmap_stats.bytes_fetched, mem_stats.bytes_fetched);
-    EXPECT_EQ(mmap_stats.rows_fetched, mem_stats.rows_fetched);
-    EXPECT_EQ(mmap_stats.index_probes, mem_stats.index_probes);
-    mmap_bytes_fetched = mmap_stats.bytes_fetched;
+    bytes_fetched = (*sp)->table().stats().bytes_fetched;
+    EXPECT_GT(bytes_fetched, 0u);
   }  // Provider destroyed: maps unmapped, segments sealed.
 
   {
     // Second life: re-open from the segment directory alone — no epochs
-    // are re-shipped — and answer every query byte-identically.
-    auto sp = ServiceProvider::Open(config, dp.shared_secret(), mmap_options);
+    // are re-shipped — and answer every query byte-identically, fetching
+    // the same ciphertext bytes.
+    auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();
     EXPECT_EQ((*sp)->num_epochs(), 3u);
-    EXPECT_EQ((*sp)->table().num_rows(), memory_sp.table().num_rows());
-    EXPECT_EQ((*sp)->table().TotalBytes(), memory_sp.table().TotalBytes());
+    EXPECT_EQ((*sp)->table().num_rows(), ref_sp.table().num_rows());
+    EXPECT_EQ((*sp)->table().TotalBytes(), ref_sp.table().TotalBytes());
     for (size_t i = 0; i < queries.size(); ++i) {
       auto result = (*sp)->Execute(queries[i]);
       ASSERT_TRUE(result.ok()) << "query " << i << ": "
                                << result.status().ToString();
       EXPECT_EQ(SerializeQueryResult(*result), want[i]) << "query " << i;
     }
-    EXPECT_EQ((*sp)->table().stats().bytes_fetched, mmap_bytes_fetched);
+    EXPECT_EQ((*sp)->table().stats().bytes_fetched, bytes_fetched);
   }
   RemoveDirRecursive(dir);
 }
@@ -279,7 +320,6 @@ TEST(PersistenceEndToEndTest, RecoveryRebuildsIndexWithoutSidecar) {
   ASSERT_TRUE(epochs.ok());
 
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   Bytes want;
   Query q;
@@ -321,7 +361,6 @@ TEST(PersistenceEndToEndTest, TamperedEpochMetaRangesFailOpen) {
   ASSERT_TRUE(epochs.ok());
   ASSERT_EQ(epochs->size(), 2u);
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   uint32_t num_segments = 0;
   {
@@ -383,7 +422,6 @@ TEST(PersistenceEndToEndTest, IngestAfterDynamicModeKeepsSegmentAlignment) {
   ASSERT_EQ(epochs->size(), 2u);
 
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
   ASSERT_TRUE(sp.ok());
@@ -431,7 +469,6 @@ TEST(PersistenceEndToEndTest, CrashSlackSegmentIsTruncatedOnOpen) {
   ASSERT_TRUE(epochs.ok());
 
   StorageOptions options;
-  options.engine = StorageOptions::Engine::kMmap;
   options.dir = dir;
   Query q;
   q.agg = Aggregate::kCount;

@@ -14,7 +14,6 @@
 #include "concealer/query_executor.h"
 #include "concealer/range_planner.h"
 #include "concealer/service_provider.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -40,7 +39,9 @@ class PlannerTest : public ::testing::Test {
     tuples_ = WifiGenerator(wifi).Generate();
 
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x77));
-    sp_ = MakeTestProvider(config_, dp_->shared_secret());
+    auto opened = ServiceProvider::Open(config_, dp_->shared_secret());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    sp_ = std::move(*opened);
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     ASSERT_TRUE(sp_->IngestEpoch((*epochs)[0]).ok());

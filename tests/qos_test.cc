@@ -23,7 +23,6 @@
 #include "service/admission_gate.h"
 #include "service/retry.h"
 #include "service/tenant_registry.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -412,9 +411,9 @@ std::vector<Query> Day1Queries() {
 /// key material and data. The QoS path must match these byte for byte.
 std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
                                     const std::vector<Query>& queries) {
-  QueryService service(
-      MakeTestProvider(t.config, t.dp->shared_secret()),
-      QueryServiceOptions{});
+  auto provider = ServiceProvider::Open(t.config, t.dp->shared_secret());
+  EXPECT_TRUE(provider.ok()) << provider.status().ToString();
+  QueryService service(std::move(*provider), QueryServiceOptions{});
   EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
   for (const auto& e : t.epochs) {
     EXPECT_TRUE(service.IngestEpoch(e).ok());
@@ -459,7 +458,6 @@ class QosBackpressureTest : public ::testing::Test {
   TenantRegistryOptions Options() {
     TenantRegistryOptions options;
     options.root_dir = root_;
-    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     options.service.reject_over_capacity = true;
     options.service.execute_fault_hook = pin_.Hook();
@@ -728,7 +726,6 @@ TEST(QosEquivalenceTest, WeightedFailFastRegistryMatchesDedicatedService) {
   {
     TenantRegistryOptions options;
     options.root_dir = root;
-    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     options.service.reject_over_capacity = true;
     options.service.max_inflight = 2;

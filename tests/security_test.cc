@@ -19,7 +19,6 @@
 #include "concealer/super_bins.h"
 #include "concealer/wire.h"
 #include "enclave/oblivious.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -53,7 +52,9 @@ class SecurityTest : public ::testing::Test {
     config_ = SmallConfig();
     tuples_ = SmallWorkload(3000, 13);
     dp_ = std::make_unique<DataProvider>(config_, Bytes(32, 0x44));
-    sp_ = MakeTestProvider(config_, dp_->shared_secret());
+    auto opened = ServiceProvider::Open(config_, dp_->shared_secret());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    sp_ = std::move(*opened);
     auto epochs = dp_->EncryptAll(tuples_);
     ASSERT_TRUE(epochs.ok());
     epoch_ = (*epochs)[0];
@@ -321,16 +322,16 @@ TEST_F(SecurityTest, EpochTransportRoundTrips) {
   EXPECT_EQ(back->enc_grid_layout, epoch_.enc_grid_layout);
 
   // A fresh SP can ingest the deserialized epoch and answer correctly.
-  std::unique_ptr<ServiceProvider> sp2 =
-      MakeTestProvider(config_, dp_->shared_secret());
-  ASSERT_TRUE(sp2->IngestEpoch(*back).ok());
+  auto sp2 = ServiceProvider::Open(config_, dp_->shared_secret());
+  ASSERT_TRUE(sp2.ok()) << sp2.status().ToString();
+  ASSERT_TRUE((*sp2)->IngestEpoch(*back).ok());
   Query q;
   q.agg = Aggregate::kCount;
   q.key_values = {{3}};
   q.time_lo = 0;
   q.time_hi = 86399;
   auto a = sp_->Execute(q);
-  auto b = sp2->Execute(q);
+  auto b = (*sp2)->Execute(q);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->count, b->count);

@@ -18,7 +18,6 @@
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/query_service.h"
-#include "test_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -75,14 +74,15 @@ class QueryServiceTest : public ::testing::Test {
   // A bare provider (no service layer, so no work cache) over the same
   // freshly ingested epochs every service gets.
   std::unique_ptr<ServiceProvider> MakeProvider() {
-    auto provider = MakeTestProvider(config_, dp_->shared_secret());
-    EXPECT_TRUE(provider->LoadRegistry(dp_->EncryptedRegistry()).ok());
+    auto provider = ServiceProvider::Open(config_, dp_->shared_secret());
+    EXPECT_TRUE(provider.ok()) << provider.status().ToString();
+    EXPECT_TRUE((*provider)->LoadRegistry(dp_->EncryptedRegistry()).ok());
     auto epochs = dp_->EncryptAll(tuples_);
     EXPECT_TRUE(epochs.ok());
     for (const auto& e : *epochs) {
-      EXPECT_TRUE(provider->IngestEpoch(e).ok());
+      EXPECT_TRUE((*provider)->IngestEpoch(e).ok());
     }
-    return provider;
+    return std::move(*provider);
   }
 
   // Builds a service over a freshly ingested provider.

@@ -1,7 +1,5 @@
-// Unit and property tests for the storage layer: B+-tree, the pluggable
-// engines (in-memory heap and the mmap segment engine) and the
-// encrypted-table facade — the table tests run against BOTH engines and
-// must behave identically.
+// Unit and property tests for the storage layer: B+-tree, the mmap segment
+// engine and the encrypted-table facade over it.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +19,7 @@
 #include "storage/bplus_tree.h"
 #include "storage/encrypted_table.h"
 #include "storage/node_store.h"
-#include "storage/row_store.h"
 #include "storage/segment_engine.h"
-#include "test_engine.h"
 
 namespace concealer {
 namespace {
@@ -571,25 +567,17 @@ TEST(ColumnTest, CopyMaterializesBorrow) {
   EXPECT_EQ(moved.data(), data.data());
 }
 
-// --- Engine-parameterized tests -------------------------------------------
+// --- The engine through its interface --------------------------------------
 
-enum class EngineKind { kMemory, kMmap };
-
-std::unique_ptr<StorageEngine> MakeEngine(EngineKind kind) {
-  StorageOptions options;
-  options.engine = kind == EngineKind::kMemory
-                       ? StorageOptions::Engine::kMemory
-                       : StorageOptions::Engine::kMmap;
-  // Empty dir => ephemeral temp directory removed on destruction.
-  auto engine = MakeStorageEngine(options);
+/// An engine over an ephemeral temp directory, removed on destruction.
+std::unique_ptr<StorageEngine> MakeEngine() {
+  auto engine = MakeStorageEngine(StorageOptions{});
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(*engine);
 }
 
-class EngineTest : public ::testing::TestWithParam<EngineKind> {};
-
-TEST_P(EngineTest, AppendGetReplace) {
-  auto store = MakeEngine(GetParam());
+TEST(EngineTest, AppendGetReplace) {
+  auto store = MakeEngine();
   Row r1{{Bytes{1, 2}, Bytes{3}}};
   Row r2{{Bytes{4}, Bytes{5, 6, 7}}};
   auto id1 = store->Append(r1);
@@ -613,8 +601,8 @@ TEST_P(EngineTest, AppendGetReplace) {
   EXPECT_TRUE(store->Replace(9, r3).IsNotFound());
 }
 
-TEST_P(EngineTest, GenerationBumpsOnEveryMutation) {
-  auto store = MakeEngine(GetParam());
+TEST(EngineTest, GenerationBumpsOnEveryMutation) {
+  auto store = MakeEngine();
   const uint64_t g0 = store->generation();
   ASSERT_TRUE(store->Append(Row{{Bytes{1}}}).ok());
   const uint64_t g1 = store->generation();
@@ -623,27 +611,18 @@ TEST_P(EngineTest, GenerationBumpsOnEveryMutation) {
   EXPECT_GT(store->generation(), g1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
-                         ::testing::Values(EngineKind::kMemory,
-                                           EngineKind::kMmap),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kMemory
-                                      ? "memory"
-                                      : "mmap";
-                         });
+// --- EncryptedTable ---------------------------------------------------------
 
-// --- EncryptedTable over both engines -------------------------------------
-
-class EncryptedTableTest : public ::testing::TestWithParam<EngineKind> {
+class EncryptedTableTest : public ::testing::Test {
  protected:
   std::unique_ptr<EncryptedTable> MakeTable(size_t num_columns,
                                             size_t index_column) {
     return std::make_unique<EncryptedTable>("t", num_columns, index_column,
-                                            MakeEngine(GetParam()));
+                                            MakeEngine());
   }
 };
 
-TEST_P(EncryptedTableTest, InsertAndFetchByIndexKeys) {
+TEST_F(EncryptedTableTest, InsertAndFetchByIndexKeys) {
   auto table = MakeTable(3, 2);
   for (uint64_t i = 0; i < 100; ++i) {
     Row row{{Bytes{uint8_t(i)}, Bytes{uint8_t(i + 1)}, Key(i)}};
@@ -665,19 +644,19 @@ TEST_P(EncryptedTableTest, InsertAndFetchByIndexKeys) {
   EXPECT_EQ(stats.rows_inserted, 100u);
 }
 
-TEST_P(EncryptedTableTest, RejectsArityMismatch) {
+TEST_F(EncryptedTableTest, RejectsArityMismatch) {
   auto table = MakeTable(3, 2);
   Row bad{{Bytes{1}, Key(0)}};
   EXPECT_TRUE(table->Insert(std::move(bad)).IsInvalidArgument());
 }
 
-TEST_P(EncryptedTableTest, RejectsDuplicateIndexKey) {
+TEST_F(EncryptedTableTest, RejectsDuplicateIndexKey) {
   auto table = MakeTable(2, 1);
   ASSERT_TRUE(table->Insert(Row{{Bytes{1}, Key(7)}}).ok());
   EXPECT_FALSE(table->Insert(Row{{Bytes{2}, Key(7)}}).ok());
 }
 
-TEST_P(EncryptedTableTest, ScanCountsRows) {
+TEST_F(EncryptedTableTest, ScanCountsRows) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -692,7 +671,7 @@ TEST_P(EncryptedTableTest, ScanCountsRows) {
   EXPECT_EQ(table->stats().rows_scanned, 20u);
 }
 
-TEST_P(EncryptedTableTest, FetchWithIdsAndReplace) {
+TEST_F(EncryptedTableTest, FetchWithIdsAndReplace) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -708,7 +687,7 @@ TEST_P(EncryptedTableTest, FetchWithIdsAndReplace) {
   EXPECT_EQ(refs[0].get()->columns[0], Column(Bytes{0xee}));
 }
 
-TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
+TEST_F(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   auto table = MakeTable(3, 2);
   for (uint64_t i = 0; i < 30; ++i) {
     // Column sizes 1 + 2 + |Key(i)| = 1 + 2 + 8 = 11 bytes per row.
@@ -729,16 +708,14 @@ TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   EXPECT_EQ(refs[2].probe, 3u);
   for (const RowRef& ref : refs) EXPECT_FALSE(ref.stale());
 
-  if (GetParam() == EngineKind::kMmap) {
-    // Zero-copy really means the mapped region: every borrowed column
-    // points into a segment file, not the heap.
-    const EncryptedTable& ctable = *table;
-    const auto* engine = static_cast<const SegmentEngine*>(&ctable.engine());
-    for (const RowRef& ref : refs) {
-      for (const Column& col : ref.get()->columns) {
-        EXPECT_TRUE(col.borrowed());
-        EXPECT_TRUE(engine->IsMapped(col.data()));
-      }
+  // Zero-copy really means the mapped region: every borrowed column points
+  // into a segment file, not the heap.
+  const EncryptedTable& ctable = *table;
+  const auto* engine = static_cast<const SegmentEngine*>(&ctable.engine());
+  for (const RowRef& ref : refs) {
+    for (const Column& col : ref.get()->columns) {
+      EXPECT_TRUE(col.borrowed());
+      EXPECT_TRUE(engine->IsMapped(col.data()));
     }
   }
 
@@ -754,13 +731,14 @@ TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   EXPECT_EQ(table->stats().bytes_fetched, 4u * 11u);
 }
 
-TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
+TEST_F(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
   // FetchRefs' bulk probe must be observationally identical to a per-key
   // fetch loop — one Find per key on a tree built by the same inserts, then
   // the engine's borrowed row: same refs, same order, same stats. The
   // probe set is shuffled (FetchRefs sorts internally via a permutation)
-  // and mixes hits, misses and duplicates. On the mmap engine the check
-  // runs again after the index is paged to the node file.
+  // and mixes hits, misses and duplicates. The check runs on the resident
+  // tree the inserts built, then again after the index is paged to the
+  // node file.
   auto table = MakeTable(2, 1);
   BPlusTree per_key_index;
   for (uint64_t i = 0; i < 500; ++i) {
@@ -803,14 +781,12 @@ TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
     EXPECT_EQ(stats.bytes_fetched, per_key_bytes);
   };
   expect_identical();
-  if (table->engine()->node_store() != nullptr) {
-    ASSERT_TRUE(table->PersistPagedIndex().ok());
-    ASSERT_TRUE(table->paged_index());
-    expect_identical();
-  }
+  ASSERT_TRUE(table->PersistPagedIndex().ok());
+  ASSERT_TRUE(table->paged_index());
+  expect_identical();
 }
 
-TEST_P(EncryptedTableTest, RowRefStaleAfterMutation) {
+TEST_F(EncryptedTableTest, RowRefStaleAfterMutation) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -828,7 +804,7 @@ TEST_P(EncryptedTableTest, RowRefStaleAfterMutation) {
 #endif
 }
 
-TEST_P(EncryptedTableTest, BatchInsert) {
+TEST_F(EncryptedTableTest, BatchInsert) {
   auto table = MakeTable(2, 1);
   std::vector<Row> rows;
   for (uint64_t i = 0; i < 50; ++i) {
@@ -842,7 +818,7 @@ TEST_P(EncryptedTableTest, BatchInsert) {
 // finds them): the sort-and-load rebuild must index every row under its
 // Index value, including values that tie on the zero-padded 8-byte sort
 // prefix ("ab", "ab\0", "ab\0\0\0\0\0\0x").
-TEST_P(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
+TEST_F(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
   auto table = MakeTable(2, 1);
   std::vector<Bytes> keys = BulkLoadKeys(3000, 21);
   keys.push_back(Bytes{'a', 'b'});
@@ -872,7 +848,7 @@ TEST_P(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
 // Rows whose Index values repeat (written past the index, as a damaged or
 // forged segment would hold them) must fail the rebuild with the status a
 // duplicate Insert gives, not yield an index that hides one of them.
-TEST_P(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
+TEST_F(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 200; ++i) {
     const uint64_t index_value = i == 150 ? 40 : i;
@@ -887,37 +863,41 @@ TEST_P(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
   EXPECT_TRUE(refs.empty());  // Nothing half-built is served.
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, EncryptedTableTest,
-                         ::testing::Values(EngineKind::kMemory,
-                                           EngineKind::kMmap),
-                         [](const auto& info) {
-                           return info.param == EngineKind::kMemory
-                                      ? "memory"
-                                      : "mmap";
-                         });
-
-// An in-memory row heap whose GetRef can hide one row id while the table's
-// index still holds it: the index and the heap disagree.
+// An ephemeral engine whose GetRef can hide one row id while the table's
+// index still holds it: the index and the row heap disagree.
 class HidingEngine : public StorageEngine {
  public:
   void Hide(uint64_t row_id) { hidden_ = row_id; }
 
   StatusOr<uint64_t> Append(Row row) override {
-    return rows_.Append(std::move(row));
+    return rows_->Append(std::move(row));
   }
   const Row* GetRef(uint64_t row_id) const override {
-    return row_id == hidden_ ? nullptr : rows_.GetRef(row_id);
+    return row_id == hidden_ ? nullptr : rows_->GetRef(row_id);
   }
   Status Replace(uint64_t row_id, Row row) override {
-    return rows_.Replace(row_id, std::move(row));
+    return rows_->Replace(row_id, std::move(row));
   }
-  uint64_t size() const override { return rows_.size(); }
-  uint64_t TotalBytes() const override { return rows_.TotalBytes(); }
-  uint64_t generation() const override { return rows_.generation(); }
+  uint64_t size() const override { return rows_->size(); }
+  uint64_t TotalBytes() const override { return rows_->TotalBytes(); }
+  uint64_t generation() const override { return rows_->generation(); }
+  uint64_t durable_generation() const override {
+    return rows_->durable_generation();
+  }
   const char* name() const override { return "hiding"; }
+  Status Sync() override { return rows_->Sync(); }
+  bool persistent() const override { return rows_->persistent(); }
+  NodeStore* node_store() override { return rows_->node_store(); }
+  uint32_t NumSegments() const override { return rows_->NumSegments(); }
+  Status SealSegment() override { return rows_->SealSegment(); }
+  uint64_t DeadBytes() const override { return rows_->DeadBytes(); }
+  uint64_t DiskBytes() const override { return rows_->DiskBytes(); }
+  StatusOr<uint64_t> Compact(double min_dead_ratio) override {
+    return rows_->Compact(min_dead_ratio);
+  }
 
  private:
-  RowStore rows_;
+  std::unique_ptr<StorageEngine> rows_ = MakeEngine();
   uint64_t hidden_ = ~0ull;
 };
 
@@ -1445,18 +1425,6 @@ TEST(SegmentCompactionTest, CompactedStateSurvivesReopen) {
     }
   }
   RemoveDirRecursive(dir);
-}
-
-// The suite's engine toggle must build the engine it names: otherwise the
-// CI mmap leg could pass on the memory engine.
-TEST(TestEngineTest, HelperProviderRunsTheNamedEngine) {
-  const char* env = std::getenv("CONCEALER_STORAGE_ENGINE");
-  ConcealerConfig config;
-  config.key_buckets = {4};
-  config.time_buckets = 4;
-  config.num_cell_ids = 4;
-  std::unique_ptr<ServiceProvider> sp = MakeTestProvider(config, Bytes(32, 1));
-  EXPECT_STREQ(sp->table().engine().name(), env == nullptr ? "memory" : env);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "concealer/wire.h"
 #include "enclave/registry.h"
 #include "service/tenant_registry.h"
-#include "test_engine.h"
+#include "storage/segment_engine.h"
 #include "workload/wifi_generator.h"
 
 namespace concealer {
@@ -139,9 +139,9 @@ std::vector<Query> TenantQueries() {
 /// key material and data — what the registry must match byte for byte.
 std::vector<Bytes> DedicatedAnswers(const TenantFixture& t,
                                     const std::vector<Query>& queries) {
-  QueryService service(
-      MakeTestProvider(t.config, t.dp->shared_secret()),
-      QueryServiceOptions{});
+  auto provider = ServiceProvider::Open(t.config, t.dp->shared_secret());
+  EXPECT_TRUE(provider.ok()) << provider.status().ToString();
+  QueryService service(std::move(*provider), QueryServiceOptions{});
   EXPECT_TRUE(service.LoadRegistry(t.dp->EncryptedRegistry()).ok());
   for (const auto& e : t.epochs) {
     EXPECT_TRUE(service.IngestEpoch(e).ok());
@@ -165,7 +165,6 @@ class TenantTest : public ::testing::Test {
   TenantRegistryOptions Options() {
     TenantRegistryOptions options;
     options.root_dir = root_;
-    options.storage.engine = TestEngine();
     options.pool_threads = 4;
     return options;
   }
@@ -313,10 +312,8 @@ TEST_F(TenantTest, DropTenantLeavesOtherTenantsByteIdentical) {
   Provision(&registry, acme);
   Provision(&registry, bolt);
 
-  const bool persistent =
-      registry.tenant("acme").ok() &&
-      (*registry.tenant("acme"))->provider()->persistent();
   const std::string acme_dir = root_ + "/acme";
+  ASSERT_TRUE(DirExists(acme_dir));
 
   const std::vector<Query> queries = TenantQueries();
   auto bolt_token = registry.OpenSession("bolt", "alice", AliceProof(bolt));
@@ -354,15 +351,13 @@ TEST_F(TenantTest, DropTenantLeavesOtherTenantsByteIdentical) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  // acme is gone — routing, sessions, and (for persistent engines) disk.
+  // acme is gone — routing, sessions and disk.
   EXPECT_TRUE(registry.Query("acme", "tok", queries[0]).status().IsNotFound());
   EXPECT_TRUE(registry.OpenSession("acme", "alice", AliceProof(acme))
                   .status()
                   .IsNotFound());
   EXPECT_EQ(registry.NumTenants(), 1u);
-  if (persistent) {
-    EXPECT_FALSE(DirExists(acme_dir));
-  }
+  EXPECT_FALSE(DirExists(acme_dir));
   EXPECT_TRUE(registry.DropTenant("acme").IsNotFound());
 
   // bolt still serves, byte-identically.
@@ -372,11 +367,7 @@ TEST_F(TenantTest, DropTenantLeavesOtherTenantsByteIdentical) {
 }
 
 TEST_F(TenantTest, RestartRecoversAllTenants) {
-  // Persistence is the mmap engine's contract — pin it regardless of the
-  // CONCEALER_STORAGE_ENGINE toggle the rest of the suite runs under.
-  TenantRegistryOptions options = Options();
-  options.storage.engine = StorageOptions::Engine::kMmap;
-
+  const TenantRegistryOptions options = Options();
   TenantFixture acme = MakeTenant("acme", 0x67);
   TenantFixture bolt = MakeTenant("bolt", 0x68);
   const std::vector<Query> queries = TenantQueries();
@@ -486,14 +477,41 @@ TEST_F(TenantTest, InvalidIdsAndDuplicatesRejected) {
                                     t.dp->shared_secret())
                   .IsInvalidArgument());
   EXPECT_TRUE(registry.DropTenant("never-created").IsNotFound());
+}
 
-  // The mmap engine without a root dir is refused up front, not at first
-  // segment write.
-  TenantRegistryOptions no_root;
-  no_root.storage.engine = StorageOptions::Engine::kMmap;
-  TenantRegistry rootless(no_root);
-  EXPECT_TRUE(rootless.CreateTenant("x", t.config, t.dp->shared_secret())
-                  .IsInvalidArgument());
+// Without a root_dir every tenant gets its own ephemeral directory: it
+// serves queries, and dropping the tenant removes the directory. There is
+// nothing to recover, so OpenAll refuses.
+TEST(TenantEphemeralTest, EmptyRootServesTenantsAndLeavesNoDirectory) {
+  TenantRegistry registry(TenantRegistryOptions{});
+  TenantFixture acme = MakeTenant("acme", 0x6c, /*days=*/1);
+  Provision(&registry, acme);
+  auto token = registry.OpenSession("acme", "alice", AliceProof(acme));
+  ASSERT_TRUE(token.ok()) << token.status().ToString();
+  Query q;
+  q.agg = Aggregate::kCount;
+  q.key_values = {{4}};
+  q.time_lo = 6 * 3600;
+  q.time_hi = 8 * 3600;
+  auto got = registry.Query("acme", *token, q);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(got->rows_fetched, 0u);
+
+  auto service = registry.tenant("acme");
+  ASSERT_TRUE(service.ok());
+  const ServiceProvider* sp = (*service)->provider();
+  EXPECT_FALSE(sp->persistent());
+  const std::string dir =
+      static_cast<const SegmentEngine&>(sp->table().engine()).dir();
+  ASSERT_TRUE(DirExists(dir));
+  ASSERT_TRUE(registry.DropTenant("acme").ok());
+  EXPECT_FALSE(DirExists(dir));
+
+  const auto resolver = [](const std::string& id)
+      -> StatusOr<TenantRegistry::TenantCredentials> {
+    return Status::NotFound("no credentials for tenant: " + id);
+  };
+  EXPECT_TRUE(registry.OpenAll(resolver).IsInvalidArgument());
 }
 
 }  // namespace

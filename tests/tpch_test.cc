@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "concealer/data_provider.h"
 #include "concealer/service_provider.h"
-#include "test_engine.h"
 #include "workload/tpch_generator.h"
 
 namespace concealer {
@@ -33,7 +32,9 @@ class TpchE2ETest : public ::testing::Test {
     config2d.time_quantum = 1;
     auto tuples2d = TpchGenerator::ToTuples2D(*items_);
     dp2d_ = new DataProvider(config2d, Bytes(32, 0x61));
-    sp2d_ = MakeTestProvider(config2d, dp2d_->shared_secret()).release();
+    auto opened2d = ServiceProvider::Open(config2d, dp2d_->shared_secret());
+    ASSERT_TRUE(opened2d.ok()) << opened2d.status().ToString();
+    sp2d_ = opened2d->release();
     auto epochs = dp2d_->EncryptAll(tuples2d);
     ASSERT_TRUE(epochs.ok()) << epochs.status().ToString();
     ASSERT_EQ(epochs->size(), 1u);  // Non-time-series: single epoch.
@@ -51,7 +52,9 @@ class TpchE2ETest : public ::testing::Test {
     config4d.time_quantum = 1;
     auto tuples4d = TpchGenerator::ToTuples4D(*items_);
     dp4d_ = new DataProvider(config4d, Bytes(32, 0x62));
-    sp4d_ = MakeTestProvider(config4d, dp4d_->shared_secret()).release();
+    auto opened4d = ServiceProvider::Open(config4d, dp4d_->shared_secret());
+    ASSERT_TRUE(opened4d.ok()) << opened4d.status().ToString();
+    sp4d_ = opened4d->release();
     auto epochs4 = dp4d_->EncryptAll(tuples4d);
     ASSERT_TRUE(epochs4.ok());
     ASSERT_TRUE(sp4d_->IngestEpoch((*epochs4)[0]).ok());
