@@ -12,6 +12,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -567,7 +569,7 @@ TEST(ColumnTest, CopyMaterializesBorrow) {
   EXPECT_EQ(moved.data(), data.data());
 }
 
-// --- The engine through its interface --------------------------------------
+// --- The engine through its interface, in both directory placements ------
 
 /// An engine over an ephemeral temp directory, removed on destruction.
 std::unique_ptr<StorageEngine> MakeEngine() {
@@ -576,8 +578,48 @@ std::unique_ptr<StorageEngine> MakeEngine() {
   return std::move(*engine);
 }
 
-TEST(EngineTest, AppendGetReplace) {
-  auto store = MakeEngine();
+// Where the engine keeps its segments. kEphemeral is an empty
+// StorageOptions::dir: a temp directory removed with the engine, the
+// placement every in-process provider runs. kPersistent is an explicit
+// directory whose segments outlive the engine, as concealer_server runs.
+// The instances keep the suffixes the suite had when it also ran an
+// in-memory heap: /memory is the ephemeral placement (rows live only as
+// long as the engine), /mmap the persistent one.
+enum class Placement { kEphemeral, kPersistent };
+
+std::string PlacementName(const ::testing::TestParamInfo<Placement>& info) {
+  return info.param == Placement::kEphemeral ? "memory" : "mmap";
+}
+
+class PlacedEngineTest : public ::testing::TestWithParam<Placement> {
+ protected:
+  void TearDown() override {
+    for (const std::string& dir : dirs_) RemoveDirRecursive(dir);
+  }
+
+  /// A fresh engine in the placement under test; a persistent one gets its
+  /// own directory, removed after the test.
+  std::unique_ptr<StorageEngine> MakePlacedEngine() {
+    StorageOptions options;
+    if (GetParam() == Placement::kPersistent) {
+      dirs_.push_back(TempDir());
+      options.dir = dirs_.back();
+    }
+    auto engine = MakeStorageEngine(options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return nullptr;
+    EXPECT_EQ((*engine)->persistent(), GetParam() == Placement::kPersistent);
+    return std::move(*engine);
+  }
+
+ private:
+  std::vector<std::string> dirs_;
+};
+
+class EngineTest : public PlacedEngineTest {};
+
+TEST_P(EngineTest, AppendGetReplace) {
+  auto store = MakePlacedEngine();
   Row r1{{Bytes{1, 2}, Bytes{3}}};
   Row r2{{Bytes{4}, Bytes{5, 6, 7}}};
   auto id1 = store->Append(r1);
@@ -601,8 +643,8 @@ TEST(EngineTest, AppendGetReplace) {
   EXPECT_TRUE(store->Replace(9, r3).IsNotFound());
 }
 
-TEST(EngineTest, GenerationBumpsOnEveryMutation) {
-  auto store = MakeEngine();
+TEST_P(EngineTest, GenerationBumpsOnEveryMutation) {
+  auto store = MakePlacedEngine();
   const uint64_t g0 = store->generation();
   ASSERT_TRUE(store->Append(Row{{Bytes{1}}}).ok());
   const uint64_t g1 = store->generation();
@@ -611,18 +653,23 @@ TEST(EngineTest, GenerationBumpsOnEveryMutation) {
   EXPECT_GT(store->generation(), g1);
 }
 
-// --- EncryptedTable ---------------------------------------------------------
+INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
+                         ::testing::Values(Placement::kEphemeral,
+                                           Placement::kPersistent),
+                         PlacementName);
 
-class EncryptedTableTest : public ::testing::Test {
+// --- EncryptedTable in both placements --------------------------------------
+
+class EncryptedTableTest : public PlacedEngineTest {
  protected:
   std::unique_ptr<EncryptedTable> MakeTable(size_t num_columns,
                                             size_t index_column) {
     return std::make_unique<EncryptedTable>("t", num_columns, index_column,
-                                            MakeEngine());
+                                            MakePlacedEngine());
   }
 };
 
-TEST_F(EncryptedTableTest, InsertAndFetchByIndexKeys) {
+TEST_P(EncryptedTableTest, InsertAndFetchByIndexKeys) {
   auto table = MakeTable(3, 2);
   for (uint64_t i = 0; i < 100; ++i) {
     Row row{{Bytes{uint8_t(i)}, Bytes{uint8_t(i + 1)}, Key(i)}};
@@ -644,19 +691,19 @@ TEST_F(EncryptedTableTest, InsertAndFetchByIndexKeys) {
   EXPECT_EQ(stats.rows_inserted, 100u);
 }
 
-TEST_F(EncryptedTableTest, RejectsArityMismatch) {
+TEST_P(EncryptedTableTest, RejectsArityMismatch) {
   auto table = MakeTable(3, 2);
   Row bad{{Bytes{1}, Key(0)}};
   EXPECT_TRUE(table->Insert(std::move(bad)).IsInvalidArgument());
 }
 
-TEST_F(EncryptedTableTest, RejectsDuplicateIndexKey) {
+TEST_P(EncryptedTableTest, RejectsDuplicateIndexKey) {
   auto table = MakeTable(2, 1);
   ASSERT_TRUE(table->Insert(Row{{Bytes{1}, Key(7)}}).ok());
   EXPECT_FALSE(table->Insert(Row{{Bytes{2}, Key(7)}}).ok());
 }
 
-TEST_F(EncryptedTableTest, ScanCountsRows) {
+TEST_P(EncryptedTableTest, ScanCountsRows) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -671,7 +718,7 @@ TEST_F(EncryptedTableTest, ScanCountsRows) {
   EXPECT_EQ(table->stats().rows_scanned, 20u);
 }
 
-TEST_F(EncryptedTableTest, FetchWithIdsAndReplace) {
+TEST_P(EncryptedTableTest, FetchWithIdsAndReplace) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -687,7 +734,7 @@ TEST_F(EncryptedTableTest, FetchWithIdsAndReplace) {
   EXPECT_EQ(refs[0].get()->columns[0], Column(Bytes{0xee}));
 }
 
-TEST_F(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
+TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   auto table = MakeTable(3, 2);
   for (uint64_t i = 0; i < 30; ++i) {
     // Column sizes 1 + 2 + |Key(i)| = 1 + 2 + 8 = 11 bytes per row.
@@ -731,7 +778,7 @@ TEST_F(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
   EXPECT_EQ(table->stats().bytes_fetched, 4u * 11u);
 }
 
-TEST_F(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
+TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
   // FetchRefs' bulk probe must be observationally identical to a per-key
   // fetch loop — one Find per key on a tree built by the same inserts, then
   // the engine's borrowed row: same refs, same order, same stats. The
@@ -786,7 +833,7 @@ TEST_F(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
   expect_identical();
 }
 
-TEST_F(EncryptedTableTest, RowRefStaleAfterMutation) {
+TEST_P(EncryptedTableTest, RowRefStaleAfterMutation) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -804,7 +851,7 @@ TEST_F(EncryptedTableTest, RowRefStaleAfterMutation) {
 #endif
 }
 
-TEST_F(EncryptedTableTest, BatchInsert) {
+TEST_P(EncryptedTableTest, BatchInsert) {
   auto table = MakeTable(2, 1);
   std::vector<Row> rows;
   for (uint64_t i = 0; i < 50; ++i) {
@@ -818,7 +865,7 @@ TEST_F(EncryptedTableTest, BatchInsert) {
 // finds them): the sort-and-load rebuild must index every row under its
 // Index value, including values that tie on the zero-padded 8-byte sort
 // prefix ("ab", "ab\0", "ab\0\0\0\0\0\0x").
-TEST_F(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
+TEST_P(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
   auto table = MakeTable(2, 1);
   std::vector<Bytes> keys = BulkLoadKeys(3000, 21);
   keys.push_back(Bytes{'a', 'b'});
@@ -848,7 +895,7 @@ TEST_F(EncryptedTableTest, RecoverIndexRebuildsFromEngineRows) {
 // Rows whose Index values repeat (written past the index, as a damaged or
 // forged segment would hold them) must fail the rebuild with the status a
 // duplicate Insert gives, not yield an index that hides one of them.
-TEST_F(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
+TEST_P(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
   auto table = MakeTable(2, 1);
   for (uint64_t i = 0; i < 200; ++i) {
     const uint64_t index_value = i == 150 ? 40 : i;
@@ -862,6 +909,11 @@ TEST_F(EncryptedTableTest, RecoverIndexRejectsDuplicateIndexValues) {
   ASSERT_TRUE(table->FetchRefs({Key(40), Key(41)}, &refs).ok());
   EXPECT_TRUE(refs.empty());  // Nothing half-built is served.
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, EncryptedTableTest,
+                         ::testing::Values(Placement::kEphemeral,
+                                           Placement::kPersistent),
+                         PlacementName);
 
 // An ephemeral engine whose GetRef can hide one row id while the table's
 // index still holds it: the index and the row heap disagree.
