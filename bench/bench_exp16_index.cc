@@ -19,10 +19,12 @@
 //      every answer checked against the cleartext oracle.
 //
 // A fourth, paged leg exercises the disk-backed index: an mmap table pages
-// its B+-tree leaves into the engine's index-nodes file behind a tiny node
-// cache (CONCEALER_EXP16_NODE_CACHE, default 1 MiB), the file is evicted
-// from the OS page cache, and cold bulk FetchRefs is timed with prefetch
-// off vs on (NodeStore's fadvise mode — the batched WILLNEED issued after
+// its B+-tree leaves into the engine's index-nodes file, which NodeStore
+// maps and reads in place. Each cold pass closes the store (unmapping the
+// file, since fadvise DONTNEED does not drop pages still mapped), evicts
+// the file from the OS page cache and re-opens the store, so prefetch
+// issues WILLNEED again; cold bulk FetchRefs is timed with prefetch off vs
+// on (NodeStore's fadvise mode — the batched WILLNEED issued after
 // BulkFind routes a whole unit's probes to leaves).
 //
 // A fifth, rebuild leg times a restart's index recovery: the paged leg's
@@ -477,7 +479,6 @@ int main(int argc, char** argv) {
     bool drop_effective = false;
     bool pass = true;
     uint64_t pages = 0;
-    uint64_t node_cache_bytes = 0;
     double warm_s = 0, cold_s = 0, cold_prefetch_s = 0;
     double prefetch_speedup = 0;
     uint64_t loads_cold = 0, loads_prefetch = 0, prefetched = 0;
@@ -492,10 +493,6 @@ int main(int argc, char** argv) {
   }
   StorageOptions paged_options;
   paged_options.dir = paged_dir;
-  // A node cache far smaller than the leaf set, so cold probes really
-  // page: this is the "index exceeds the budget" configuration.
-  paged_options.node_cache_bytes =
-      EnvU64("CONCEALER_EXP16_NODE_CACHE", 1u << 20);
   const size_t per = 256;
   const std::vector<Unit> probe_units =
       MakeUnits(keys, units, per, /*seed=*/0x1600 + per);
@@ -531,10 +528,8 @@ int main(int argc, char** argv) {
     CheckOk(table.PersistPagedIndex(), "PersistPagedIndex");
     NodeStore* ns = table.engine()->node_store();
     paged.pages = ns->num_pages();
-    paged.node_cache_bytes = paged_options.node_cache_bytes;
-    std::fprintf(stderr, "[exp16] paged index: %llu leaf pages, %s budget\n",
-                 static_cast<unsigned long long>(paged.pages),
-                 std::to_string(paged_options.node_cache_bytes).c_str());
+    std::fprintf(stderr, "[exp16] paged index: %llu leaf pages\n",
+                 static_cast<unsigned long long>(paged.pages));
 
     // Identity across paging: the paged tree must return the exact
     // resident row-id sequence (the tentpole's byte-identity claim).
@@ -566,14 +561,20 @@ int main(int argc, char** argv) {
       run_all();
       paged.warm_s = std::min(paged.warm_s, t.ElapsedSeconds());
     }
-    // Cold passes: drop both the node cache and the OS cache before each
-    // round; best-of-rounds, each round re-dropped.
+    // Cold passes: before each round, unmap the node file, drop it from
+    // the OS cache and map it again (a fresh Open: every page unread, so
+    // prefetch issues WILLNEED for it); best-of-rounds, each round
+    // re-dropped.
+    const auto drop_node_file = [&]() {
+      ns->Close();
+      bench::DropFileCache(ns->path());
+      CheckOk(ns->Open(), "node store re-open");
+    };
     const uint64_t loads0 = ns->loads();
     ns->set_prefetch_mode(NodeStore::PrefetchMode::kOff);
     paged.cold_s = 1e30;
     for (int r = 0; r < rounds; ++r) {
-      ns->DropCache();
-      bench::DropFileCache(ns->path());
+      drop_node_file();
       t.Reset();
       run_all();
       paged.cold_s = std::min(paged.cold_s, t.ElapsedSeconds());
@@ -583,8 +584,7 @@ int main(int argc, char** argv) {
     ns->set_prefetch_mode(NodeStore::PrefetchMode::kFadvise);
     paged.cold_prefetch_s = 1e30;
     for (int r = 0; r < rounds; ++r) {
-      ns->DropCache();
-      bench::DropFileCache(ns->path());
+      drop_node_file();
       t.Reset();
       run_all();
       paged.cold_prefetch_s = std::min(paged.cold_prefetch_s,
@@ -602,9 +602,8 @@ int main(int argc, char** argv) {
     paged.pass = paged.identical &&
                  (min_prefetch <= 0 || !paged.drop_effective ||
                   paged.prefetch_speedup >= min_prefetch);
-    std::printf("\npaged index (mmap, %llu pages, %llu-byte node cache):\n",
-                static_cast<unsigned long long>(paged.pages),
-                static_cast<unsigned long long>(paged.node_cache_bytes));
+    std::printf("\npaged index (mmap, %llu pages):\n",
+                static_cast<unsigned long long>(paged.pages));
     std::printf("  warm %.3fs | cold %.3fs (%llu loads) | cold+prefetch "
                 "%.3fs (%llu loads, %llu prefetched) | speedup %.2fx%s\n",
                 paged.warm_s, paged.cold_s,
@@ -772,8 +771,6 @@ int main(int argc, char** argv) {
     j.BeginObject();
     j.Key("pages");
     j.Number(paged.pages);
-    j.Key("node_cache_bytes");
-    j.Number(paged.node_cache_bytes);
     j.Key("warm_s");
     j.Number(paged.warm_s);
     j.Key("cold_s");

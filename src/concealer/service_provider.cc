@@ -235,7 +235,6 @@ Status ServiceProvider::CheckpointDynamicState() {
 }
 
 Status ServiceProvider::MaintainStorage() {
-  if (!persistent_) return Status::OK();
   if (wal_ != nullptr && wal_->SizeBytes() >= wal_checkpoint_bytes_) {
     CONCEALER_RETURN_IF_ERROR(CheckpointDynamicState());
   }
@@ -290,8 +289,8 @@ Status ServiceProvider::IngestEpoch(const EncryptedEpoch& epoch) {
         EpochMetaPath(storage_options_.dir, epoch.epoch_id), meta));
   }
   // Index persistence into the node file (ephemeral directories too).
-  // After PersistPagedIndex the tree serves leaves through the bounded
-  // page cache instead of resident vectors, and a restart attaches in two
+  // After PersistPagedIndex the tree reads leaves in place from the mapped
+  // node file instead of resident vectors, and a restart attaches in two
   // small reads. A persist rewrites the WHOLE index, so persisting on
   // every ingest would cost O(K^2) cumulative bytes over a provider's
   // lifetime. Persist geometrically (first epoch, then each time the table

@@ -159,7 +159,9 @@ class ServiceProvider {
   /// Periodic storage upkeep, called by the service layer after dynamic
   /// queries (under the exclusive epoch lock): checkpoints once the WAL
   /// exceeds the size threshold, then lets the engine compact mostly-dead
-  /// segments. Together these bound disk growth under sustained churn.
+  /// segments (an ephemeral directory too: it has no WAL, but §6 rewrites
+  /// leave dead records there as well). Together these bound disk growth
+  /// under sustained churn.
   Status MaintainStorage();
 
   /// WAL size that triggers a checkpoint in MaintainStorage.

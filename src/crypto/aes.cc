@@ -67,11 +67,6 @@ void Aes::EncryptBlocks(const uint8_t* in, uint8_t* out,
   ops_->encrypt_blocks(round_keys_, rounds_, in, out, nblocks);
 }
 
-void Aes::DecryptBlock(const uint8_t in[kBlockSize],
-                       uint8_t out[kBlockSize]) const {
-  ops_->decrypt_blocks(round_keys_, rounds_, in, out, 1);
-}
-
 void AesCtr::Xor(const Aes& aes, const uint8_t iv[Aes::kBlockSize], Slice in,
                  uint8_t* out) {
   aes.backend()->ctr_xor(aes.round_keys(), aes.rounds(), iv, in.data(), out,

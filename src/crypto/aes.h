@@ -43,10 +43,6 @@ class Aes {
   /// lanes in the hardware pipeline.
   void EncryptBlocks(const uint8_t* in, uint8_t* out, size_t nblocks) const;
 
-  /// Decrypts exactly one 16-byte block.
-  void DecryptBlock(const uint8_t in[kBlockSize],
-                    uint8_t out[kBlockSize]) const;
-
   bool initialized() const { return rounds_ != 0; }
 
   /// The backend this instance is bound to (null before SetKey).
@@ -82,12 +78,6 @@ struct AesCtr {
   static void Keystream(const Aes& aes, const uint8_t iv[Aes::kBlockSize],
                         uint8_t* out, size_t len);
 };
-
-/// Back-compat shim for the original free-function spelling.
-inline void AesCtrXor(const Aes& aes, const uint8_t iv[Aes::kBlockSize],
-                      Slice in, uint8_t* out) {
-  AesCtr::Xor(aes, iv, in, out);
-}
 
 }  // namespace concealer
 

@@ -1,8 +1,6 @@
 // ARMv8 Crypto Extensions backend (guarded): the AESE/AESMC instruction
 // pair for the forward cipher and CTR, four blocks interleaved per loop.
-// Decryption delegates to the soft backend — nothing in the system runs the
-// inverse cipher on a hot path (CTR and CMAC are forward-only), and keeping
-// the cold path portable keeps this untested-on-CI file minimal.
+// Every mode in the system (CTR, CMAC) runs the forward cipher only.
 //
 // Selected only when the Linux HWCAP auxv reports AES support; the whole
 // file compiles to the null probe on non-aarch64 targets.
@@ -124,7 +122,6 @@ const AesBackendOps* ProbeArmCeBackend() {
       "armv8ce",
       /*accelerated=*/true,
       CeEncryptBlocks,
-      SoftDecryptBlocks,  // Cold path; see file comment.
       CeCtrXor,
       CeCtrKeystream,
   };

@@ -29,8 +29,6 @@ struct AesBackendOps {
   /// in == out). This is the primitive the multi-lane CMAC batch rides.
   void (*encrypt_blocks)(const uint8_t* rk, int rounds, const uint8_t* in,
                          uint8_t* out, size_t nblocks);
-  void (*decrypt_blocks)(const uint8_t* rk, int rounds, const uint8_t* in,
-                         uint8_t* out, size_t nblocks);
 
   /// CTR keystream XOR over an arbitrary-length buffer: out = in ^ KS where
   /// KS = E(iv), E(iv+1), ... (128-bit big-endian counter, wrapping).

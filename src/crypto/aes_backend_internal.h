@@ -7,22 +7,15 @@
 #include "crypto/aes_backend.h"
 
 // Cross-backend internals: the dispatcher (aes_backend.cc) pulls the
-// per-architecture probe functions from here, and hardware backends reuse
-// the soft routines for the cold paths they don't accelerate.
+// per-architecture probe functions from here, and every backend shares the
+// S-box and the counter increment.
 
 namespace concealer {
 namespace aes_internal {
 
-/// FIPS-197 S-box and inverse (defined in aes_soft.cc; also used by
-/// Aes::SetKey for the portable key expansion every backend shares).
+/// FIPS-197 S-box (defined in aes_soft.cc; also used by Aes::SetKey for
+/// the portable key expansion every backend shares).
 extern const uint8_t kAesSBox[256];
-extern const uint8_t kAesInvSBox[256];
-
-/// Soft primitives (aes_soft.cc), reusable by other backends.
-void SoftEncryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
-                       uint8_t* out, size_t nblocks);
-void SoftDecryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
-                       uint8_t* out, size_t nblocks);
 
 /// Increments a 16-byte big-endian counter block in place (wraps at
 /// 2^128). Shared by every backend so the counter sequence — including the

@@ -74,29 +74,6 @@ CONCEALER_TARGET_AES void NiEncryptBlocks(const uint8_t* rk, int rounds,
   }
 }
 
-CONCEALER_TARGET_AES void NiDecryptBlocks(const uint8_t* rk, int rounds,
-                                          const uint8_t* in, uint8_t* out,
-                                          size_t nblocks) {
-  // Equivalent inverse cipher: aesdec wants InvMixColumns-transformed round
-  // keys in reverse order; build them once per call (decryption is cold —
-  // CTR and CMAC only ever run the forward cipher). Zero-init placates
-  // -Wmaybe-uninitialized, which cannot see that only [0, rounds] is used.
-  __m128i k[15] = {};
-  LoadSchedule(rk, rounds, k);
-  __m128i dk[15] = {};
-  dk[0] = k[rounds];
-  for (int i = 1; i < rounds; ++i) dk[i] = _mm_aesimc_si128(k[rounds - i]);
-  dk[rounds] = k[0];
-  for (size_t b = 0; b < nblocks; ++b) {
-    __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * b));
-    x = _mm_xor_si128(x, dk[0]);
-    for (int r = 1; r < rounds; ++r) x = _mm_aesdec_si128(x, dk[r]);
-    x = _mm_aesdeclast_si128(x, dk[rounds]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * b), x);
-  }
-}
-
 // CTR core: counter blocks are materialized by the shared scalar increment
 // (so the sequence across the 2^128 wrap matches every other backend), then
 // encrypted eight at a time. `in == nullptr` emits raw keystream.
@@ -175,7 +152,6 @@ const AesBackendOps* ProbeAesNiBackend() {
       "aesni",
       /*accelerated=*/true,
       NiEncryptBlocks,
-      NiDecryptBlocks,
       NiCtrXor,
       NiCtrKeystream,
   };

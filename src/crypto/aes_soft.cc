@@ -16,7 +16,7 @@
 namespace concealer {
 namespace aes_internal {
 
-// FIPS-197 S-box and inverse (also used by Aes::SetKey for key expansion).
+// FIPS-197 S-box (also used by Aes::SetKey for key expansion).
 constexpr uint8_t kAesSBox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
@@ -41,35 +41,10 @@ constexpr uint8_t kAesSBox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-constexpr uint8_t kAesInvSBox[256] = {
-    0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e,
-    0x81, 0xf3, 0xd7, 0xfb, 0x7c, 0xe3, 0x39, 0x82, 0x9b, 0x2f, 0xff, 0x87,
-    0x34, 0x8e, 0x43, 0x44, 0xc4, 0xde, 0xe9, 0xcb, 0x54, 0x7b, 0x94, 0x32,
-    0xa6, 0xc2, 0x23, 0x3d, 0xee, 0x4c, 0x95, 0x0b, 0x42, 0xfa, 0xc3, 0x4e,
-    0x08, 0x2e, 0xa1, 0x66, 0x28, 0xd9, 0x24, 0xb2, 0x76, 0x5b, 0xa2, 0x49,
-    0x6d, 0x8b, 0xd1, 0x25, 0x72, 0xf8, 0xf6, 0x64, 0x86, 0x68, 0x98, 0x16,
-    0xd4, 0xa4, 0x5c, 0xcc, 0x5d, 0x65, 0xb6, 0x92, 0x6c, 0x70, 0x48, 0x50,
-    0xfd, 0xed, 0xb9, 0xda, 0x5e, 0x15, 0x46, 0x57, 0xa7, 0x8d, 0x9d, 0x84,
-    0x90, 0xd8, 0xab, 0x00, 0x8c, 0xbc, 0xd3, 0x0a, 0xf7, 0xe4, 0x58, 0x05,
-    0xb8, 0xb3, 0x45, 0x06, 0xd0, 0x2c, 0x1e, 0x8f, 0xca, 0x3f, 0x0f, 0x02,
-    0xc1, 0xaf, 0xbd, 0x03, 0x01, 0x13, 0x8a, 0x6b, 0x3a, 0x91, 0x11, 0x41,
-    0x4f, 0x67, 0xdc, 0xea, 0x97, 0xf2, 0xcf, 0xce, 0xf0, 0xb4, 0xe6, 0x73,
-    0x96, 0xac, 0x74, 0x22, 0xe7, 0xad, 0x35, 0x85, 0xe2, 0xf9, 0x37, 0xe8,
-    0x1c, 0x75, 0xdf, 0x6e, 0x47, 0xf1, 0x1a, 0x71, 0x1d, 0x29, 0xc5, 0x89,
-    0x6f, 0xb7, 0x62, 0x0e, 0xaa, 0x18, 0xbe, 0x1b, 0xfc, 0x56, 0x3e, 0x4b,
-    0xc6, 0xd2, 0x79, 0x20, 0x9a, 0xdb, 0xc0, 0xfe, 0x78, 0xcd, 0x5a, 0xf4,
-    0x1f, 0xdd, 0xa8, 0x33, 0x88, 0x07, 0xc7, 0x31, 0xb1, 0x12, 0x10, 0x59,
-    0x27, 0x80, 0xec, 0x5f, 0x60, 0x51, 0x7f, 0xa9, 0x19, 0xb5, 0x4a, 0x0d,
-    0x2d, 0xe5, 0x7a, 0x9f, 0x93, 0xc9, 0x9c, 0xef, 0xa0, 0xe0, 0x3b, 0x4d,
-    0xae, 0x2a, 0xf5, 0xb0, 0xc8, 0xeb, 0xbb, 0x3c, 0x83, 0x53, 0x99, 0x61,
-    0x17, 0x2b, 0x04, 0x7e, 0xba, 0x77, 0xd6, 0x26, 0xe1, 0x69, 0x14, 0x63,
-    0x55, 0x21, 0x0c, 0x7d};
-
 }  // namespace aes_internal
 
 namespace {
 
-using aes_internal::kAesInvSBox;
 using aes_internal::kAesSBox;
 
 constexpr uint8_t XTimeC(uint8_t x) {
@@ -187,64 +162,6 @@ inline void EncryptLanes(const uint8_t* rk, int rounds,
   }
 }
 
-// --- Decryption (cold path: only ECB known-answer tests and the block
-// API use it; every cipher mode in the system is CTR or CMAC, i.e. forward
-// AES only). Byte-oriented like the seed implementation. ---
-
-inline uint8_t GMul(uint8_t a, uint8_t b) {
-  uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    p ^= static_cast<uint8_t>(-(b & 1) & a);
-    a = XTimeC(a);
-    b >>= 1;
-  }
-  return p;
-}
-
-inline void InvSubBytes(uint8_t s[16]) {
-  for (int i = 0; i < 16; ++i) s[i] = kAesInvSBox[s[i]];
-}
-
-inline void InvShiftRows(uint8_t s[16]) {
-  uint8_t t;
-  t = s[13]; s[13] = s[9]; s[9] = s[5]; s[5] = s[1]; s[1] = t;
-  t = s[2]; s[2] = s[10]; s[10] = t;
-  t = s[6]; s[6] = s[14]; s[14] = t;
-  t = s[3]; s[3] = s[7]; s[7] = s[11]; s[11] = s[15]; s[15] = t;
-}
-
-inline void InvMixColumns(uint8_t s[16]) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = s + 4 * c;
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = GMul(a0, 14) ^ GMul(a1, 11) ^ GMul(a2, 13) ^ GMul(a3, 9);
-    col[1] = GMul(a0, 9) ^ GMul(a1, 14) ^ GMul(a2, 11) ^ GMul(a3, 13);
-    col[2] = GMul(a0, 13) ^ GMul(a1, 9) ^ GMul(a2, 14) ^ GMul(a3, 11);
-    col[3] = GMul(a0, 11) ^ GMul(a1, 13) ^ GMul(a2, 9) ^ GMul(a3, 14);
-  }
-}
-
-inline void AddRoundKey(uint8_t s[16], const uint8_t* rk) {
-  for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
-}
-
-void DecryptOne(const uint8_t* rk, int rounds, const uint8_t* in,
-                uint8_t* out) {
-  uint8_t s[16];
-  std::memcpy(s, in, 16);
-  AddRoundKey(s, rk + 16 * rounds);
-  for (int round = rounds - 1; round >= 1; --round) {
-    InvShiftRows(s);
-    InvSubBytes(s);
-    AddRoundKey(s, rk + 16 * round);
-    InvMixColumns(s);
-  }
-  InvShiftRows(s);
-  InvSubBytes(s);
-  AddRoundKey(s, rk);
-  std::memcpy(out, s, 16);
-}
-
 // XORs `n` bytes of keystream into out (reading from in). 64-bit chunks via
 // memcpy keep this alias- and alignment-safe.
 inline void XorInto(const uint8_t* in, const uint8_t* ks, uint8_t* out,
@@ -308,12 +225,8 @@ void CtrKeystream(const uint8_t* rk, int rounds, const uint8_t iv[16],
   SoftCtr(rk, rounds, iv, nullptr, out, len);
 }
 
-}  // namespace
-
-namespace aes_internal {
-
-void SoftEncryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
-                       uint8_t* out, size_t nblocks) {
+void EncryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
+                   uint8_t* out, size_t nblocks) {
   size_t b = 0;
   for (; b + kCtrLanes <= nblocks; b += kCtrLanes) {
     EncryptLanes<kCtrLanes>(rk, rounds, in + 16 * b, out + 16 * b);
@@ -323,21 +236,13 @@ void SoftEncryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
   }
 }
 
-void SoftDecryptBlocks(const uint8_t* rk, int rounds, const uint8_t* in,
-                       uint8_t* out, size_t nblocks) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    DecryptOne(rk, rounds, in + 16 * b, out + 16 * b);
-  }
-}
-
-}  // namespace aes_internal
+}  // namespace
 
 const AesBackendOps* SoftAesBackend() {
   static const AesBackendOps ops = {
       "soft",
       /*accelerated=*/false,
-      aes_internal::SoftEncryptBlocks,
-      aes_internal::SoftDecryptBlocks,
+      EncryptBlocks,
       CtrXor,
       CtrKeystream,
   };

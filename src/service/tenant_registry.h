@@ -34,8 +34,7 @@ struct TenantRegistryOptions {
   /// OpenAll requires a root.
   std::string root_dir;
   /// Engine template for every tenant. `dir` is ignored (the registry
-  /// derives the per-tenant subpath); segment_bytes and node_cache_bytes
-  /// apply.
+  /// derives the per-tenant subpath); segment_bytes applies.
   StorageOptions storage;
   /// Workers in the process-wide pool shared by every tenant (QueryBatch
   /// fan-out AND per-query fetch units). 0 = one worker.

@@ -35,7 +35,7 @@ struct BPlusTree::SplitResult {
 namespace {
 
 // Index of the first key in `keys[from..)` that is >= `key`, over either
-// key container (a resident leaf's vector<Bytes> or a pinned page's
+// key container (a resident leaf's vector<Bytes> or a paged leaf's
 // vector<Slice>). The bulk leaf merge resumes from its previous position
 // instead of re-searching the whole leaf.
 template <typename KeyVec>
@@ -272,9 +272,8 @@ Status BPlusTree::Find(Slice key, uint64_t* row_id, bool* found) const {
     node = node->children[ChildIndex(node->keys, key)].get();
   }
   if (node->paged) {
-    StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
-    if (!pin.ok()) return pin.status();
-    const NodeStore::Page& page = **pin;
+    NodeStore::Page page;
+    CONCEALER_RETURN_IF_ERROR(store_->GetPage(node->page_id, &page));
     const size_t pos = LowerBound(page.keys, key);
     if (pos < page.keys.size() && page.keys[pos] == key) {
       *row_id = page.values[pos];
@@ -428,7 +427,7 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
   // slots). After the
   // last internal level, the batch's complete set of leaf pages is known
   // — that is the I/O batching point the level-at-a-time descent was
-  // built for: one Prefetch covers every cold page before any probe pins
+  // built for: one Prefetch covers every cold page before any probe reads
   // one, so the disk reads overlap instead of serializing per probe.
   std::vector<const Node*> cur(n, root_.get());
   for (int level = 1; level < height_; ++level) {
@@ -455,18 +454,18 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
 
   // Resolve probe runs leaf by leaf. A resident leaf (re-materialized by
   // an insert/delete since the last persist) merges against its own
-  // vectors; a paged leaf pins its page. Answers are identical to the
-  // resident tree's either way.
+  // vectors; a paged leaf is read in place into one Page reused across
+  // the groups. Answers are identical to the resident tree's either way.
+  NodeStore::Page page;
   size_t i = 0;
   while (i < n) {
     const Node* leaf = cur[i];
     size_t end = i + 1;
     while (end < n && cur[end] == leaf) ++end;
     if (leaf->paged) {
-      StatusOr<NodeStore::PagePin> pin = store_->GetPage(leaf->page_id);
-      if (!pin.ok()) return pin.status();
-      MergeLeafGroup(sorted_keys, row_ids, i, end, (*pin)->keys,
-                     (*pin)->values, hits);
+      CONCEALER_RETURN_IF_ERROR(store_->GetPage(leaf->page_id, &page));
+      MergeLeafGroup(sorted_keys, row_ids, i, end, page.keys, page.values,
+                     hits);
     } else {
       MergeLeafGroup(sorted_keys, row_ids, i, end, leaf->keys, leaf->values,
                      hits);
@@ -477,9 +476,8 @@ Status BPlusTree::BulkFind(const Slice* sorted_keys, size_t n,
 }
 
 Status BPlusTree::MaterializeLeaf(Node* node) {
-  StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
-  if (!pin.ok()) return pin.status();
-  const NodeStore::Page& page = **pin;
+  NodeStore::Page page;
+  CONCEALER_RETURN_IF_ERROR(store_->GetPage(node->page_id, &page));
   node->keys.reserve(page.keys.size());
   for (const Slice& key : page.keys) node->keys.push_back(key.ToBytes());
   node->values = page.values;
@@ -510,11 +508,10 @@ Status BPlusTree::ForEach(
     const std::function<bool(Slice, uint64_t)>& visitor) const {
   const Node* node = root_.get();
   while (!node->is_leaf) node = node->children.front().get();
+  NodeStore::Page page;
   for (; node != nullptr; node = node->next_leaf) {
     if (node->paged) {
-      StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
-      if (!pin.ok()) return pin.status();
-      const NodeStore::Page& page = **pin;
+      CONCEALER_RETURN_IF_ERROR(store_->GetPage(node->page_id, &page));
       for (size_t i = 0; i < page.keys.size(); ++i) {
         if (!visitor(page.keys[i], page.values[i])) return Status::OK();
       }
@@ -556,12 +553,12 @@ Status BPlusTree::CheckNode(const Node* node, int depth, int* leaf_depth,
                             size_t* leaf_keys, bool is_root,
                             bool relax_occupancy) const {
   if (node->is_leaf && node->paged) {
-    // Paged leaf: the same checks run against the pinned page (loading it
-    // re-verifies the frame checksum, so this path also proves the page
-    // bytes are intact).
-    StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
-    if (!pin.ok()) return pin.status();
-    const NodeStore::Page& page = **pin;
+    // Paged leaf: the same checks run against the page read in place (a
+    // page's first read since the store's Open verifies its frame
+    // checksum, so after a fresh Open this also proves the page bytes are
+    // intact).
+    NodeStore::Page page;
+    CONCEALER_RETURN_IF_ERROR(store_->GetPage(node->page_id, &page));
     if (page.keys.size() > kFanout) return Status::Internal("node overflow");
     if (!is_root && !relax_occupancy && page.keys.size() < kFanout / 4) {
       return Status::Internal("node underflow");
@@ -629,9 +626,9 @@ Status BPlusTree::SaveNode(const Node* node, NodeFileBuilder* builder,
     if (node->paged) {
       // Stream the page through from the current file — bodies are
       // already in the shared page format.
-      StatusOr<NodeStore::PagePin> pin = store_->GetPage(node->page_id);
-      if (!pin.ok()) return pin.status();
-      id = builder->AppendPage((*pin)->body);
+      NodeStore::Page page;
+      CONCEALER_RETURN_IF_ERROR(store_->GetPage(node->page_id, &page));
+      id = builder->AppendPage(page.body);
     } else {
       Bytes body;
       PutFixed32(&body, static_cast<uint32_t>(node->keys.size()));
@@ -654,6 +651,17 @@ Status BPlusTree::SaveNode(const Node* node, NodeFileBuilder* builder,
 }
 
 Status BPlusTree::SavePaged(NodeStore* store, uint64_t stamp) const {
+  if (store_ != nullptr) {
+    // Streaming the paged leaves reads the current file front to back:
+    // start that read-ahead up front.
+    std::vector<uint32_t> ids;
+    const Node* node = root_.get();
+    while (!node->is_leaf) node = node->children.front().get();
+    for (; node != nullptr; node = node->next_leaf) {
+      if (node->paged) ids.push_back(node->page_id);
+    }
+    store_->Prefetch(ids.data(), ids.size());
+  }
   NodeFileBuilder builder(store->path());
   CONCEALER_RETURN_IF_ERROR(builder.Begin());
   Bytes dir;

@@ -28,8 +28,8 @@ class NodeFileBuilder;
 ///
 /// Paged mode: AttachPaged() rebinds the tree to a NodeStore — internal
 /// levels stay resident (their keys are ~1/kFanout of the total), leaf
-/// nodes become stubs that name an on-disk node page, and lookups pin
-/// pages through the store's bounded LRU cache. Datasets whose index
+/// nodes become stubs that name an on-disk node page, and lookups read
+/// pages in place from the store's mapped node file. Datasets whose index
 /// exceeds RAM stay serveable; answers are byte-identical to the resident
 /// tree. Paged I/O can fail, so every probe (Find, BulkFind, ForEach)
 /// returns a Status and fails closed on a corrupt or unreadable page
@@ -80,8 +80,9 @@ class BPlusTree {
 
   /// Validates B+-tree invariants (sorted keys, node occupancy, uniform leaf
   /// depth, leaf chain consistency). Used by property tests. In paged mode
-  /// this loads every page (checksummed), so it doubles as a full-file
-  /// integrity scan.
+  /// this reads every page; right after the store's Open() each read
+  /// checks its page's checksum, so it doubles as a full-file integrity
+  /// scan.
   Status CheckInvariants() const;
 
   /// Exact-match probe: `*found` and `*row_id` are set on a hit, `*found`
@@ -114,12 +115,12 @@ class BPlusTree {
   /// the key blob its next compare will read). Paged trees route through
   /// the resident skeleton, and once every probe has its leaf the distinct
   /// leaf pages the batch needs are known: one batched NodeStore::Prefetch
-  /// is issued before any probe pins a page, so the cold reads overlap
+  /// is issued before any probe reads a page, so the cold reads overlap
   /// instead of serializing probe by probe. Fails closed on page damage.
   Status BulkFind(const Slice* sorted_keys, size_t n, uint64_t* row_ids,
                   size_t* hits) const;
 
-  /// In-order visitation of all (key, row_id) pairs (pins each leaf page
+  /// In-order visitation of all (key, row_id) pairs (reads each leaf page
   /// along the chain in paged mode). Visitor returns false to stop early;
   /// an early stop is not an error.
   Status ForEach(const std::function<bool(Slice, uint64_t)>& visitor) const;
@@ -129,8 +130,9 @@ class BPlusTree {
   /// Serializes the tree into `store`'s node file (crash-safe: tmp +
   /// rename), stamping it with `stamp` (the engine's durable_generation —
   /// the node file's freshness rule). Works on resident, paged or mixed
-  /// trees; paged leaves are streamed through from the current file.
-  /// Does not change this tree — call store->Open() + AttachPaged() to
+  /// trees; paged leaves are streamed through from the current file, after
+  /// one NodeStore::Prefetch of those not yet read. Does not change this
+  /// tree — call store->Open() + AttachPaged() to
   /// swap onto the new file.
   Status SavePaged(NodeStore* store, uint64_t stamp) const;
 

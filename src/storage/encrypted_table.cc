@@ -39,8 +39,8 @@ Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
                                  std::vector<RowRef>* out) const {
   // Counters are accumulated locally and folded in under the lock once per
   // batch: fetches run concurrently in the parallel query path, and the
-  // B+-tree itself is read-only here (paged page-cache traffic is
-  // internally locked).
+  // B+-tree itself is read-only here (paged leaves are read in place,
+  // without a lock).
   // Sort the probe set once (a permutation array, so the caller-visible
   // output order is untouched), resolve every probe in one shared descent
   // (BPlusTree::BulkFind), then emit matches in the original order. A
@@ -147,7 +147,7 @@ Status EncryptedTable::PersistPagedIndex() {
   NodeStore* ns = store_->node_store();
   CONCEALER_RETURN_IF_ERROR(index_.SavePaged(ns, store_->durable_generation()));
   // Re-open over the just-renamed file and swap the tree onto it: resident
-  // leaves become page stubs served through the bounded cache.
+  // leaves become page stubs read in place from the mapped file.
   CONCEALER_RETURN_IF_ERROR(ns->Open());
   return index_.AttachPaged(ns);
 }
@@ -166,6 +166,7 @@ Status EncryptedTable::RecoverIndex() {
       index_.AttachPaged(ns).ok()) {
     return Status::OK();
   }
+  ns->Close();  // The rebuilt tree reads no page; drop the mapping.
   index_ = BPlusTree();
   // Rebuild as a DBMS's sorted index build does: one sort of the keys,
   // then a bottom-up load. Each 32-byte entry carries an 8-byte big-endian

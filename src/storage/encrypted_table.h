@@ -135,9 +135,9 @@ class EncryptedTable {
 
   /// Serializes the B+-tree's leaves into the engine's node file
   /// (crash-safe tmp+rename, stamped with durable_generation), then
-  /// re-attaches the index to the new file — resident leaf memory drops to page stubs, and the bounded
-  /// node cache takes over. The persist schedule is the service layer's
-  /// (geometric in the table size).
+  /// re-attaches the index to the new file — resident leaf memory drops to
+  /// page stubs, read in place from the mapped file. The persist schedule
+  /// is the service layer's (geometric in the table size).
   Status PersistPagedIndex();
 
   /// True when the index is currently serving leaves from the node file.

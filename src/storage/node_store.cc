@@ -1,10 +1,11 @@
 #include "storage/node_store.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <algorithm>
 #include <utility>
 
 #include "common/coding.h"
@@ -18,98 +19,84 @@ namespace {
 // Footer body: stamp | table_off | table_len | dir_off | dir_len | num_pages.
 constexpr size_t kFooterBody = 6 * 8;
 
-}  // namespace
-
-// --- NodeStore -------------------------------------------------------------
-
-NodeStore::NodeStore(Options options)
-    : options_(std::move(options)) {}
-
-NodeStore::~NodeStore() { Close(); }
-
-bool NodeStore::is_open() const { return fd_ >= 0; }
-
-void NodeStore::Close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  stamp_ = 0;
-  file_size_ = 0;
-  pages_.clear();
-  directory_.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  lru_.clear();
-  cache_bytes_ = 0;
-}
-
-namespace {
-
-// pread of exactly `n` bytes (plain syscalls: reads are not durability
-// events, so they bypass the fault_fs shim by design).
-bool PReadAll(int fd, uint8_t* dst, size_t n, uint64_t off) {
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::pread(fd, dst + got, n - got,
-                              static_cast<off_t>(off + got));
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-// Reads and frame-checks the record at [off, off+framed_len). Returns the
-// body (owned).
-StatusOr<Bytes> ReadFrameAt(int fd, uint64_t off, uint64_t framed_len,
-                            uint64_t file_size) {
-  if (framed_len < FramedSize(0) || off + framed_len > file_size) {
+// The body of the frame at [off, off + framed_len) of `file`. With
+// `verify_checksum` false only the frame header and lengths are checked
+// (ReadVerifiedFramedRecord), for a frame already checked since Open().
+StatusOr<Slice> FrameAt(Slice file, uint64_t off, uint64_t framed_len,
+                        bool verify_checksum) {
+  if (framed_len < FramedSize(0) || off > file.size() ||
+      framed_len > file.size() - off) {
     return Status::Corruption("node file: frame out of bounds");
   }
-  Bytes buf(framed_len);
-  if (!PReadAll(fd, buf.data(), buf.size(), off)) {
-    return Status::Corruption("node file: short read");
-  }
+  const Slice frame(file.data() + off, framed_len);
   size_t frame_off = 0;
-  StatusOr<Slice> body = ReadFramedRecord(buf, &frame_off);
+  StatusOr<Slice> body = verify_checksum
+                             ? ReadFramedRecord(frame, &frame_off)
+                             : ReadVerifiedFramedRecord(frame, &frame_off);
   if (!body.ok()) {
     return Status::Corruption("node file: bad frame (" +
                               body.status().message() + ")");
   }
-  if (frame_off != buf.size()) {
+  if (frame_off != frame.size()) {
     return Status::Corruption("node file: frame length mismatch");
   }
-  return Bytes(body->data(), body->data() + body->size());
+  return body;
 }
 
 }  // namespace
 
+// --- NodeStore -------------------------------------------------------------
+
+NodeStore::NodeStore(std::string path) : path_(std::move(path)) {}
+
+NodeStore::~NodeStore() { Close(); }
+
+void NodeStore::Close() {
+  if (map_ != nullptr) ::munmap(const_cast<uint8_t*>(map_), map_len_);
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  map_ = nullptr;
+  map_len_ = 0;
+  stamp_ = 0;
+  pages_.clear();
+  directory_ = Slice();
+}
+
 Status NodeStore::Open() {
-  const int fd = ::open(options_.path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::NotFound("no node file at " + options_.path);
-  }
+  const int fd = ::open(path_.c_str(), O_RDONLY);
+  if (fd < 0) return Status::NotFound("no node file at " + path_);
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    return Status::Internal("fstat failed: " + options_.path);
+    return Status::Internal("fstat failed: " + path_);
   }
-  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  const size_t size = static_cast<size_t>(st.st_size);
   const uint64_t footer_len = FramedSize(kFooterBody);
   if (size < footer_len) {
     ::close(fd);
-    return Status::Corruption("node file truncated: " + options_.path);
+    return Status::Corruption("node file truncated: " + path_);
   }
-  StatusOr<Bytes> footer = ReadFrameAt(fd, size - footer_len, footer_len,
-                                       size);
-  if (!footer.ok()) {
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  if (map == MAP_FAILED) {
     ::close(fd);
-    return footer.status();
+    return Status::Internal("mmap failed: " + path_);
   }
+  // Leaf reads are random, and Prefetch reads ahead exactly the pages a
+  // batch will touch: turn off the kernel's read-around on a page fault,
+  // which would read up to the device's read-ahead window of unrelated
+  // leaves per miss and pre-empt Prefetch.
+  ::madvise(map, size, MADV_RANDOM);
+  const auto fail = [&](Status status) {
+    ::munmap(map, size);
+    ::close(fd);
+    return status;
+  };
+  const Slice file(static_cast<const uint8_t*>(map), size);
+  StatusOr<Slice> footer = FrameAt(file, size - footer_len, footer_len,
+                                   /*verify_checksum=*/true);
+  if (!footer.ok()) return fail(footer.status());
   if (footer->size() != kFooterBody) {
-    ::close(fd);
-    return Status::Corruption("node file: bad footer size");
+    return fail(Status::Corruption("node file: bad footer size"));
   }
   const uint8_t* f = footer->data();
   const uint64_t stamp = DecodeFixed64(f);
@@ -118,142 +105,91 @@ Status NodeStore::Open() {
   const uint64_t dir_off = DecodeFixed64(f + 24);
   const uint64_t dir_len = DecodeFixed64(f + 32);
   const uint64_t num_pages = DecodeFixed64(f + 40);
-  StatusOr<Bytes> table = ReadFrameAt(fd, table_off, table_len, size);
-  if (!table.ok()) {
-    ::close(fd);
-    return table.status();
-  }
-  if (table->size() != num_pages * 16) {
-    ::close(fd);
-    return Status::Corruption("node file: page table size mismatch");
+  StatusOr<Slice> table = FrameAt(file, table_off, table_len,
+                                  /*verify_checksum=*/true);
+  if (!table.ok()) return fail(table.status());
+  if (table->size() % 16 != 0 || table->size() / 16 != num_pages) {
+    return fail(Status::Corruption("node file: page table size mismatch"));
   }
   std::vector<PageLoc> pages(num_pages);
   for (uint64_t i = 0; i < num_pages; ++i) {
     pages[i].offset = DecodeFixed64(table->data() + 16 * i);
     pages[i].framed_len = DecodeFixed64(table->data() + 16 * i + 8);
-    if (pages[i].framed_len < FramedSize(0) ||
-        pages[i].offset + pages[i].framed_len > table_off) {
-      ::close(fd);
-      return Status::Corruption("node file: page location out of bounds");
+    if (pages[i].framed_len < FramedSize(0) || pages[i].offset > table_off ||
+        pages[i].framed_len > table_off - pages[i].offset) {
+      return fail(Status::Corruption("node file: page location out of bounds"));
     }
   }
-  StatusOr<Bytes> directory = ReadFrameAt(fd, dir_off, dir_len, size);
-  if (!directory.ok()) {
-    ::close(fd);
-    return directory.status();
-  }
+  StatusOr<Slice> directory = FrameAt(file, dir_off, dir_len,
+                                      /*verify_checksum=*/true);
+  if (!directory.ok()) return fail(directory.status());
   Close();
   fd_ = fd;
+  map_ = file.data();
+  map_len_ = size;
   stamp_ = stamp;
-  file_size_ = size;
   pages_ = std::move(pages);
-  directory_ = std::move(*directory);
-  ++generation_;
+  directory_ = *directory;
   return Status::OK();
 }
 
-StatusOr<std::shared_ptr<const NodeStore::Page>> NodeStore::LoadPage(
-    uint32_t id) const {
-  const PageLoc& loc = pages_[id];
-  StatusOr<Bytes> body = ReadFrameAt(fd_, loc.offset, loc.framed_len,
-                                     file_size_);
+Status NodeStore::GetPage(uint32_t id, Page* out) {
+  if (map_ == nullptr) return Status::FailedPrecondition("node store not open");
+  if (id >= pages_.size()) {
+    return Status::InvalidArgument("node page id out of range");
+  }
+  PageLoc& loc = pages_[id];
+  // The mapping is immutable while open, so the flag guards no data: it
+  // only decides whether this read hashes the frame.
+  const bool first = !loc.checked.load();
+  StatusOr<Slice> body = FrameAt(Slice(map_, map_len_), loc.offset,
+                                 loc.framed_len, /*verify_checksum=*/first);
   if (!body.ok()) return body.status();
-  auto page = std::make_shared<Page>();
-  page->generation = generation_;
-  page->body = std::move(*body);
-  const Slice b(page->body);
-  size_t off = 0;
+  const Slice b = *body;
   if (b.size() < 4) return Status::Corruption("node page: truncated header");
   const uint32_t num_keys = DecodeFixed32(b.data());
-  off = 4;
-  page->keys.reserve(num_keys);
-  page->values.reserve(num_keys);
+  out->body = b;
+  out->keys.clear();
+  out->values.clear();
+  // Each entry takes at least 12 bytes, which bounds the reservation for a
+  // damaged count.
+  const size_t max_keys = std::min<size_t>(num_keys, b.size() / 12);
+  out->keys.reserve(max_keys);
+  out->values.reserve(max_keys);
+  size_t off = 4;
   for (uint32_t i = 0; i < num_keys; ++i) {
     Slice key;
     if (!GetLengthPrefixedView(b, &off, &key) || off + 8 > b.size()) {
       return Status::Corruption("node page: truncated entry");
     }
-    page->keys.push_back(key);
-    page->values.push_back(DecodeFixed64(b.data() + off));
+    out->keys.push_back(key);
+    out->values.push_back(DecodeFixed64(b.data() + off));
     off += 8;
   }
   if (off != b.size()) {
     return Status::Corruption("node page: trailing bytes");
   }
-  return std::shared_ptr<const Page>(std::move(page));
-}
-
-StatusOr<NodeStore::PagePin> NodeStore::GetPage(uint32_t id) {
-  if (fd_ < 0) return Status::FailedPrecondition("node store not open");
-  if (id >= pages_.size()) {
-    return Status::InvalidArgument("node page id out of range");
+  if (first) {
+    loc.checked.store(true);
+    loads_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(id);
-    if (it != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.page;
-    }
-  }
-  // Load outside the lock so concurrent misses on different pages overlap
-  // their I/O; a racing duplicate load of the same page is harmless (last
-  // one wins the cache slot, both pins are valid).
-  StatusOr<std::shared_ptr<const Page>> page = LoadPage(id);
-  if (!page.ok()) return page.status();
-  loads_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t bytes =
-      (*page)->body.size() + 16 * (*page)->keys.size() + 96;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(id);
-  if (it == cache_.end()) {
-    lru_.push_front(id);
-    cache_[id] = CacheEntry{*page, bytes, lru_.begin()};
-    cache_bytes_ += bytes;
-    TrimLocked(options_.cache_bytes);
-  }
-  return *page;
+  return Status::OK();
 }
 
 void NodeStore::Prefetch(const uint32_t* ids, size_t n) {
-  if (fd_ < 0 || n == 0 || prefetch_mode_ == PrefetchMode::kOff) return;
-  std::vector<std::pair<uint64_t, uint64_t>> ranges;
-  ranges.reserve(n);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] >= pages_.size()) continue;
-      if (cache_.find(ids[i]) != cache_.end()) continue;
-      ranges.emplace_back(pages_[ids[i]].offset, pages_[ids[i]].framed_len);
-    }
+  if (map_ == nullptr || prefetch_mode_ == PrefetchMode::kOff) return;
+  uint64_t issued = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (ids[i] >= pages_.size()) continue;
+    const PageLoc& loc = pages_[ids[i]];
+    if (loc.checked.load()) continue;
+    ::posix_fadvise(fd_, static_cast<off_t>(loc.offset),
+                    static_cast<off_t>(loc.framed_len), POSIX_FADV_WILLNEED);
+    ++issued;
   }
-  if (ranges.empty()) return;
-  prefetched_pages_.fetch_add(ranges.size(), std::memory_order_relaxed);
-  for (const auto& [off, len] : ranges) {
-    ::posix_fadvise(fd_, static_cast<off_t>(off), static_cast<off_t>(len),
-                    POSIX_FADV_WILLNEED);
-  }
-}
-
-void NodeStore::TrimLocked(uint64_t target_bytes) {
-  while (cache_bytes_ > target_bytes && !lru_.empty()) {
-    const uint32_t victim = lru_.back();
-    lru_.pop_back();
-    auto it = cache_.find(victim);
-    cache_bytes_ -= it->second.bytes;
-    cache_.erase(it);  // Outstanding pins keep the page alive.
-  }
-}
-
-void NodeStore::TrimCache(uint64_t target_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TrimLocked(target_bytes);
-}
-
-uint64_t NodeStore::cache_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_bytes_;
+  prefetched_pages_.fetch_add(issued, std::memory_order_relaxed);
 }
 
 // --- NodeFileBuilder -------------------------------------------------------

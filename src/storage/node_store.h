@@ -3,11 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/slice.h"
@@ -18,8 +14,9 @@ namespace concealer {
 /// On-disk home for B+-tree leaf pages — the piece that lets an index grow
 /// past RAM. The tree's internal levels (~1/kFanout of the key bytes) stay
 /// resident; leaves serialize into one generation-stamped `index-nodes`
-/// file per storage directory and load on demand through a bounded LRU
-/// page cache.
+/// file per storage directory, which Open() maps read-only and GetPage()
+/// reads in place. Residency is the kernel's, as for the segments: leaf
+/// pages page in and out like any file-backed mapping.
 ///
 /// File layout (every region is a standard epoch_io frame, so the same
 /// magic/version/FNV checks that guard segments and epoch metas guard node
@@ -35,110 +32,102 @@ namespace concealer {
 ///   footer body    : stamp(8) | table_off(8) | table_len(8) |
 ///                    dir_off(8) | dir_len(8) | num_pages(8)
 ///
-/// The footer is fixed-size and last, so Open() reads it with one pread
-/// and never touches leaf bytes — attaching a multi-GB index at restart
-/// costs two small reads (footer + directory). `stamp` carries the
+/// The footer is fixed-size and last, so Open() checks the footer, page
+/// table and directory without touching leaf bytes — attaching a multi-GB
+/// index at restart reads three small regions. `stamp` carries the
 /// engine's durable_generation() at write time: a stale stamp means rows
 /// changed after the dump, so recovery ignores the file and rebuilds the
 /// index from the rows.
 ///
-/// Corruption policy is fail-closed: a mangled footer/table/directory
-/// fails Open(); a mangled leaf page fails the GetPage() that touches it
-/// (checksum mismatch -> kCorruption), so a paged lookup returns an error
-/// rather than a wrong answer. A torn tail (crash mid-build) has no valid
-/// footer and is ignored the same way — the builder writes `.tmp` +
-/// rename, so a half-built file never shadows a good one.
+/// Read-ahead is Prefetch's alone: the mapping is MADV_RANDOM (no kernel
+/// read-around on a fault), and callers that know which pages they will
+/// read — BulkFind's batch, SavePaged's stream — prefetch them.
 ///
-/// Pins and invalidation: GetPage() hands out shared_ptr pins, so an
-/// evicted page stays readable until its last pin drops (memory-safe by
-/// construction, unlike raw segment borrows). Staleness is still
-/// observable the RowRef::stale() way: every successful Open() bumps
-/// generation(), and each Page records the generation it was loaded
-/// under — a pin whose generation lags the store's was read from a
-/// replaced file.
+/// Corruption policy is fail-closed, and the segments' one: checked once
+/// per Open(), then read in place. A mangled footer/table/directory or a
+/// failed map fails Open(). A leaf page's frame checksum is checked on its
+/// first read after each Open() (mismatch -> kCorruption, and the page
+/// stays unchecked, so every later read fails too); later reads check only
+/// the frame header. Damage that lands after a page's first read is caught
+/// by the first read after the next Open(). A torn tail (crash mid-build)
+/// has no valid footer and fails Open() the same way — the builder writes
+/// `.tmp` + rename, so a half-built file never shadows a good one.
 ///
-/// Thread safety: GetPage/Prefetch/TrimCache may race with each other
-/// (one internal mutex; page I/O runs outside it). Open/Close and the
-/// builder require external exclusive access, like engine mutators.
+/// Views: a Page's `body` and `keys` point into the mapping and stay valid
+/// until the store's next Open() or Close(). In the library only
+/// EncryptedTable::PersistPagedIndex and RecoverIndex call them, under the
+/// exclusive epoch lock — the RowRef rule, one level down.
+///
+/// Thread safety: GetPage/Prefetch take no lock and may race with each
+/// other; each writes only a page's atomic first-read flag and relaxed
+/// counters (two racing first reads both check the checksum, which is
+/// harmless). Open/Close and the builder require external exclusive
+/// access, like engine mutators.
 class NodeStore {
  public:
-  struct Options {
-    std::string path;  // The node file ("<dir>/index-nodes").
-    /// LRU cache budget over parsed pages (bytes, approximate): a hard
-    /// target the cache trims down to after every insertion, not a
-    /// reservation.
-    uint64_t cache_bytes = 64ull << 20;
-  };
-
-  /// One parsed leaf page. `keys` are views into `body`; `values` are the
-  /// decoded row ids, parallel to `keys`.
+  /// One leaf page, read in place. `body` is the page body and `keys` view
+  /// into it; `values` are the decoded row ids, parallel to `keys`.
+  /// GetPage refills a caller-owned Page, so a loop reuses its vectors.
   struct Page {
-    uint64_t generation = 0;  // NodeStore generation at load time.
-    Bytes body;
+    Slice body;
     std::vector<Slice> keys;
     std::vector<uint64_t> values;
   };
-  using PagePin = std::shared_ptr<const Page>;
 
   /// How Prefetch turns a batch of wanted pages into I/O.
   ///  - kOff:     no-op (the control leg benches compare against).
-  ///  - kFadvise: one posix_fadvise(WILLNEED) per uncached page — the
-  ///              default; the kernel starts readahead for every page
-  ///              before the first probe blocks on any of them.
+  ///  - kFadvise: one posix_fadvise(WILLNEED) per page not yet read since
+  ///              Open() — the default; the kernel starts readahead for
+  ///              every page before the first probe blocks on any of them.
   enum class PrefetchMode { kOff, kFadvise };
 
-  explicit NodeStore(Options options);
+  /// `path` is the node file ("<dir>/index-nodes").
+  explicit NodeStore(std::string path);
   ~NodeStore();
 
   NodeStore(const NodeStore&) = delete;
   NodeStore& operator=(const NodeStore&) = delete;
 
-  /// (Re)opens the node file: reads and verifies footer, page table and
-  /// directory, drops any cached pages from a previous file and bumps
-  /// generation(). Fails NotFound if the file is absent and kCorruption
-  /// on any framing/bounds damage (including a torn tail).
+  /// (Re)opens the node file: maps it read-only and verifies the footer,
+  /// page table and directory, then drops the previous file's mapping.
+  /// Fails NotFound if the file is absent, kCorruption on any framing/
+  /// bounds damage (including a torn tail) and Internal if the map fails;
+  /// on failure the previous file stays open.
   Status Open();
 
   /// True after a successful Open() (until Close()).
-  bool is_open() const;
+  bool is_open() const { return map_ != nullptr; }
 
-  /// Drops the fd, cache and directory (e.g. the file went stale).
+  /// Unmaps the file and drops the page table and directory (e.g. the file
+  /// went stale).
   void Close();
 
   /// durable_generation() stamp the file was written under.
   uint64_t stamp() const { return stamp_; }
   uint32_t num_pages() const { return static_cast<uint32_t>(pages_.size()); }
-  /// The tree-directory body (valid while open).
-  const Bytes& directory() const { return directory_; }
-  /// Bumped by every successful Open(); see the staleness note above.
-  uint64_t generation() const { return generation_; }
-  const std::string& path() const { return options_.path; }
+  /// The tree-directory body (a view into the mapping; valid while open).
+  Slice directory() const { return directory_; }
+  const std::string& path() const { return path_; }
 
-  /// Loads (or returns the cached) page `id`. kCorruption on checksum or
-  /// parse failure — never a wrong page.
-  StatusOr<PagePin> GetPage(uint32_t id);
+  /// Reads page `id` in place into `*out` (see the corruption policy
+  /// above). kCorruption on checksum or parse failure — never a wrong
+  /// page; `*out` is then unspecified.
+  Status GetPage(uint32_t id, Page* out);
 
-  /// Starts readahead for every page in `ids` that is not already cached,
+  /// Starts readahead for every page in `ids` not yet read since Open(),
   /// per the active PrefetchMode. Advisory: never fails, never blocks on
   /// page content.
   void Prefetch(const uint32_t* ids, size_t n);
 
-  /// Evicts least-recently-used pages until the cache holds at most
-  /// `target_bytes` (0 = drop everything). Outstanding pins stay valid.
-  void TrimCache(uint64_t target_bytes);
-  void DropCache() { TrimCache(0); }
-
-  uint64_t cache_bytes() const;
-
   /// Not synchronized with Prefetch: set it before probes run.
   void set_prefetch_mode(PrefetchMode mode) { prefetch_mode_ = mode; }
 
-  // --- Observability (tests and the exp16 paged leg) ---------------------
+  // --- Observability (tests, perfbench and the exp16 paged leg) ----------
   // Relaxed counters: each is read on its own, never as a consistent set.
-  uint64_t loads() const {  // Pages read from disk.
+  uint64_t loads() const {  // First reads since Open() (checksum checked).
     return loads_.load(std::memory_order_relaxed);
   }
-  uint64_t cache_hits() const {  // GetPage served from cache.
+  uint64_t cache_hits() const {  // Later reads (frame header only).
     return cache_hits_.load(std::memory_order_relaxed);
   }
   uint64_t prefetched_pages() const {
@@ -149,28 +138,17 @@ class NodeStore {
   struct PageLoc {
     uint64_t offset = 0;
     uint64_t framed_len = 0;
-  };
-  struct CacheEntry {
-    std::shared_ptr<const Page> page;
-    uint64_t bytes = 0;
-    std::list<uint32_t>::iterator lru_it;
+    /// Set once the page's frame checksum has passed since Open().
+    std::atomic<bool> checked{false};
   };
 
-  StatusOr<std::shared_ptr<const Page>> LoadPage(uint32_t id) const;
-  void TrimLocked(uint64_t target_bytes);
-
-  Options options_;
-  int fd_ = -1;
+  std::string path_;
+  int fd_ = -1;  // Kept open for Prefetch's fadvise.
+  const uint8_t* map_ = nullptr;
+  size_t map_len_ = 0;
   uint64_t stamp_ = 0;
-  uint64_t file_size_ = 0;
   std::vector<PageLoc> pages_;
-  Bytes directory_;
-  uint64_t generation_ = 0;
-
-  mutable std::mutex mu_;
-  std::unordered_map<uint32_t, CacheEntry> cache_;
-  std::list<uint32_t> lru_;  // Front = most recent.
-  uint64_t cache_bytes_ = 0;
+  Slice directory_;
 
   PrefetchMode prefetch_mode_ = PrefetchMode::kFadvise;
 

@@ -82,10 +82,8 @@ StatusOr<std::unique_ptr<SegmentEngine>> SegmentEngine::Open(
   CONCEALER_RETURN_IF_ERROR(MkdirRecursive(options.dir));
 
   std::unique_ptr<SegmentEngine> engine(new SegmentEngine(std::move(options)));
-  NodeStore::Options node_options;
-  node_options.path = engine->options_.dir + "/index-nodes";
-  node_options.cache_bytes = engine->options_.node_cache_bytes;
-  engine->node_store_ = std::make_unique<NodeStore>(node_options);
+  engine->node_store_ =
+      std::make_unique<NodeStore>(engine->options_.dir + "/index-nodes");
 
   // Collect existing segment files and recover them in index order.
   std::vector<uint32_t> indexes;
@@ -578,7 +576,6 @@ StatusOr<std::unique_ptr<StorageEngine>> MakeStorageEngine(
     const StorageOptions& options, ThreadPool* pool) {
   SegmentEngine::Options seg_options;
   seg_options.segment_bytes = options.segment_bytes;
-  seg_options.node_cache_bytes = options.node_cache_bytes;
   if (options.dir.empty()) {
     std::error_code ec;
     const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);

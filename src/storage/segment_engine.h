@@ -51,8 +51,6 @@ class SegmentEngine : public StorageEngine {
     /// Ephemeral mode: unlink every file and remove the directory on
     /// destruction (a StorageOptions with an empty dir).
     bool remove_on_close = false;
-    /// Node-page cache budget (see StorageOptions::node_cache_bytes).
-    uint64_t node_cache_bytes = 64ull << 20;
   };
 
   /// Opens (and, if the directory already holds segments, recovers) an

@@ -69,8 +69,8 @@ class StorageEngine {
   /// ephemeral directory, which is removed with the engine).
   virtual bool persistent() const = 0;
 
-  /// The paged-index node store (the B+-tree leaf-page file + bounded page
-  /// cache beside the segments). Never null. Owned by the engine and
+  /// The paged-index node store (the mapped B+-tree leaf-page file beside
+  /// the segments). Never null. Owned by the engine and
   /// destroyed with it; EncryptedTable declares its engine before its
   /// index, so tree-held pointers never dangle.
   virtual NodeStore* node_store() = 0;
@@ -122,11 +122,6 @@ struct StorageOptions {
   std::string dir;
   /// Capacity of one segment file. Oversized rows get a dedicated segment.
   uint64_t segment_bytes = 8ull << 20;
-  /// Byte budget of the node-page LRU cache. The engine pages the B+-tree
-  /// index to disk: leaf pages live in an `index-nodes` file beside the
-  /// segments and load on demand through this cache, so an index larger
-  /// than RAM stays serveable.
-  uint64_t node_cache_bytes = 64ull << 20;
 };
 
 /// Opens (and, if present, recovers) the segment directory `options`

@@ -39,9 +39,6 @@ TEST(AesTest, Fips197Aes128) {
   uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Slice(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  uint8_t back[16];
-  aes.DecryptBlock(ct, back);
-  EXPECT_EQ(HexEncode(Slice(back, 16)), HexEncode(pt));
 }
 
 TEST(AesTest, Fips197Aes256) {
@@ -53,9 +50,6 @@ TEST(AesTest, Fips197Aes256) {
   uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Slice(ct, 16)), "8ea2b7ca516745bfeafc49904b496089");
-  uint8_t back[16];
-  aes.DecryptBlock(ct, back);
-  EXPECT_EQ(HexEncode(Slice(back, 16)), HexEncode(pt));
 }
 
 TEST(AesTest, RejectsBadKeySizes) {
@@ -67,18 +61,6 @@ TEST(AesTest, RejectsBadKeySizes) {
   EXPECT_TRUE(aes.SetKey(Bytes(32, 0)).ok());
 }
 
-TEST(AesTest, EncryptDecryptRoundTripRandomBlocks) {
-  Aes aes;
-  ASSERT_TRUE(aes.SetKey(Bytes(32, 0x5a)).ok());
-  uint8_t block[16], ct[16], back[16];
-  for (int trial = 0; trial < 64; ++trial) {
-    for (int i = 0; i < 16; ++i) block[i] = uint8_t(trial * 16 + i);
-    aes.EncryptBlock(block, ct);
-    aes.DecryptBlock(ct, back);
-    EXPECT_EQ(0, memcmp(block, back, 16));
-  }
-}
-
 TEST(AesTest, CtrModeNistVector) {
   // NIST SP 800-38A F.5.1 (AES-128 CTR), first block.
   Aes aes;
@@ -86,7 +68,7 @@ TEST(AesTest, CtrModeNistVector) {
   const Bytes iv = FromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
   const Bytes pt = FromHex("6bc1bee22e409f96e93d7e117393172a");
   Bytes ct(pt.size());
-  AesCtrXor(aes, iv.data(), pt, ct.data());
+  AesCtr::Xor(aes, iv.data(), pt, ct.data());
   EXPECT_EQ(HexEncode(ct), "874d6191b620e3261bef6864990db6ce");
 }
 
@@ -97,9 +79,9 @@ TEST(AesTest, CtrIsLengthPreservingAndInvolutive) {
   for (size_t len : {0u, 1u, 15u, 16u, 17u, 100u}) {
     Bytes pt(len, 0xab);
     Bytes ct(len);
-    AesCtrXor(aes, iv, pt, ct.data());
+    AesCtr::Xor(aes, iv, pt, ct.data());
     Bytes back(len);
-    AesCtrXor(aes, iv, ct, back.data());
+    AesCtr::Xor(aes, iv, ct, back.data());
     EXPECT_EQ(back, pt) << len;
   }
 }
@@ -397,11 +379,9 @@ TEST_P(AesBackendTest, Fips197EcbKats) {
       aes.SetKey(FromHex("000102030405060708090a0b0c0d0e0f"), GetParam())
           .ok());
   const Bytes pt = FromHex("00112233445566778899aabbccddeeff");
-  uint8_t ct[16], back[16];
+  uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Slice(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.DecryptBlock(ct, back);
-  EXPECT_EQ(HexEncode(Slice(back, 16)), HexEncode(pt));
 
   ASSERT_TRUE(aes.SetKey(FromHex("000102030405060708090a0b0c0d0e0f"
                                  "101112131415161718191a1b1c1d1e1f"),
@@ -409,8 +389,6 @@ TEST_P(AesBackendTest, Fips197EcbKats) {
                   .ok());
   aes.EncryptBlock(pt.data(), ct);
   EXPECT_EQ(HexEncode(Slice(ct, 16)), "8ea2b7ca516745bfeafc49904b496089");
-  aes.DecryptBlock(ct, back);
-  EXPECT_EQ(HexEncode(Slice(back, 16)), HexEncode(pt));
 }
 
 TEST_P(AesBackendTest, NistSp80038aCtrAes128FullVector) {
@@ -596,10 +574,6 @@ TEST(AesBackendDifferentialTest, SoftAndAcceleratedAgreeOnRandomInputs) {
     soft_aes.EncryptBlock(iv, blk_soft);
     accel_aes.EncryptBlock(iv, blk_accel);
     ASSERT_EQ(0, memcmp(blk_soft, blk_accel, 16));
-    soft_aes.DecryptBlock(blk_soft, blk_soft);
-    accel_aes.DecryptBlock(blk_accel, blk_accel);
-    ASSERT_EQ(0, memcmp(blk_soft, blk_accel, 16));
-    ASSERT_EQ(0, memcmp(blk_soft, iv, 16));
   }
 }
 

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,21 +32,10 @@
 #include "service/tenant_registry.h"
 #include "storage/fault_fs.h"
 #include "workload/wifi_generator.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-durab-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
 
 ConcealerConfig TestConfig() {
   ConcealerConfig config;
@@ -409,6 +397,54 @@ TEST(DurabilityTest, CheckpointTruncatesWalAndSurvivesRestart) {
     EXPECT_EQ(Probe(sp->get()), want);
   }
   RemoveDirRecursive(dir);
+}
+
+// §6 churn through a QueryService compacts an ephemeral provider's
+// directory as it compacts a named one. Without compaction every rewritten
+// row stays on disk as a dead record, so the ephemeral footprint would
+// grow with the query count instead of staying near the named one's.
+TEST(DurabilityTest, EphemeralProviderCompactsLikeNamedUnderDynamicChurn) {
+  const ConcealerConfig config = TestConfig();
+  DataProvider dp(config, Bytes(32, 0x66));
+  const Bytes user_secret(16, 0x7b);
+  ASSERT_TRUE(dp.RegisterUser("alice", user_secret, "").ok());
+  auto epochs = dp.EncryptAll(TestTuples(2));
+  ASSERT_TRUE(epochs.ok());
+
+  // Ingests both epochs, runs 200 dynamic queries and returns the engine's
+  // DiskBytes() (0 on any failure).
+  const auto churn = [&](const StorageOptions& options) -> uint64_t {
+    auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
+    EXPECT_TRUE(sp.ok()) << sp.status().ToString();
+    if (!sp.ok()) return 0;
+    for (const auto& e : *epochs) EXPECT_TRUE((*sp)->IngestEpoch(e).ok());
+    QueryService service(std::move(*sp));
+    EXPECT_TRUE(service.LoadRegistry(dp.EncryptedRegistry()).ok());
+    auto token = service.OpenSession(
+        "alice", Registry::MakeProof(user_secret, "alice"));
+    EXPECT_TRUE(token.ok());
+    if (!token.ok()) return 0;
+    service.set_dynamic_mode(true);
+    for (int i = 0; i < 200; ++i) {
+      Query q;
+      q.agg = Aggregate::kCount;
+      q.key_values = {{uint64_t(1 + i % 19)}};
+      q.time_lo = (i % 2) * 86400 + (i % 20) * 3600;
+      q.time_hi = q.time_lo + 2 * 3600;
+      auto result = service.Execute(*token, q);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return 0;
+    }
+    return service.provider()->table().engine().DiskBytes();
+  };
+  const std::string dir = TempDir();
+  const uint64_t named = churn(MmapOptions(dir));
+  RemoveDirRecursive(dir);
+  const uint64_t ephemeral = churn(StorageOptions{});
+  ASSERT_GT(named, 0u);
+  ASSERT_GT(ephemeral, 0u);
+  EXPECT_LE(ephemeral, 2 * named)
+      << "ephemeral " << ephemeral << " B vs named " << named << " B";
 }
 
 // --- Crash-point sweep -----------------------------------------------------

@@ -1,8 +1,10 @@
 // Tests for the paged B+-tree index: node-file round trips, byte-identity
-// between paged and resident trees, eviction/reload behavior under a tiny
-// cache budget, fail-closed handling of torn and corrupt node files, the
-// crash-point sweep over PersistPagedIndex's writes, and the
-// ServiceProvider restart path that re-attaches the paged index.
+// between paged and resident trees, the read policy (a page's checksum is
+// checked on its first read after each Open, then the page is read in
+// place, from any number of threads), fail-closed handling of torn and
+// corrupt node files, the crash-point sweep over PersistPagedIndex's
+// writes, and the ServiceProvider restart path that re-attaches the paged
+// index.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -27,6 +29,7 @@
 #include "storage/node_store.h"
 #include "storage/segment_engine.h"
 #include "workload/wifi_generator.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
@@ -49,23 +52,9 @@ Bytes WideKey(Rng* rng, uint64_t counter) {
   return key;
 }
 
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-paging-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
-
-std::unique_ptr<StorageEngine> OpenSegEngine(const std::string& dir,
-                                             uint64_t node_cache_bytes) {
+std::unique_ptr<StorageEngine> OpenSegEngine(const std::string& dir) {
   SegmentEngine::Options options;
   options.dir = dir;
-  options.node_cache_bytes = node_cache_bytes;
   auto engine = SegmentEngine::Open(options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(*engine);
@@ -102,8 +91,8 @@ void TruncateTo(const std::string& path, long size) {
 // --- Tree level ------------------------------------------------------------
 
 // Builds a resident tree, saves it, attaches a second tree to the file and
-// demands bitwise-identical answers on every probe shape — with a cache
-// budget so small every batch churns through evictions.
+// demands bitwise-identical answers on every probe shape, over first and
+// later reads of the pages.
 TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
   const std::string dir = TempDir();
   const size_t n = 5000;
@@ -117,7 +106,7 @@ TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
     ASSERT_TRUE(resident.Insert(keys[i], i).ok());
   }
 
-  NodeStore store({dir + "/index-nodes", /*cache_bytes=*/4096});
+  NodeStore store(dir + "/index-nodes");
   ASSERT_TRUE(resident.SavePaged(&store, /*stamp=*/n).ok());
   ASSERT_TRUE(store.Open().ok());
   EXPECT_EQ(store.stamp(), n);
@@ -189,51 +178,9 @@ TEST(IndexPagingTest, PagedTreeMatchesResidentByteIdentical) {
                   .ok());
   EXPECT_EQ(got_seq, want_seq);
 
-  // Full integrity scan (loads and checksums every page).
+  // Full scan (reads every page; checksums those not read since Open).
   EXPECT_TRUE(paged.CheckInvariants().ok());
 
-  RemoveDirRecursive(dir);
-}
-
-TEST(IndexPagingTest, TinyBudgetEvictsAndReloadsIdentically) {
-  const std::string dir = TempDir();
-  const size_t n = 3000;
-  Rng rng(0xcafe);
-  std::vector<Bytes> keys;
-  for (uint64_t i = 0; i < n; ++i) keys.push_back(WideKey(&rng, i));
-  BPlusTree resident;
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(resident.Insert(keys[i], i).ok());
-  }
-  NodeStore store({dir + "/index-nodes", /*cache_bytes=*/2048});
-  ASSERT_TRUE(resident.SavePaged(&store, 1).ok());
-  ASSERT_TRUE(store.Open().ok());
-  BPlusTree paged;
-  ASSERT_TRUE(paged.AttachPaged(&store).ok());
-
-  // The budget holds only a page or two, so three full passes force every
-  // page to be loaded, evicted and reloaded — answers never change.
-  for (int pass = 0; pass < 3; ++pass) {
-    for (uint64_t i = 0; i < n; i += 11) {
-      uint64_t got = 0;
-      bool found = false;
-      ASSERT_TRUE(paged.Find(keys[i], &got, &found).ok());
-      ASSERT_TRUE(found);
-      ASSERT_EQ(got, i);
-    }
-  }
-  EXPECT_GT(store.loads(), static_cast<uint64_t>(store.num_pages()))
-      << "tiny budget never evicted — reload path untested";
-  EXPECT_LE(store.cache_bytes(), 2048u + 4096u)
-      << "cache grew far past its budget";
-
-  // Dropping the cache entirely is always safe.
-  store.DropCache();
-  uint64_t got = 0;
-  bool found = false;
-  ASSERT_TRUE(paged.Find(keys[42], &got, &found).ok());
-  EXPECT_TRUE(found);
-  EXPECT_EQ(got, 42u);
   RemoveDirRecursive(dir);
 }
 
@@ -247,7 +194,7 @@ TEST(IndexPagingTest, InsertDeleteAfterAttachMaterializesLeaves) {
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(tree.Insert(keys[i], i).ok());
   }
-  NodeStore store({dir + "/index-nodes", 1u << 20});
+  NodeStore store(dir + "/index-nodes");
   ASSERT_TRUE(tree.SavePaged(&store, 1).ok());
   ASSERT_TRUE(store.Open().ok());
   BPlusTree paged;
@@ -291,6 +238,28 @@ TEST(IndexPagingTest, InsertDeleteAfterAttachMaterializesLeaves) {
   RemoveDirRecursive(dir);
 }
 
+// SavePaged streams the paged leaves front to back. The mapping does no
+// read-around of its own, so the stream prefetches the leaves not yet read
+// since the Open, and only those.
+TEST(IndexPagingTest, SavePagedPrefetchesUnreadLeaves) {
+  const std::string dir = TempDir();
+  BPlusTree tree;
+  for (uint64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(tree.Insert(Key(i), i).ok());
+  }
+  NodeStore store(dir + "/index-nodes");
+  ASSERT_TRUE(tree.SavePaged(&store, 1).ok());
+  ASSERT_TRUE(store.Open().ok());
+  BPlusTree paged;
+  ASSERT_TRUE(paged.AttachPaged(&store).ok());
+  NodeStore::Page page;
+  ASSERT_TRUE(store.GetPage(0, &page).ok());
+  const uint64_t before = store.prefetched_pages();
+  ASSERT_TRUE(paged.SavePaged(&store, 2).ok());
+  EXPECT_EQ(store.prefetched_pages() - before, store.num_pages() - 1u);
+  RemoveDirRecursive(dir);
+}
+
 // --- Corruption / staleness ------------------------------------------------
 
 TEST(IndexPagingTest, TornTailFailsOpenCleanly) {
@@ -300,7 +269,7 @@ TEST(IndexPagingTest, TornTailFailsOpenCleanly) {
     ASSERT_TRUE(tree.Insert(Key(i), i).ok());
   }
   const std::string path = dir + "/index-nodes";
-  NodeStore store({path, 1u << 20});
+  NodeStore store(path);
   ASSERT_TRUE(tree.SavePaged(&store, 1).ok());
   ASSERT_TRUE(store.Open().ok());
   store.Close();
@@ -311,7 +280,7 @@ TEST(IndexPagingTest, TornTailFailsOpenCleanly) {
   for (long cut : {size - 1, size - 17, size / 2, 24L, 1L}) {
     SCOPED_TRACE("truncated to " + std::to_string(cut));
     TruncateTo(path, cut);
-    NodeStore torn({path, 1u << 20});
+    NodeStore torn(path);
     EXPECT_FALSE(torn.Open().ok());
     EXPECT_FALSE(torn.is_open());
   }
@@ -321,7 +290,7 @@ TEST(IndexPagingTest, TornTailFailsOpenCleanly) {
 TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
   const std::string dir = TempDir();
   auto table = std::make_unique<EncryptedTable>(
-      "t", 2, 1, OpenSegEngine(dir, /*node_cache_bytes=*/4096));
+      "t", 2, 1, OpenSegEngine(dir));
   const uint64_t n = 2000;
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
@@ -329,23 +298,29 @@ TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
   ASSERT_TRUE(table->PersistPagedIndex().ok());
   ASSERT_TRUE(table->paged_index());
 
-  // Flip a byte inside the first leaf page's frame body. The footer, page
-  // table and directory still verify, so the damage is only discoverable
-  // when a probe pins that page — and then it must surface as an error,
-  // not a wrong answer.
+  // PersistPagedIndex re-opened the store and read no page since. Learn a
+  // key of the first leaf page through a second store over the same file
+  // (its own mapping and first-read flags), then flip a byte inside that
+  // page's frame body. The footer, page table and directory still verify,
+  // so the damage is only discoverable when a probe reads that page — its
+  // first read since the Open checks the checksum, and the damage must
+  // surface as an error, not a wrong answer.
   NodeStore* ns = table->engine()->node_store();
   Bytes damaged_key;  // A stored key that lives in the damaged page.
   {
-    StatusOr<NodeStore::PagePin> pin = ns->GetPage(0);
-    ASSERT_TRUE(pin.ok());
-    ASSERT_FALSE((*pin)->keys.empty());
-    damaged_key = (*pin)->keys.front().ToBytes();
+    NodeStore probe(ns->path());
+    ASSERT_TRUE(probe.Open().ok());
+    NodeStore::Page page;
+    ASSERT_TRUE(probe.GetPage(0, &page).ok());
+    ASSERT_FALSE(page.keys.empty());
+    damaged_key = page.keys.front().ToBytes();
   }
+  ASSERT_EQ(ns->loads(), 0u);
   FlipByteAt(ns->path(), 25);
-  ns->DropCache();
 
   // A direct page read reports corruption.
-  EXPECT_FALSE(ns->GetPage(0).ok());
+  NodeStore::Page page;
+  EXPECT_TRUE(ns->GetPage(0, &page).IsCorruption());
 
   // A batch that spans every leaf hits the bad page: FetchRefs fails
   // closed — no refs, stats untouched.
@@ -366,11 +341,128 @@ TEST(IndexPagingTest, CorruptLeafPageFailsClosed) {
   EXPECT_EQ(table->stats().index_probes, 0u);
   EXPECT_EQ(table->stats().rows_fetched, 0u);
 
-  // CheckInvariants doubles as the full-file integrity scan.
-  // (Through the table: a fresh attach at recovery also refuses the file
-  // only lazily — the directory is intact — so recovery-time protection
-  // for leaf damage is the per-probe checksum, exactly what ran above.)
+  // A failed page stays unchecked: every later read re-checks and fails.
+  EXPECT_TRUE(ns->GetPage(0, &page).IsCorruption());
+  // (A fresh attach at recovery refuses the file only lazily — the
+  // directory is intact — so recovery-time protection for leaf damage is
+  // the first-read checksum, exactly what ran above.)
   table.reset();
+  RemoveDirRecursive(dir);
+}
+
+// The read policy's other half: a page is checked once per Open, then read
+// in place (the segments' policy). Damage that lands after a page's first
+// read goes unseen until the next Open, whose first read of the page
+// catches it.
+TEST(IndexPagingTest, DamageAfterFirstReadIsCaughtAtNextOpen) {
+  const std::string dir = TempDir();
+  const std::string path = dir + "/index-nodes";
+  BPlusTree tree;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(tree.Insert(Key(i), i).ok());
+  }
+  NodeStore store(path);
+  ASSERT_TRUE(tree.SavePaged(&store, 1).ok());
+  ASSERT_TRUE(store.Open().ok());
+  BPlusTree paged;
+  ASSERT_TRUE(paged.AttachPaged(&store).ok());
+
+  NodeStore::Page page;
+  ASSERT_TRUE(store.GetPage(0, &page).ok());
+  ASSERT_FALSE(page.keys.empty());
+  const Bytes first_key = page.keys.front().ToBytes();
+  EXPECT_EQ(store.loads(), 1u);
+  EXPECT_EQ(store.cache_hits(), 0u);
+
+  // Flip a byte of page 0's first key: frame header (24) + num_keys (4) +
+  // klen (4) puts the key at file offset 32.
+  FlipByteAt(path, 32 + 3);
+  // The page passed its check since this Open, so this read checks only
+  // the frame header and sees the damaged key in place.
+  ASSERT_TRUE(store.GetPage(0, &page).ok());
+  EXPECT_NE(page.keys.front(), Slice(first_key));
+  EXPECT_EQ(store.loads(), 1u);
+  EXPECT_EQ(store.cache_hits(), 1u);
+
+  // The next Open re-arms every page's first-read check: the footer, page
+  // table and directory are intact, so Open succeeds, and the first read
+  // of the damaged page fails closed — directly and through the tree.
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_TRUE(store.GetPage(0, &page).IsCorruption());
+  uint64_t row_id = 0;
+  bool found = false;
+  EXPECT_TRUE(paged.Find(first_key, &row_id, &found).IsCorruption());
+  EXPECT_FALSE(found);
+  const Slice probe(first_key);
+  size_t hits = 0;
+  EXPECT_TRUE(paged.BulkFind(&probe, 1, &row_id, &hits).IsCorruption());
+  EXPECT_FALSE(paged.CheckInvariants().ok());
+  // Pages the flip missed still read fine.
+  ASSERT_TRUE(paged.Find(Key(999), &row_id, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(row_id, 999u);
+  RemoveDirRecursive(dir);
+}
+
+// Four threads probe a freshly attached paged tree whose pages are all
+// unread, so they race on every page's first read (checksum and flag) and
+// on the prefetch that reads the same flags. Each must match the resident
+// tree exactly. Runs under TSan (CONCEALER_TSAN_SUITES).
+TEST(IndexPagingConcurrencyTest, FirstReadsRaceAcrossThreads) {
+  const std::string dir = TempDir();
+  const size_t n = 20000;
+  Rng rng(0x7a5);
+  std::vector<Bytes> keys;
+  keys.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) keys.push_back(WideKey(&rng, i));
+  BPlusTree resident;
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(resident.Insert(keys[i], i).ok());
+  }
+  std::vector<Bytes> absent;
+  for (uint64_t i = 0; i < 500; ++i) absent.push_back(WideKey(&rng, n + i));
+  std::vector<Slice> probes(keys.begin(), keys.end());
+  probes.insert(probes.end(), absent.begin(), absent.end());
+  std::sort(probes.begin(), probes.end(),
+            [](Slice a, Slice b) { return a.Compare(b) < 0; });
+  std::vector<uint64_t> want(probes.size());
+  size_t want_hits = 0;
+  ASSERT_TRUE(
+      resident.BulkFind(probes.data(), probes.size(), want.data(), &want_hits)
+          .ok());
+  ASSERT_EQ(want_hits, n);
+
+  NodeStore store(dir + "/index-nodes");
+  ASSERT_TRUE(resident.SavePaged(&store, /*stamp=*/1).ok());
+  ASSERT_TRUE(store.Open().ok());
+  BPlusTree paged;
+  ASSERT_TRUE(paged.AttachPaged(&store).ok());
+  ASSERT_EQ(store.loads(), 0u);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint64_t>> got(
+      kThreads, std::vector<uint64_t>(probes.size()));
+  std::vector<size_t> hits(kThreads, 0);
+  std::vector<Status> status(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      status[t] = paged.BulkFind(probes.data(), probes.size(), got[t].data(),
+                                 &hits[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ASSERT_TRUE(status[t].ok()) << status[t].ToString();
+    EXPECT_EQ(hits[t], want_hits);
+    EXPECT_EQ(got[t], want);
+  }
+  // Every probe set covers every leaf once per thread. Each page's first
+  // read was checked at least once; racing first reads may each count.
+  const uint64_t pages = store.num_pages();
+  EXPECT_EQ(store.loads() + store.cache_hits(), kThreads * pages);
+  EXPECT_GE(store.loads(), pages);
   RemoveDirRecursive(dir);
 }
 
@@ -379,7 +471,7 @@ TEST(IndexPagingTest, CorruptDirectoryFallsBackAtRecovery) {
   const uint64_t n = 1500;
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     for (uint64_t i = 0; i < n; ++i) {
       ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
     }
@@ -390,18 +482,18 @@ TEST(IndexPagingTest, CorruptDirectoryFallsBackAtRecovery) {
   // checksum breaks, Open() fails, and recovery must fall through to the
   // row-scan rebuild — fail closed, then heal, never serve a wrong tree.
   {
-    NodeStore probe({dir + "/index-nodes", 1u << 20});
+    NodeStore probe(dir + "/index-nodes");
     ASSERT_TRUE(probe.Open().ok());
     // Directory frame body sits between the page table and the footer;
     // flip a byte a fixed distance before the footer frame (footer body
     // is 48 bytes + 24-byte frame header).
     FlipByteAt(dir + "/index-nodes", -(48 + 24 + 4));
-    NodeStore again({dir + "/index-nodes", 1u << 20});
+    NodeStore again(dir + "/index-nodes");
     EXPECT_FALSE(again.Open().ok());
   }
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_FALSE(table->paged_index());  // Fell back to a resident rebuild.
     std::vector<RowRef> refs;
@@ -415,7 +507,7 @@ TEST(IndexPagingTest, StaleStampIgnoredAtRecovery) {
   const std::string dir = TempDir();
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     for (uint64_t i = 0; i < 500; ++i) {
       ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
     }
@@ -426,7 +518,7 @@ TEST(IndexPagingTest, StaleStampIgnoredAtRecovery) {
   }
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_FALSE(table->paged_index());  // Stale node file was ignored.
     std::vector<RowRef> refs;
@@ -443,7 +535,7 @@ TEST(IndexPagingTest, FreshNodeFileAttachesAtRecovery) {
   std::vector<uint64_t> want_ids;
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     for (uint64_t i = 0; i < n; ++i) {
       ASSERT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
     }
@@ -457,7 +549,7 @@ TEST(IndexPagingTest, FreshNodeFileAttachesAtRecovery) {
   }
   {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, /*node_cache_bytes=*/4096));
+        "t", 2, 1, OpenSegEngine(dir));
     // The node file's stamp is fresh: recovery must attach it.
     ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_TRUE(table->paged_index());
@@ -486,7 +578,7 @@ TEST(IndexPagingTest, PersistCrashSweepRecovers) {
 
   auto build = [&](const std::string& dir) {
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     for (uint64_t i = 0; i < n; ++i) {
       EXPECT_TRUE(table->Insert(Row{{Bytes{uint8_t(i)}, Key(i)}}).ok());
     }
@@ -538,7 +630,7 @@ TEST(IndexPagingTest, PersistCrashSweepRecovers) {
     // complete renamed file — recovery must answer identically. The
     // engine recovers the durable rows; only the index needs rebuilding.
     auto table = std::make_unique<EncryptedTable>(
-        "t", 2, 1, OpenSegEngine(dir, 1u << 20));
+        "t", 2, 1, OpenSegEngine(dir));
     ASSERT_TRUE(table->RecoverIndex().ok());
     EXPECT_EQ(probe_ids(table.get()), want_ids);
     // And the next persist heals the node file for good.
@@ -591,8 +683,7 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
     queries.push_back(q);
   }
 
-  // Reference answers: an ephemeral provider under the default node
-  // cache, which holds the whole index, that never restarts.
+  // Reference answers: an ephemeral provider that never restarts.
   std::vector<Bytes> want;
   {
     auto sp = ServiceProvider::Open(config, dp.shared_secret());
@@ -608,8 +699,6 @@ TEST(IndexPagingTest, ProviderRestartAttachesAndAnswersIdentically) {
   const std::string dir = TempDir();
   StorageOptions options;
   options.dir = dir;
-  // Small budget: the provider serves paged probes through real evictions.
-  options.node_cache_bytes = 16 << 10;
   {
     auto sp = ServiceProvider::Open(config, dp.shared_secret(), options);
     ASSERT_TRUE(sp.ok()) << sp.status().ToString();

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,6 +48,7 @@
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "storage/fault_fs.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
@@ -61,18 +61,6 @@ using net::MsgType;
 using net::NetHeader;
 using net::ServerOptions;
 using net::WallMs;
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-net-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
 
 ConcealerConfig NetTestConfig() {
   ConcealerConfig config;

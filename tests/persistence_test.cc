@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <utility>
@@ -21,21 +20,10 @@
 #include "concealer/wire.h"
 #include "storage/segment_engine.h"
 #include "workload/wifi_generator.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-persist-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
 
 ConcealerConfig TestConfig() {
   ConcealerConfig config;

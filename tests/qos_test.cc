@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +23,7 @@
 #include "service/retry.h"
 #include "service/tenant_registry.h"
 #include "workload/wifi_generator.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
@@ -310,18 +310,6 @@ TEST(QosAdmissionTest, BlockingModeWaitsForASlot) {
 }
 
 // --- Tenant fixtures (mirrors tenant_test.cc) -----------------------------
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-qos-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
 
 ConcealerConfig QosTestConfig() {
   ConcealerConfig config;

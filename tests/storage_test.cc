@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +21,7 @@
 #include "storage/encrypted_table.h"
 #include "storage/node_store.h"
 #include "storage/segment_engine.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
@@ -38,18 +38,6 @@ Bytes OrderedKey(uint64_t v) {
   Bytes b(8);
   for (int i = 0; i < 8; ++i) b[i] = uint8_t(v >> (8 * (7 - i)));
   return b;
-}
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-storage-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
 }
 
 // Per-key probe: the row id on a hit, nullopt on a miss. A probe error
@@ -211,16 +199,15 @@ std::vector<uint64_t> DifferentialBulkFind(const BPlusTree& tree,
 
 // Runs the differential against both BulkFind branches: `tree` as built
 // (the resident lockstep descent), then the same tree saved to a node file
-// and attached under a node cache smaller than one page, so every leaf the
-// paged branch touches is loaded, evicted and reloaded. Both branches must
-// also return the same row ids. Returns the hit count (duplicates of a
-// present key each count).
+// and attached, so the paged branch reads every leaf it touches in place
+// from the mapped file. Both branches must also return the same row ids.
+// Returns the hit count (duplicates of a present key each count).
 size_t DifferentialBulkFindBothBranches(const BPlusTree& tree,
                                         const std::vector<Bytes>& probes) {
   const std::vector<uint64_t> want = DifferentialBulkFind(tree, probes);
   const std::string dir = TempDir();
   {
-    NodeStore store({dir + "/index-nodes", /*cache_bytes=*/256});
+    NodeStore store(dir + "/index-nodes");
     EXPECT_TRUE(tree.SavePaged(&store, /*stamp=*/1).ok());
     EXPECT_TRUE(store.Open().ok());
     BPlusTree paged;

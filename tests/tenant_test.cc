@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
@@ -19,21 +18,10 @@
 #include "service/tenant_registry.h"
 #include "storage/segment_engine.h"
 #include "workload/wifi_generator.h"
+#include "test_dir.h"
 
 namespace concealer {
 namespace {
-
-std::string TempDir() {
-  char tmpl[] = "/tmp/concealer-tenant-test-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return dir;
-}
-
-void RemoveDirRecursive(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-}
 
 bool DirExists(const std::string& dir) {
   struct stat st;
