@@ -136,6 +136,14 @@ def executor_checks(d):
             if checks["volume_violations"] or checks["wrong_answers"]:
                 return "%s traced %s: volume or answer failure %s" % (
                     workload, side, checks)
+    # A record that names the layers its change targets must show each of
+    # them fell in its traced runs.
+    for workload, layers in d.get("layers_fall", {}).items():
+        t = d["traced"][workload]
+        for layer in layers:
+            if t["change"][layer] >= t["parent"][layer]:
+                return "%s traced %s did not fall: %s -> %s" % (
+                    workload, layer, t["parent"][layer], t["change"][layer])
     return None
 
 
@@ -291,6 +299,7 @@ GATES = {
     "BENCH_crypto_ci.json": crypto_checks,
     "BENCH_hash_chains.json": hash_chains_checks,
     "BENCH_executor.json": executor_checks,
+    "BENCH_row_access.json": executor_checks,
     "BENCH_recovery.json": recovery_checks,
     "BENCH_index.json": index_checks,
     "BENCH_tenants.json": tenants_checks,

@@ -163,12 +163,6 @@ struct SweepRow {
   bool identical = true;
 };
 
-std::string MakeTempRoot() {
-  char tmpl[] = "/tmp/concealer-exp14-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  return dir == nullptr ? std::string() : std::string(dir);
-}
-
 // --- Zipf-skew QoS sweep ---------------------------------------------------
 //
 // The isolation gate above proves answers stay correct under contention; this
@@ -468,7 +462,7 @@ int main(int argc, char** argv) {
   }
 
   // One registry holding all 16 tenants; sweeps target prefixes of it.
-  const std::string root = MakeTempRoot();
+  const std::string root = bench::MakeTempDir("concealer-exp14");
   if (root.empty()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;

@@ -6,9 +6,9 @@
 // Three measurement layers, coarsest last:
 //   1. Tree sweep — a per-key Find loop vs BulkFind on a standalone
 //      B+-tree at 16/64/256/1024 probes per unit, with probes arriving
-//      pre-sorted and shuffled (the shuffled bulk timing pays the
-//      permutation sort that FetchRefs pays, so it is the honest
-//      end-to-end index cost).
+//      pre-sorted and shuffled (the shuffled bulk timing pays a sort of
+//      the probes, as FetchRefs does, so it is the honest end-to-end
+//      index cost).
 //   2. Table sweep — FetchRefs vs PerKeyFetchRefs below, on an ephemeral
 //      segment-engine table with a resident index. The reference is a fetch without bulk probing: one Find
 //      per key on a tree built by the same inserts as the table's index,
@@ -47,7 +47,7 @@
 //     effect (cold < 1.2x warm — tmpfs or an aggressive cache), because
 //     then there is no disk latency for prefetch to hide.
 //     FetchRefs is the production path: the bulk side is charged its
-//     permutation sort, and resolving ids before touching rows lets the
+//     probe sort, and resolving ids before touching rows lets the
 //     row reads overlap too, which the per-key loop's probe/touch/probe
 //     dependency chain cannot. The descent amortization only shows once
 //     the tree outgrows the caches, so the gate needs CONCEALER_EXP16_ROWS
@@ -158,8 +158,9 @@ struct SweepPoint {
   double speedup = 0;
 };
 
-// FetchRefs-equivalent bulk resolution of a caller-order probe set: sort a
-// permutation, BulkFind, scatter back. The sort is charged to the bulk side.
+// Bulk resolution of a caller-order probe set, as FetchRefs resolves one:
+// sort (here a permutation), BulkFind, scatter back. The sort is charged to
+// the bulk side.
 void BulkCallerOrder(const BPlusTree& tree, const std::vector<Slice>& probes,
                      std::vector<uint32_t>* perm, std::vector<Slice>* sorted,
                      std::vector<uint64_t>* sorted_ids,
@@ -486,8 +487,8 @@ int main(int argc, char** argv) {
   const double min_prefetch =
       EnvDouble("CONCEALER_EXP16_MIN_PREFETCH_SPEEDUP", 1.0);
   // The paged leg's table stays on disk for the rebuild leg to re-open.
-  char paged_dir[] = "/tmp/concealer-exp16-XXXXXX";
-  if (::mkdtemp(paged_dir) == nullptr) {
+  const std::string paged_dir = bench::MakeTempDir("concealer-exp16");
+  if (paged_dir.empty()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }

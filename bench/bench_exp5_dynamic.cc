@@ -183,9 +183,8 @@ int main(int argc, char** argv) {
     want.push_back(SerializeQueryResult(*r));
   }
 
-  char dir_tmpl[] = "/tmp/concealer-exp5-churn-XXXXXX";
-  if (::mkdtemp(dir_tmpl) == nullptr) return 1;
-  const std::string churn_dir = dir_tmpl;
+  const std::string churn_dir = bench::MakeTempDir("concealer-exp5-churn");
+  if (churn_dir.empty()) return 1;
   StorageOptions churn_storage;
   churn_storage.dir = churn_dir;
 

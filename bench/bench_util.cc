@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "common/random.h"
@@ -25,6 +27,14 @@ int Reps() {
   if (env == nullptr) return 5;
   const int v = std::atoi(env);
   return v <= 0 ? 5 : v;
+}
+
+std::string MakeTempDir(const std::string& prefix) {
+  std::error_code ec;
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+  if (ec) return std::string();
+  std::string dir = (tmp / (prefix + "-XXXXXX")).string();
+  return ::mkdtemp(dir.data()) == nullptr ? std::string() : dir;
 }
 
 std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,

@@ -25,6 +25,11 @@ uint64_t Scale();
 /// Reps per timed query (default 5; CONCEALER_REPS env overrides).
 int Reps();
 
+/// Creates a fresh, empty directory `<prefix>-XXXXXX` under
+/// std::filesystem::temp_directory_path(), which honours TMPDIR as the
+/// library's ephemeral segment directories do. Returns "" on failure.
+std::string MakeTempDir(const std::string& prefix);
+
 /// A provider over an ephemeral segment directory, removed with it. An
 /// engine that cannot be opened aborts the bench.
 std::unique_ptr<ServiceProvider> MakeProvider(const ConcealerConfig& config,

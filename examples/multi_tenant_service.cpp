@@ -26,7 +26,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -99,9 +102,11 @@ int main() {
   TenantSetup metro = MakeTenant("metro-wifi", 0x11, /*busy_room=*/4);
   TenantSetup campus = MakeTenant("campus-wifi", 0x22, /*busy_room=*/7);
 
-  char root_tmpl[] = "/tmp/concealer-tenants-XXXXXX";
-  const char* root = ::mkdtemp(root_tmpl);
-  if (root == nullptr) return 1;
+  std::error_code ec;
+  std::string root = (std::filesystem::temp_directory_path(ec) /
+                      "concealer-tenants-XXXXXX")
+                         .string();
+  if (ec || ::mkdtemp(root.data()) == nullptr) return 1;
 
   TenantRegistryOptions options;
   // A root directory makes the tenants persistent, so the restart demo
@@ -249,7 +254,7 @@ int main() {
   std::printf("campus count(room=7, full day) after restart: %llu\n",
               (unsigned long long)after->count);
 
-  if (std::system((std::string("rm -rf '") + root + "'").c_str()) != 0) {
+  if (std::system(("rm -rf '" + root + "'").c_str()) != 0) {
     return 1;
   }
   return 0;

@@ -317,6 +317,9 @@ StatusOr<FetchedUnit> QueryExecutor::Fetch(const EpochState& state,
   // Index column is that trapdoor's bytes, so a damaged row fails its
   // cell's count alone. Refs come back in probe order: one cursor suffices.
   const auto& c_tuple = state.layout().count_per_cell_id;
+  const RowPrefetcher prefetch(
+      fetched.rows.size(), [&](size_t i) { return fetched.rows[i]; },
+      {kColIndex});
   size_t r = 0;
   size_t cell_end = 0;
   for (uint32_t cid : unit.cell_ids) {
@@ -325,6 +328,7 @@ StatusOr<FetchedUnit> QueryExecutor::Fetch(const EpochState& state,
     std::vector<size_t>& list = fetched.real_row_of_cid[cid];
     cell_end += c_tuple[cid];
     for (; r < refs.size() && refs[r].probe < cell_end; ++r) {
+      prefetch.Ahead(r);
       if (Slice(fetched.rows[r]->columns[kColIndex]) ==
           trapdoors[refs[r].probe]) {
         list.push_back(r);
@@ -340,6 +344,18 @@ Status QueryExecutor::Verify(const EpochState& state,
   // Re-encrypted units carry enclave-updated tags keyed by (cid, version);
   // version 0 tags come from DP. A missing tag for a non-empty cid means
   // the adversary dropped the whole cell-id — also corruption.
+  //
+  // The chains read each row's El, Eo and Er once, cell by cell in counter
+  // order; the prefetch runs ahead along that order across cell
+  // boundaries.
+  std::vector<const Row*> chain_order;
+  for (const auto& [cid, row_idxs] : fetched.real_row_of_cid) {
+    for (size_t idx : row_idxs) chain_order.push_back(fetched.rows[idx]);
+  }
+  const RowPrefetcher prefetch(
+      chain_order.size(), [&](size_t i) { return chain_order[i]; },
+      {kColEl, kColEo, kColEr});
+  size_t pos = 0;
   for (const auto& [cid, row_idxs] : fetched.real_row_of_cid) {
     const uint32_t expected = state.layout().count_per_cell_id[cid];
     if (row_idxs.size() != expected) {
@@ -356,8 +372,9 @@ Status QueryExecutor::Verify(const EpochState& state,
     }
     ChainTags got{};
     bool started = false;
-    for (size_t idx : row_idxs) {
-      ChainStepRow(*fetched.rows[idx], started, &got);
+    for (size_t k = 0; k < row_idxs.size(); ++k, ++pos) {
+      prefetch.Ahead(pos);
+      ChainStepRow(*chain_order[pos], started, &got);
       started = true;
     }
     const ChainTags& tags = tag_it->second;
@@ -490,8 +507,20 @@ Status QueryExecutor::MatchInto(const EpochState& state, const Query& query,
 
   if (!oblivious) {
     // Lookups hash views of the stored columns: no per-row allocation.
+    // The prefetch runs ahead over the rows the scan reads (the fresh ones)
+    // and the columns it looks up: El (Eo alone for Q4), then Eo when the
+    // query filters on it.
+    const size_t n = fetched.rows.size();
+    const auto fresh_row = [&](size_t i) {
+      return fresh[i] == 0 ? nullptr : fetched.rows[i];
+    };
+    const RowPrefetcher prefetch =
+        q4 || !filters.use_eo
+            ? RowPrefetcher(n, fresh_row, {q4 ? kColEo : kColEl})
+            : RowPrefetcher(n, fresh_row, {kColEl, kColEo});
     scratch->ct_views.clear();
-    for (size_t i = 0; i < fetched.rows.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
+      prefetch.Ahead(i);
       if (fresh[i] == 0) continue;
       const Row& row = *fetched.rows[i];
       const std::vector<uint64_t>* key_coords = nullptr;

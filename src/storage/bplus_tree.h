@@ -97,8 +97,9 @@ class BPlusTree {
   static constexpr uint64_t kNoMatch = ~uint64_t{0};
 
   /// Bulk exact-match probe over an ascending-sorted probe set (duplicate
-  /// probes allowed; a caller that needs its own output order carries a
-  /// permutation array — see EncryptedTable::FetchRefs). For each i,
+  /// probes allowed; a caller that needs its own output order carries
+  /// each probe's position through its sort — see
+  /// EncryptedTable::FetchRefs). For each i,
   /// row_ids[i] receives the row id of sorted_keys[i], or kNoMatch;
   /// `*hits` counts the matches. Answers are exactly n calls of Find.
   ///

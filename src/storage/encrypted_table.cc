@@ -7,6 +7,40 @@
 
 namespace concealer {
 
+namespace {
+
+// One key of a batch to sort: an 8-byte big-endian prefix of the key
+// (zero-padded), which orders entries the same way the full compare does
+// wherever two prefixes differ, the key, and the caller's tag (a probe
+// position or a row id). Index values open with a 16-byte SIV, so
+// prefixes almost never tie and the sort rarely leaves the entry array to
+// read a key.
+struct KeyEntry {
+  uint64_t prefix;
+  Slice key;
+  uint64_t tag;
+
+  static KeyEntry Of(Slice key, uint64_t tag) {
+    uint64_t prefix = 0;
+    for (size_t i = 0; i < 8; ++i) {
+      prefix = prefix << 8 | (i < key.size() ? key[i] : 0);
+    }
+    return KeyEntry{prefix, key, tag};
+  }
+};
+
+// Sorts entries into key order, equal keys in any order: the one sort of
+// FetchRefs' probe batch and RecoverIndex's rebuild.
+void SortKeyEntries(std::vector<KeyEntry>* entries) {
+  std::sort(entries->begin(), entries->end(),
+            [](const KeyEntry& a, const KeyEntry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              return a.key.Compare(b.key) < 0;
+            });
+}
+
+}  // namespace
+
 EncryptedTable::EncryptedTable(std::string name, size_t num_columns,
                                size_t index_column,
                                std::unique_ptr<StorageEngine> engine)
@@ -41,19 +75,18 @@ Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
   // batch: fetches run concurrently in the parallel query path, and the
   // B+-tree itself is read-only here (paged leaves are read in place,
   // without a lock).
-  // Sort the probe set once (a permutation array, so the caller-visible
-  // output order is untouched), resolve every probe in one shared descent
-  // (BPlusTree::BulkFind), then emit matches in the original order. A
-  // fetch unit's hundreds of trapdoors amortize the root-to-leaf descent
-  // instead of repeating it per probe, and on a paged index the batch
-  // prefetches its leaf pages in one shot before any probe blocks on disk.
-  std::vector<uint32_t> perm(n);
-  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [keys](uint32_t a, uint32_t b) {
-    return keys[a].Compare(keys[b]) < 0;
-  });
+  // Sort the probe set once (each entry carries its probe position, so the
+  // caller-visible output order is untouched), resolve every probe in one
+  // shared descent (BPlusTree::BulkFind), then emit matches in the
+  // original order. A fetch unit's hundreds of trapdoors amortize the
+  // root-to-leaf descent instead of repeating it per probe, and on a paged
+  // index the batch prefetches its leaf pages in one shot before any probe
+  // blocks on disk.
+  std::vector<KeyEntry> entries(n);
+  for (size_t i = 0; i < n; ++i) entries[i] = KeyEntry::Of(keys[i], i);
+  SortKeyEntries(&entries);
   std::vector<Slice> sorted(n);
-  for (size_t i = 0; i < n; ++i) sorted[i] = keys[perm[i]];
+  for (size_t i = 0; i < n; ++i) sorted[i] = entries[i].key;
   std::vector<uint64_t> sorted_ids(n);
   size_t bulk_hits = 0;
   // Fail closed: a paged-index I/O error returns before any ref is
@@ -61,13 +94,20 @@ Status EncryptedTable::FetchRefs(const Slice* keys, size_t n,
   CONCEALER_RETURN_IF_ERROR(
       index_.BulkFind(sorted.data(), n, sorted_ids.data(), &bulk_hits));
   std::vector<uint64_t> ids(n);
-  for (size_t i = 0; i < n; ++i) ids[perm[i]] = sorted_ids[i];
+  for (size_t i = 0; i < n; ++i) ids[entries[i].tag] = sorted_ids[i];
   const uint64_t generation = store_->generation();
   uint64_t hits = 0;
   uint64_t bytes = 0;
   const size_t base = out->size();
   out->reserve(base + n);
+  // The matched rows lie scattered over their epoch: run their Row and
+  // Column array loads ahead of the emit (RowByteSize reads every column's
+  // size and no column byte).
+  const RowPrefetcher prefetch(n, [&](size_t i) {
+    return ids[i] == BPlusTree::kNoMatch ? nullptr : store_->GetRef(ids[i]);
+  });
   for (size_t i = 0; i < n; ++i) {
+    prefetch.Ahead(i);
     if (ids[i] == BPlusTree::kNoMatch) continue;
     const Row* row = store_->GetRef(ids[i]);
     if (row == nullptr) {
@@ -169,17 +209,8 @@ Status EncryptedTable::RecoverIndex() {
   ns->Close();  // The rebuilt tree reads no page; drop the mapping.
   index_ = BPlusTree();
   // Rebuild as a DBMS's sorted index build does: one sort of the keys,
-  // then a bottom-up load. Each 32-byte entry carries an 8-byte big-endian
-  // prefix of its key (zero-padded), which orders entries the same way
-  // the full compare does wherever two prefixes differ. Index values open
-  // with a 16-byte SIV, so prefixes almost never tie and the sort rarely
-  // leaves the entry array to read a borrowed key.
-  struct Entry {
-    uint64_t prefix;
-    Slice key;
-    uint64_t row_id;
-  };
-  std::vector<Entry> entries;
+  // then a bottom-up load.
+  std::vector<KeyEntry> entries;
   entries.reserve(store_->size());
   for (uint64_t id = 0; id < store_->size(); ++id) {
     const Row* row = store_->GetRef(id);
@@ -190,25 +221,16 @@ Status EncryptedTable::RecoverIndex() {
     if (row->columns.size() != num_columns_) {
       return Status::Corruption("recovered row arity mismatch");
     }
-    const Slice key = row->columns[index_column_];
-    uint64_t prefix = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      prefix = prefix << 8 | (i < key.size() ? key[i] : 0);
-    }
-    entries.push_back(Entry{prefix, key, id});
+    entries.push_back(KeyEntry::Of(row->columns[index_column_], id));
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              return a.key.Compare(b.key) < 0;
-            });
+  SortKeyEntries(&entries);
   std::vector<Slice> keys(entries.size());
   std::vector<uint64_t> row_ids(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     keys[i] = entries[i].key;
-    row_ids[i] = entries[i].row_id;
+    row_ids[i] = entries[i].tag;
   }
-  std::vector<Entry>().swap(entries);  // Freed before the tree is built.
+  std::vector<KeyEntry>().swap(entries);  // Freed before the tree is built.
   // Equal keys (the rows' Index column must be unique) fail the load with
   // the same InvalidArgument an Insert gives, leaving the index empty.
   return index_.BulkLoad(keys.data(), row_ids.data(), keys.size());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "common/random.h"
@@ -108,6 +109,14 @@ struct SweepParams {
   uint32_t max_weight;
   bool bfd;
 };
+
+// gtest would print the parameter as its raw bytes, padding included,
+// and those bytes end up in the test ids that ctest discovers; print the
+// fields instead.
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_cids" << p.num_cids << "_maxw"
+      << p.max_weight << (p.bfd ? "_bfd" : "_ffd");
+}
 
 class Theorem41Sweep : public ::testing::TestWithParam<SweepParams> {};
 

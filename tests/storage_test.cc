@@ -768,56 +768,91 @@ TEST_P(EncryptedTableTest, FetchRefsBorrowsRowsAndCountsBytes) {
 TEST_P(EncryptedTableTest, BulkAndPerKeyFetchRefsAreIdentical) {
   // FetchRefs' bulk probe must be observationally identical to a per-key
   // fetch loop — one Find per key on a tree built by the same inserts, then
-  // the engine's borrowed row: same refs, same order, same stats. The
-  // probe set is shuffled (FetchRefs sorts internally via a permutation)
-  // and mixes hits, misses and duplicates. The check runs on the resident
-  // tree the inserts built, then again after the index is paged to the
-  // node file.
-  auto table = MakeTable(2, 1);
-  BPlusTree per_key_index;
-  for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(
-        table->Insert(Row{{Bytes{uint8_t(i), uint8_t(i >> 8)}, Key(i * 3)}})
-            .ok());
-    ASSERT_TRUE(per_key_index.Insert(Key(i * 3), i).ok());
-  }
-  Rng rng(77);
-  std::vector<Bytes> keys;
-  for (int i = 0; i < 300; ++i) keys.push_back(Key(rng.Uniform(2000)));
-  keys.push_back(keys[0]);  // Guaranteed duplicate probe.
-  rng.Shuffle(&keys);
-
-  std::vector<std::pair<uint64_t, const Row*>> per_key;  // (row id, row)
-  uint64_t per_key_bytes = 0;
-  for (const Bytes& key : keys) {
-    const std::optional<uint64_t> id = FindId(per_key_index, key);
-    if (!id.has_value()) continue;
-    const Row* row = table->engine()->GetRef(*id);
-    ASSERT_NE(row, nullptr);
-    per_key_bytes += RowByteSize(*row);
-    per_key.emplace_back(*id, row);
-  }
-  ASSERT_GT(per_key.size(), 0u);
-
-  const auto expect_identical = [&] {
-    table->ResetStats();
-    std::vector<RowRef> bulk;
-    ASSERT_TRUE(table->FetchRefs(keys, &bulk).ok());
-    ASSERT_EQ(bulk.size(), per_key.size());
-    for (size_t i = 0; i < bulk.size(); ++i) {
-      EXPECT_EQ(bulk[i].row_id, per_key[i].first) << i;
-      EXPECT_EQ(bulk[i].row, per_key[i].second) << i;  // Same borrowed row.
+  // the engine's borrowed row: same refs, same order, same probe
+  // positions, same stats. Each probe set is shuffled (FetchRefs sorts it
+  // internally, carrying each probe's position) and mixes hits, misses and
+  // duplicates. Each check runs on the resident tree the inserts built,
+  // then again after the index is paged to the node file.
+  const auto expect_identical = [&](const std::vector<Bytes>& index_keys,
+                                    const std::vector<Bytes>& probes) {
+    auto table = MakeTable(2, 1);
+    BPlusTree per_key_index;
+    for (uint64_t i = 0; i < index_keys.size(); ++i) {
+      ASSERT_TRUE(
+          table->Insert(Row{{Bytes{uint8_t(i), uint8_t(i >> 8)}, index_keys[i]}})
+              .ok());
+      ASSERT_TRUE(per_key_index.Insert(index_keys[i], i).ok());
     }
-    const TableStats stats = table->stats();
-    EXPECT_EQ(stats.index_probes, keys.size());
-    EXPECT_EQ(stats.index_hits, per_key.size());
-    EXPECT_EQ(stats.rows_fetched, per_key.size());
-    EXPECT_EQ(stats.bytes_fetched, per_key_bytes);
+    struct Hit {
+      uint64_t row_id;
+      const Row* row;
+      size_t probe;
+    };
+    std::vector<Hit> per_key;
+    uint64_t per_key_bytes = 0;
+    for (size_t p = 0; p < probes.size(); ++p) {
+      const std::optional<uint64_t> id = FindId(per_key_index, probes[p]);
+      if (!id.has_value()) continue;
+      const Row* row = table->engine()->GetRef(*id);
+      ASSERT_NE(row, nullptr);
+      per_key_bytes += RowByteSize(*row);
+      per_key.push_back(Hit{*id, row, p});
+    }
+    ASSERT_GT(per_key.size(), 0u);
+    ASSERT_LT(per_key.size(), probes.size());
+
+    for (bool paged : {false, true}) {
+      SCOPED_TRACE(paged ? "paged" : "resident");
+      if (paged) {
+        ASSERT_TRUE(table->PersistPagedIndex().ok());
+        ASSERT_TRUE(table->paged_index());
+      }
+      table->ResetStats();
+      std::vector<RowRef> bulk;
+      ASSERT_TRUE(table->FetchRefs(probes, &bulk).ok());
+      ASSERT_EQ(bulk.size(), per_key.size());
+      for (size_t i = 0; i < bulk.size(); ++i) {
+        EXPECT_EQ(bulk[i].row_id, per_key[i].row_id) << i;
+        EXPECT_EQ(bulk[i].row, per_key[i].row) << i;  // Same borrowed row.
+        EXPECT_EQ(bulk[i].probe, per_key[i].probe) << i;
+      }
+      const TableStats stats = table->stats();
+      EXPECT_EQ(stats.index_probes, probes.size());
+      EXPECT_EQ(stats.index_hits, per_key.size());
+      EXPECT_EQ(stats.rows_fetched, per_key.size());
+      EXPECT_EQ(stats.bytes_fetched, per_key_bytes);
+    }
   };
-  expect_identical();
-  ASSERT_TRUE(table->PersistPagedIndex().ok());
-  ASSERT_TRUE(table->paged_index());
-  expect_identical();
+
+  // 500 rows under 8-byte keys, every sort prefix distinct.
+  std::vector<Bytes> index_keys;
+  for (uint64_t i = 0; i < 500; ++i) index_keys.push_back(Key(i * 3));
+  Rng rng(77);
+  std::vector<Bytes> probes;
+  for (int i = 0; i < 300; ++i) probes.push_back(Key(rng.Uniform(2000)));
+  probes.push_back(probes[0]);  // Guaranteed duplicate probe.
+  rng.Shuffle(&probes);
+  {
+    SCOPED_TRACE("distinct prefixes");
+    expect_identical(index_keys, probes);
+  }
+
+  // Keys that tie on the zero-padded 8-byte sort prefix, so only the full
+  // compare orders them, among keys that do not.
+  const std::vector<Bytes> ties = {Bytes{'a', 'b'}, Bytes{'a', 'b', 0},
+                                   Bytes{'a', 'b', 0, 0, 0, 0, 0, 0, 'x'},
+                                   Bytes{}};
+  index_keys.resize(40);
+  index_keys.insert(index_keys.end(), ties.begin(), ties.end());
+  probes = index_keys;
+  probes.push_back(Bytes{'a', 'b', 0, 0});  // Absent: ties "ab\0" on prefix.
+  probes.push_back(Key(1));                 // Absent: between two rows.
+  probes.push_back(ties[1]);                // Duplicate of a tie.
+  rng.Shuffle(&probes);
+  {
+    SCOPED_TRACE("tied prefixes");
+    expect_identical(index_keys, probes);
+  }
 }
 
 TEST_P(EncryptedTableTest, RowRefStaleAfterMutation) {
